@@ -19,6 +19,7 @@ from .combinatorics import (
     increasing_sequences,
     is_downset,
 )
+from .field import FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_degree
 
 
@@ -44,11 +45,28 @@ def _interval_system_factors(g, emb: Embedding):
 
 
 def expand_factors(field, n, factors) -> Polynomial:
-    """Expand a product of linear factors (x_j - t); empty product is 1."""
-    result = Polynomial.one(field, n)
+    """Expand a product of linear factors (x_j - t); empty product is 1.
+
+    The factors in one variable multiply out to a univariate polynomial;
+    the whole product is the tensor product of those n polynomials, so
+    no two terms ever meet.
+    """
+    fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
+    columns = [[one] for _ in range(n)]  # coefficients of each variable's factor, degree 0 first
     for j, t in factors:
-        result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
-    return result
+        if not 0 <= j < n:
+            raise ValueError(f"variable position {j} out of range for n={n}")
+        t = field._canon(t)
+        col = columns[j]
+        columns[j] = [fsub(a, fmul(t, b)) for a, b in zip([zero] + col, col + [zero])]
+    terms = {(): one}
+    for col in columns:
+        col = [(k, a) for k, a in enumerate(col) if a != zero]
+        terms = {m + (k,): fmul(c, a) for m, c in terms.items() for k, a in col}
+    out = Polynomial.__new__(Polynomial)
+    out.field, out.n = field, n
+    out.terms = {m: FieldElement(field, c) for m, c in terms.items()}
+    return out
 
 
 class GroebnerBasis:
@@ -98,16 +116,28 @@ class GroebnerBasis:
 
 def is_reduced_basis(polys, order: TermOrder) -> bool:
     """Monic, and no monomial of one member divisible by another's
-    leading monomial."""
+    leading monomial (leading monomials equal to the member's own are
+    not "another's").
+
+    Leading monomials are indexed by total degree: one of the term's own
+    degree divides it only by being equal to it, so only those of lower
+    degree are scanned.
+    """
     lms = [p.leading_monomial(order) for p in polys]
+    lm_set = set(lms)
+    by_degree = sorted((sum(lm), lm) for lm in lm_set)
     for p, lm in zip(polys, lms):
         if p.terms[lm] != p.field.one:
             return False
-        for other in lms:
-            if other == lm:
-                continue
-            if any(mono_divides(other, m) for m in p.terms):
+        for m in p.terms:
+            if m != lm and m in lm_set:
                 return False
+            d = sum(m)
+            for e, other in by_degree:
+                if e >= d:
+                    break
+                if other != lm and mono_divides(other, m):
+                    return False
     return True
 
 

@@ -88,17 +88,6 @@ def matmul(a, b, field: Field):
     return out
 
 
-def mat_vec(a, v, field: Field):
-    out = []
-    for row in a:
-        total = field.zero
-        for x, y in zip(row, v):
-            if not x.is_zero and not y.is_zero:
-                total = total + x * y
-        out.append(total)
-    return out
-
-
 def eliminate(vec, pivot_rows):
     """Reduce vec against rows normalized to leading 1 at their pivot.
 

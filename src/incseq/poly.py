@@ -5,6 +5,9 @@ term orders, evaluation, leading monomials, and deterministic
 multi-divisor normal-form reduction.
 """
 
+import heapq
+from operator import add, sub
+
 from .field import Field, FieldElement
 
 
@@ -24,6 +27,13 @@ class TermOrder:
             return mono
         return (sum(mono), mono)
 
+    def descending_key(self, mono: tuple[int, ...]):
+        """Sort key of the reverse order: smaller key = larger monomial."""
+        neg = tuple(-e for e in mono)
+        if self.kind == "lex":
+            return neg
+        return (-sum(mono), neg)
+
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.kind == other.kind
 
@@ -42,21 +52,12 @@ def parse_order(text: str) -> TermOrder:
     return TermOrder(text.strip())
 
 
-def mono_degree(m: tuple[int, ...]) -> int:
-    return sum(m)
-
-
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
 def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_quotient(b: tuple[int, ...], a: tuple[int, ...]) -> tuple[int, ...]:
-    """b / a, assuming a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
 
 
 def mono_eval(m: tuple[int, ...], point) -> FieldElement:
@@ -110,6 +111,8 @@ class Polynomial:
             for m, c in terms.items():
                 if len(m) != n:
                     raise ValueError(f"monomial width {len(m)} != {n}")
+                if c.field is not field and c.field != field:
+                    raise ValueError(f"coefficient {c!r} of {c.field!r} in a polynomial over {field!r}")
                 if not c.is_zero:
                     clean[m] = c
         self.terms = clean
@@ -209,16 +212,6 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         out.field, out.n = self.field, self.n
         out.terms = {m: t * c for m, t in self.terms.items()}
-        return out
-
-    def shift(self, m: tuple[int, ...], c=None) -> "Polynomial":
-        """Multiply by the term c * x^m (c defaults to 1)."""
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n = self.field, self.n
-        if c is None:
-            out.terms = {mono_mul(m, mm): cc for mm, cc in self.terms.items()}
-        else:
-            out.terms = {mono_mul(m, mm): cc * c for mm, cc in self.terms.items()}
         return out
 
     def __pow__(self, e: int):
@@ -344,26 +337,68 @@ def reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     divisible by some divisor's leading monomial; the divisor used is the
     first such in list order.  The remainder contains no monomial
     divisible by any divisor's leading monomial.
+
+    One pass in descending order does this: subtracting a multiple of a
+    divisor only changes monomials below the one it cancels, so the
+    largest working term is always the next monomial to reduce or to
+    move to the remainder.
     """
-    divisors = []
+    basis = list(basis)
+    lms = []
     for g in basis:
         if g.is_zero:
             raise ValueError("zero polynomial in reduction basis")
         f._check(g)
-        divisors.append((g.leading_monomial(order), g.terms[g.leading_monomial(order)], g))
-    r = f
-    while True:
-        target = None
-        use = None
-        for m in sort_monomials(r.terms, order, reverse=True):
-            for lm, lc, g in divisors:
-                if mono_divides(lm, m):
-                    target, use = m, (lm, lc, g)
-                    break
-            if target is not None:
+        lms.append(g.leading_monomial(order))
+    # a leading monomial of the term's own degree divides it only by being
+    # equal to it; lower ones are scanned in list order
+    first = {}
+    for i, lm in enumerate(lms):
+        first.setdefault(lm, i)
+    distinct = [(i, sum(lm), lm) for lm, i in first.items()]  # in list order
+    below = {}
+    field = f.field
+    fsub, fmul, fneg, zero = field._sub, field._mul, field._neg, field.zero.value
+    tails = {}
+    key = order.descending_key
+    work = {m: c.value for m, c in f.terms.items()}
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if c == zero:
+            continue
+        degree = sum(m)
+        lower = below.get(degree)
+        if lower is None:
+            lower = below[degree] = [(i, lm) for i, d, lm in distinct if d < degree]
+        use = first.get(m)
+        for i, lm in lower:
+            if use is not None and i > use:
                 break
-        if target is None:
-            return r
-        lm, lc, g = use
-        factor = r.terms[target] / lc
-        r = r - g.shift(mono_quotient(target, lm), factor)
+            if mono_divides(lm, m):
+                use = i
+                break
+        if use is None:
+            remainder[m] = FieldElement(field, c)
+            continue
+        if use not in tails:
+            g, lm = basis[use], lms[use]
+            tails[use] = (field._inv(g.terms[lm].value),
+                          [(t, tc.value) for t, tc in g.terms.items() if t != lm])
+        lc_inv, tail = tails[use]
+        factor = fmul(c, lc_inv)
+        shift = tuple(map(sub, m, lms[use]))
+        for tm, tc in tail:
+            mm = tuple(map(add, tm, shift))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = fneg(fmul(tc, factor))
+                heapq.heappush(heap, (key(mm), mm))
+            else:
+                work[mm] = fsub(old, fmul(tc, factor))
+    out = Polynomial.__new__(Polynomial)
+    out.field, out.n, out.terms = field, f.n, remainder
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -211,3 +212,83 @@ def test_verify_all_small(capsys):
     payload = json.loads(out)
     assert len(payload) == 9
     assert all(item["passed"] for item in payload)
+
+
+# SHA-256 of `incseq gb` stdout for full, strict, downset-file and
+# minimized downset bases, both term orders and three field kinds.
+# Pinned from the implementation before the raw-payload kernels, so any
+# change to the bytes of `gb` shows up here.
+GB_EMBEDDINGS = {
+    "gf:7": "list:2,6,0,3,5",
+    "gf:3^2": "list:[1,0],[0,1],[2,1],[1,2],[0,2]",
+    "rational": "list:-3/4,2,0,5,1/3",
+}
+GB_DOWNSET = ["1,1,1", "1,1,2", "1,2,2", "2,2,2", "1,1,3", "1,2,3", "1,1,4", "2,2,3"]
+GB_PINS = {
+    ("full", "deglex", "gf:7", "text"): "517c0d1bbcbd22a5c09650f3f52852b8dec23470b829fcef6bbc72128e92ca35",
+    ("full", "deglex", "gf:7", "json"): "a2b49c6c5989fa3242ff1b462b12231ffdc18ea9c759b7e5b431f75efdd85fd8",
+    ("full", "deglex", "gf:3^2", "text"): "4e657e2b157fd2566c21f3d30f67f293ac8d73aec3db89d8eb8b62f380f40a4d",
+    ("full", "deglex", "gf:3^2", "json"): "3f9639b8e419fc2f2c638bff8a2ad98b005dbdf723ed73f5787b35d1aff6657f",
+    ("full", "deglex", "rational", "text"): "5761eb6b0ed5e6377785d5d54f61c6ae77c69d023a518506d68dd8d9528d9853",
+    ("full", "deglex", "rational", "json"): "7ce2157798c8881df4ea82d9a665aaecab731d0c40f30bcba43737415a1d6d68",
+    ("full", "lex", "gf:7", "text"): "50503bdd4da1efcb923ea996420b6a771f9fd73e4990b1b904f9da4db9141e2c",
+    ("full", "lex", "gf:7", "json"): "61ebd54d6e2373487f82a6bc4036924cd3082436403f782b1032626ec805304c",
+    ("full", "lex", "gf:3^2", "text"): "72cc3bf1e913d5f5d5ec4869c4c076b67b6f1158be92db79d10274e3e2b9281d",
+    ("full", "lex", "gf:3^2", "json"): "db4d7457a655a8b61a5b0b6e9da74afd5a9c6f45d0bbc4b87573db1acc914979",
+    ("full", "lex", "rational", "text"): "e1875ebe72f1bfbb83440e076526d4fa740cc4c0f39f74aa6d3fd9bcf614d354",
+    ("full", "lex", "rational", "json"): "f52a9b882fdeaec48a5332f68f46a3f6a6e9587d96a08486b1ec11f63134efed",
+    ("strict", "deglex", "gf:7", "text"): "997321e1099b2ccbbb2b996573295c6e000c81c2ed3237eee8423814a29f26f8",
+    ("strict", "deglex", "gf:7", "json"): "3d2eb872cd9a5bbe60f8a56b65315e9c8c3fcd358e23136b17894ac824db8922",
+    ("strict", "deglex", "gf:3^2", "text"): "aae8bd21b8de3c3f07f91481352cff7ed503ee6079c09fc04a882e6d8e7bf159",
+    ("strict", "deglex", "gf:3^2", "json"): "4c04735f5162883af7edbb9a3fba0cee79040c3c01cb7985223d722fe78670cb",
+    ("strict", "deglex", "rational", "text"): "c42aec649fabaeaf0b71a4ed3a519d0113608fee0553469e50f9b8ad9c86848d",
+    ("strict", "deglex", "rational", "json"): "64e528d7e3b2dd0b0590497a11671bbe49376703d6cfa64aad4e284da6a9c677",
+    ("strict", "lex", "gf:7", "text"): "11d9a3ffe3630dbf980a088cdd6683e63bf823b2b9de0648856aed12b1f11631",
+    ("strict", "lex", "gf:7", "json"): "9879164d8f8098776b8eb942e58ce1f78ccbc1304a5c9ab68bc2d38cf65e665a",
+    ("strict", "lex", "gf:3^2", "text"): "1b711ed0bb92461980e82ce8a09f791ef96aea7d89b2b58d1e2b38f3e0b3a215",
+    ("strict", "lex", "gf:3^2", "json"): "d99d0886e92b23577a7f22172f328089dcf6050f3f4ccfdd49a55f85f6ca223f",
+    ("strict", "lex", "rational", "text"): "fe17e1a70296c0576f70d57041fcf6d3715c7fd049dcbab147f4ddb906b16d12",
+    ("strict", "lex", "rational", "json"): "e7bc150151916475ed65534ac77bda9cb88cbb0f51a499e12405de7b2c030603",
+    ("downset", "deglex", "gf:7", "text"): "00d4c94d457b455f22064b11542b2cf26fcb8fbc1cc61ba5717be24580ba4d09",
+    ("downset", "deglex", "gf:7", "json"): "7281137eb87dc0378ae8f6e623749c1cbcefdc5d37003cdfe1287f8861804594",
+    ("downset", "deglex", "gf:3^2", "text"): "861ff0766a4bcbbc8284dfb02ca3dd799e26373627aa95d478520dd4f6a50537",
+    ("downset", "deglex", "gf:3^2", "json"): "ae5364dc8a050f185f6b6f94601198e31a6817716e9003dfa07252c5644f818d",
+    ("downset", "deglex", "rational", "text"): "c19bfb61c5b7089af916e364ca90d9f9f3b15095ffd5f4f1e2e0b3b8171b74cb",
+    ("downset", "deglex", "rational", "json"): "ced619945c6d6b1a2c73d726bcc01d286f6d45e60e7dcee27ee91bd98bb9c48a",
+    ("downset", "lex", "gf:7", "text"): "03078c961706fb0ed2899c654cd76169673d1f9ac4ef6af4a1f2123342b1dfa3",
+    ("downset", "lex", "gf:7", "json"): "f2f7becac33a0687d0fbbc8c269d3c87f2328f25c263c87763b2ebf32be29075",
+    ("downset", "lex", "gf:3^2", "text"): "c8e63e2536d6e0ceb1751a2ff5508a5923e54a2521e4c527851e75b8db8bf188",
+    ("downset", "lex", "gf:3^2", "json"): "279bfd39141a60b35587ac2025aa9dd053f83a4bac6f96e06d8139c3353f6823",
+    ("downset", "lex", "rational", "text"): "a40fe96f01a03be6490c3439b08a08b9634f479330f87384d4819b23baf3e4d8",
+    ("downset", "lex", "rational", "json"): "d8ce9323b996ee46eedf1164461eca54d944808c3e455deb70eca32acc3ec34c",
+    ("minimize", "deglex", "gf:7", "text"): "64129f65bfac2bbba06366d7b80bc792d46cb763fa921565f546ec7cba61a9e7",
+    ("minimize", "deglex", "gf:7", "json"): "47f2ea37a02466aec6b05c3e8935d5979793ed479802ef93f98490efd2e5ea8b",
+    ("minimize", "deglex", "gf:3^2", "text"): "354d108f5b084536133ed335c83b3bd7ae986af52b759c5bc96bb77cbe894c38",
+    ("minimize", "deglex", "gf:3^2", "json"): "231c8f6706991289618d51201a9d65a35d5f740f2df03031a7b4ac537c856112",
+    ("minimize", "deglex", "rational", "text"): "c1fffc8f068480300e20b0d761f8249b4faf2c0f85aa99598ed23fbe8ca5ecfd",
+    ("minimize", "deglex", "rational", "json"): "ad6164bec1d99e0b9acd1d312f318ddbf1b7229191787e0925121c61baf8a856",
+    ("minimize", "lex", "gf:7", "text"): "e3e6687b46e0c88b99173978c69a34cf183342ec50e8f923f73f0cd3bd5d9990",
+    ("minimize", "lex", "gf:7", "json"): "07d8dfebc8da28a98d2d7bdbc506fb2abe5dda7530e0bcdad16d3070354dcc33",
+    ("minimize", "lex", "gf:3^2", "text"): "724119c53ff5018f80513c571c58bc4ea7616630c51e668299b6ccf08953ef74",
+    ("minimize", "lex", "gf:3^2", "json"): "294991fe709a43f5a0f40dc8d71e4e11e90ee2f6043a78ddd2730a0d43dcc463",
+    ("minimize", "lex", "rational", "text"): "7ddada56c9b762d8df01d1f5222c6492d6c06ec59e04ecb1eb1c34a80b66633d",
+    ("minimize", "lex", "rational", "json"): "a7813079219ed34c732fb7d1bd819e9d21838019ae05ba82f08e24a22d00dc2b",
+}
+
+
+def gb_argv(kind, order, field, fmt, downset_file):
+    argv = ["gb", "--n", "3", "--q", "5", "--field", field, "--embedding", GB_EMBEDDINGS[field],
+            "--order", order, "--format", fmt]
+    if kind == "full" or kind == "strict":
+        return argv + ["--kind", kind]
+    argv += ["--kind", "downset", "--downset-file", str(downset_file)]
+    return argv + ["--minimize"] if kind == "minimize" else argv
+
+
+@pytest.mark.parametrize("kind,order,field,fmt", sorted(GB_PINS))
+def test_gb_bytes_pinned(tmp_path, capsys, kind, order, field, fmt):
+    downset_file = tmp_path / "downset.txt"
+    downset_file.write_text("\n".join(GB_DOWNSET) + "\n")
+    code, out, _ = run(capsys, *gb_argv(kind, order, field, fmt, downset_file))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GB_PINS[(kind, order, field, fmt)]

@@ -208,3 +208,14 @@ def test_monomial_enumeration_sorted():
     ordered = sort_monomials(monos, DEGLEX)
     assert ordered[0] == (0, 0) and sum(ordered[-1]) == 2
     assert ordered == sorted(monos, key=DEGLEX.key)
+
+
+def test_coefficients_must_belong_to_the_field():
+    gf3, gf5 = field_from_string("gf:3"), field_from_string("gf:5")
+    with pytest.raises(ValueError, match="GF\\(5\\)"):
+        Polynomial(gf3, 1, {(1,): gf5.one})
+    with pytest.raises(ValueError):
+        Polynomial(Q, 2, {(0, 0): Q.one, (1, 0): gf3.one})
+    # an equal field built separately is the same field
+    f = Polynomial(gf3, 1, {(1,): field_from_string("gf:3").one, (0,): gf3.one})
+    assert format_polynomial(f) == "x1 + 1"
