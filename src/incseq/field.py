@@ -276,6 +276,8 @@ class Field:
         raise ValueError("cannot enumerate an infinite field")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Field):
             return NotImplemented
         return self.spec == other.spec

@@ -60,34 +60,6 @@ def nullspace_vector(rows, ncols: int, field: Field):
     return vec
 
 
-def invert(rows, field: Field):
-    """Inverse of a square matrix by Gauss-Jordan on [M | I]."""
-    size = len(rows)
-    aug = []
-    for i, r in enumerate(rows):
-        if len(r) != size:
-            raise ValueError("matrix must be square")
-        aug.append(list(r) + [field.one if j == i else field.zero for j in range(size)])
-    echelon, pivots = row_echelon(aug, field)
-    if pivots[:size] != list(range(size)):
-        raise ValueError("matrix is singular")
-    return [row[size:] for row in echelon[:size]]
-
-
-def matmul(a, b, field: Field):
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            total = field.zero
-            for k, x in enumerate(row):
-                if not x.is_zero and not b[k][j].is_zero:
-                    total = total + x * b[k][j]
-            out_row.append(total)
-        out.append(out_row)
-    return out
-
-
 def eliminate(vec, pivot_rows):
     """Reduce vec against rows normalized to leading 1 at their pivot.
 

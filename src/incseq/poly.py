@@ -6,6 +6,7 @@ multi-divisor normal-form reduction.
 """
 
 import heapq
+from itertools import accumulate, repeat
 from operator import add, sub
 
 from .field import Field, FieldElement
@@ -234,10 +235,22 @@ class Polynomial:
     def evaluate(self, point) -> FieldElement:
         if len(point) != self.n:
             raise ValueError(f"point width {len(point)} != {self.n}")
-        total = self.field.zero
+        field = self.field
+        for x in point:
+            if not isinstance(x, FieldElement) or (x.field is not field and x.field != field):
+                raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
+        fadd, fmul = field._add, field._mul
+        # powers[j][e] = x_j^e up to the largest exponent of x_j in a term
+        powers = [list(accumulate(repeat(x.value, top), fmul, initial=field.one.value))
+                  for x, top in zip(point, map(max, zip(*self.terms)))]
+        total = field.zero.value
         for m, c in self.terms.items():
-            total = total + c * mono_eval(m, point)
-        return total
+            v = c.value
+            for row, e in zip(powers, m):
+                if e:
+                    v = fmul(v, row[e])
+            total = fadd(total, v)
+        return FieldElement(field, total)
 
     def leading_monomial(self, order: TermOrder) -> tuple[int, ...]:
         if self.is_zero:

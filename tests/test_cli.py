@@ -4,6 +4,7 @@ import json
 import pytest
 
 from incseq.cli import RunConfig, build_parser, main
+from incseq.combinatorics import increasing_sequences
 
 
 def run(capsys, *argv):
@@ -292,3 +293,72 @@ def test_gb_bytes_pinned(tmp_path, capsys, kind, order, field, fmt):
     code, out, _ = run(capsys, *gb_argv(kind, order, field, fmt, downset_file))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GB_PINS[(kind, order, field, fmt)]
+
+
+# SHA-256 of `incseq interp` stdout: an indicator with its factored form
+# (`--point ... --factored`) and an interpolant from a `--values` CSV, for
+# three field kinds, grid and list embeddings, text and json.  Pinned from
+# the implementation that inverted the dense evaluation matrix, so the
+# triangular solve must reproduce its bytes.  GF(3^2) has characteristic
+# 3, so its grid embedding covers [3] only.
+INTERP_EMBEDDINGS = {
+    ("rational", "grid"): (5, "grid:-1"),
+    ("rational", "list"): (5, "list:-3/4,2,0,5,1/3"),
+    ("gf:7", "grid"): (5, "grid:2"),
+    ("gf:7", "list"): (5, "list:2,6,0,3,5"),
+    ("gf:3^2", "grid"): (3, "grid:[1,1]"),
+    ("gf:3^2", "list"): (5, "list:[1,0],[0,1],[2,1],[1,2],[0,2]"),
+}
+INTERP_PINS = {
+    ("point", "rational", "grid", "text"): "d96028f264a69e52e12f316cee03974713babdba9292a289496d85ac18e8e58f",
+    ("point", "rational", "grid", "json"): "9e9118475c15301d4b107fa71d3ff79391324405472cb9423165f62615b750b3",
+    ("point", "rational", "list", "text"): "492e6fbb7fb3e5a816ece0b1715f6a72ebdadf941b92b730d80391bb6f58df0c",
+    ("point", "rational", "list", "json"): "401529c65309c76b7e10e68b120e9c3a614b704161fba9feb3b8709acc295bf2",
+    ("point", "gf:7", "grid", "text"): "7cab418a83363369bf4436ba2990c51157eeb132213579247ad0df0f80fa9de8",
+    ("point", "gf:7", "grid", "json"): "e247843f6a6aca099a8645ae5918fcd36e11b5d3ccf0e52b2b52cf49eab19ba7",
+    ("point", "gf:7", "list", "text"): "595e0ea2305bed7af1eb08f4f201024e9ae69224a9d8fe9e8228e39049b7dfad",
+    ("point", "gf:7", "list", "json"): "7484e240327adba6f9d941fe82e7d1fcfb9878184de5e7502daa7fa84daa75d4",
+    ("point", "gf:3^2", "grid", "text"): "684a220a89e78d159f26710f7c892aafb5b574e6d9d54a35287dd5d262534f4f",
+    ("point", "gf:3^2", "grid", "json"): "4911fe7bedb50b22c94fa8c1c336bba615fb9445202f5d46eddeb262dce42391",
+    ("point", "gf:3^2", "list", "text"): "8f0d87f4745320fc671abdedbacb3017a3a00657d7e910e9f853d842f3c1d9f5",
+    ("point", "gf:3^2", "list", "json"): "b31256e6df75e7ce0f2c5a5ddecc967e31e7321e657b0d4df373ee198407da70",
+    ("values", "rational", "grid", "text"): "d3d2a157b570b91d31a2c54cd9a68ccfaac10194dcd9c270e933171a0d773b70",
+    ("values", "rational", "grid", "json"): "5bd4b9e373c03e87e287aae00e1efcf5745fe2762552b7ca5303e2fb7bce2b4e",
+    ("values", "rational", "list", "text"): "9c95a07616a13141b3b64676487abb61bc9e5a7660d8ef79f407e4dc5394847d",
+    ("values", "rational", "list", "json"): "172fb0f287ca465b4e3f1180d9c479db52bca14bb06dab683b0fafac3b392f11",
+    ("values", "gf:7", "grid", "text"): "55c8b519aa0f437ecf7ce9eda10ff2d22bbcbfa03ec500772abb6b61b1940d5a",
+    ("values", "gf:7", "grid", "json"): "76663cf563d0acb65cecc72a0dff3e9c9a68a2224a9b416143436bcb8a60d11e",
+    ("values", "gf:7", "list", "text"): "1d70681c4debb40ba2cf14ecd1fc49ea1288b39ea78b6efb153be91fd7783a43",
+    ("values", "gf:7", "list", "json"): "b2a6c7cef005fc72b9c70250e1d3635a4c9e9df039c3f5ce11dfd6f031aec39d",
+    ("values", "gf:3^2", "grid", "text"): "49a45bc83436121fd5da6a07e62a99273b5cfcfb5a70f16a5e786602a222e9b6",
+    ("values", "gf:3^2", "grid", "json"): "eafc517fb56e0f8dce590aa7ddb0be0338c7f826f347db1803a14c799685f78b",
+    ("values", "gf:3^2", "list", "text"): "c4390ea49822fbbd969ed9e0acae186320deeedfdc7e5168cc95b31b102a0395",
+    ("values", "gf:3^2", "list", "json"): "c6489518eb33977e49c2c044297c7547b9dd6c48e94be66fa78109884f2948be",
+}
+
+
+def interp_value(field, seq):
+    k = (3 * seq[0] + 5 * seq[1] * seq[1] + 7 * seq[2]) % 11 - 5
+    if field == "rational":
+        return f"{k}/{seq[0] + 1}"
+    if field == "gf:7":
+        return str(k % 7)
+    return f'"[{k % 3},{(k * k + seq[1]) % 3}]"'  # quoted: the element holds a comma
+
+
+def interp_argv(mode, field, emb, fmt, values_file):
+    q, spec = INTERP_EMBEDDINGS[(field, emb)]
+    argv = ["interp", "--n", "3", "--q", str(q), "--field", field, "--embedding", spec, "--format", fmt]
+    if mode == "point":
+        return argv + ["--point", "2,2,3", "--factored"]
+    rows = [",".join(map(str, s)) + "," + interp_value(field, s)
+            for s in increasing_sequences(3, q)]
+    values_file.write_text("\n".join(rows) + "\n")
+    return argv + ["--values", str(values_file)]
+
+
+@pytest.mark.parametrize("mode,field,emb,fmt", sorted(INTERP_PINS))
+def test_interp_bytes_pinned(tmp_path, capsys, mode, field, emb, fmt):
+    code, out, _ = run(capsys, *interp_argv(mode, field, emb, fmt, tmp_path / "values.csv"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INTERP_PINS[(mode, field, emb, fmt)]

@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import full_basis
+from incseq.groebner import _interval_system_factors, expand_factors, full_basis
 from incseq.interpolation import Interpolator, get_interpolator, indicator, interpolate
-from incseq.poly import DEGLEX, Polynomial, reduce_by_basis
+from incseq.linalg import row_echelon
+from incseq.poly import DEGLEX, Polynomial, format_polynomial, mono_eval, monomials_up_to_degree, reduce_by_basis
 
 Q = field_from_string("rational")
 
@@ -131,3 +135,83 @@ def test_q1_edge():
     assert ip.expanded.degree() == 0
     assert ip.factored is not None and ip.factored.expand() == ip.expanded
     assert len(ip.factored.factors) == 0
+
+
+# -- differential: the triangular solve against a dense solve -----------------
+
+DIFF = settings(derandomize=True, database=None, deadline=None, max_examples=8,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+DIFF_FIELDS = ["gf:7", "gf:2^3", "gf:3^2", "rational"]
+MAX_N = 56  # sequences per context
+
+
+def _values(field):
+    if field.size is None:
+        return st.fractions(min_value=-6, max_value=6, max_denominator=4).map(field.element)
+    return st.sampled_from(field.elements())
+
+
+@st.composite
+def contexts(draw, spec, kind):
+    """(n, q, embedding) with at most MAX_N sequences; a grid embedding
+    at a random offset or random distinct images."""
+    field = field_from_string(spec)
+    top = field.size or 8
+    if kind == "grid" and field.char:
+        top = field.char  # j -> a + j repeats after char steps
+    q = draw(st.integers(2, min(top, 8)))
+    n = draw(st.integers(1, 6).filter(lambda n: math.comb(n + q - 1, n) <= MAX_N))
+    if kind == "grid":
+        return n, q, Embedding.grid(field, q, draw(_values(field)))
+    images = draw(st.lists(_values(field), min_size=q, max_size=q, unique=True))
+    return n, q, Embedding.from_elements(field, images)
+
+
+def dense_inverse(interp):
+    """The monomials of degree <= q-1 and the inverse of their evaluation
+    matrix, by reducing [M | I] to row echelon form."""
+    field = interp.field
+    columns = monomials_up_to_degree(interp.n, interp.q - 1)
+    size = len(columns)
+    rows = [[mono_eval(m, p) for m in columns] + [field.one if j == i else field.zero for j in range(size)]
+            for i, p in enumerate(interp.points)]
+    echelon, pivots = row_echelon(rows, field)
+    assert pivots[:size] == list(range(size))
+    return columns, [row[size:] for row in echelon]
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert format_polynomial(got) == format_polynomial(want)
+
+
+@pytest.mark.parametrize("kind", ["grid", "list"])
+@pytest.mark.parametrize("spec", DIFF_FIELDS)
+@DIFF
+@given(st.data())
+def test_triangular_solve_matches_dense_solve(spec, kind, data):
+    n, q, emb = data.draw(contexts(spec, kind))
+    field = emb.field
+    interp = Interpolator(n, q, emb)
+    columns, inverse = dense_inverse(interp)
+    for j, s in enumerate(interp.sequences):
+        want = Polynomial(field, n, {m: inverse[k][j] for k, m in enumerate(columns)})
+        _assert_same(interp.indicator(s).expanded, want)
+    values = data.draw(st.lists(_values(field), min_size=len(columns), max_size=len(columns)))
+    want = Polynomial(field, n, {m: sum((a * v for a, v in zip(inverse[k], values)), field.zero)
+                                 for k, m in enumerate(columns)})
+    _assert_same(interp.interpolate(dict(zip(interp.sequences, values))), want)
+
+
+@pytest.mark.parametrize("kind", ["grid", "list"])
+@pytest.mark.parametrize("spec", DIFF_FIELDS)
+@DIFF
+@given(st.data())
+def test_interval_products_are_triangular(spec, kind, data):
+    """P_g(h) != 0 exactly when g <= h componentwise."""
+    n, q, emb = data.draw(contexts(spec, kind))
+    seqs = increasing_sequences(n, q)
+    for g in seqs:
+        p = expand_factors(emb.field, n, _interval_system_factors(g, emb))
+        for h in seqs:
+            assert p.evaluate(emb.apply(h)).is_zero != all(a <= b for a, b in zip(g, h))

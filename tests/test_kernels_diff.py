@@ -4,7 +4,7 @@
 The reference copies below live only here.  Each builds its result from
 `Polynomial` arithmetic on `FieldElement` coefficients, so the fast
 kernels must agree with them exactly: the same remainder terms, the same
-reducedness verdict, the same expanded products.  Hypothesis runs
+reducedness verdict, the same expanded products and values.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
 
@@ -21,7 +21,15 @@ from incseq.groebner import (
     is_reduced_basis,
     strict_basis,
 )
-from incseq.poly import DEGLEX, LEX, Polynomial, format_polynomial, mono_divides, reduce_by_basis
+from incseq.poly import (
+    DEGLEX,
+    LEX,
+    Polynomial,
+    format_polynomial,
+    mono_divides,
+    mono_eval,
+    reduce_by_basis,
+)
 
 KERNELS = settings(derandomize=True, database=None, deadline=None, max_examples=80,
                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -82,6 +90,13 @@ def reference_expand_factors(field, n, factors):
     for j, t in factors:
         result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
     return result
+
+
+def reference_evaluate(f, point):
+    total = f.field.zero
+    for m, c in f.terms.items():
+        total = total + c * mono_eval(m, point)
+    return total
 
 
 # -- strategies -------------------------------------------------------------
@@ -221,3 +236,13 @@ def test_is_reduced_on_arbitrary_lists(divs):
 def test_expand_factors(field, n, data):
     factors = data.draw(st.lists(st.tuples(st.integers(0, n - 1), elements(field)), max_size=6))
     _assert_same(expand_factors(field, n, factors), reference_expand_factors(field, n, factors))
+
+
+@KERNELS
+@given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
+def test_evaluate(field, n, data):
+    f = data.draw(polynomials(field, n, 5, max_terms=8))
+    point = data.draw(st.tuples(*[elements(field)] * n))
+    got = f.evaluate(point)
+    assert got == reference_evaluate(f, point)
+    assert got.field is field

@@ -53,6 +53,13 @@ def test_eval_simple():
     assert (x1 * x2).evaluate([Q.element(2), Q.element(3)]) == Q.element(6)
     with pytest.raises(ValueError):
         (x1 * x2).evaluate([Q.element(2)])
+    # every coordinate must be an element of the polynomial's field, used or not
+    gf5 = field_from_string("gf:5")
+    for point in ([Q.element(2), gf5.element(3)], [Q.element(2), 3], [gf5.element(1), Q.element(3)]):
+        with pytest.raises(ValueError):
+            (x1 * x2).evaluate(point)
+        with pytest.raises(ValueError):
+            x1.evaluate(point)
 
 
 def test_eval_worked_product_on_grid():
