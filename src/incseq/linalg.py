@@ -40,34 +40,3 @@ def row_echelon(rows, field: Field):
             break
     return m, pivots
 
-
-def nullspace_vector(rows, ncols: int, field: Field):
-    """First kernel vector of the column space, or None if full column rank.
-
-    Deterministic: the free variable is the first non-pivot column, set
-    to 1; pivot variables are read off the reduced echelon form.
-    """
-    echelon, pivots = row_echelon(rows, field)
-    pivot_set = set(pivots)
-    free = next((c for c in range(ncols) if c not in pivot_set), None)
-    if free is None:
-        return None
-    vec = [field.zero] * ncols
-    vec[free] = field.one
-    for r, c in enumerate(pivots):
-        if c < free:
-            vec[c] = -echelon[r][free]
-    return vec
-
-
-def eliminate(vec, pivot_rows):
-    """Reduce vec against rows normalized to leading 1 at their pivot.
-
-    pivot_rows: list of (pivot_index, row).  Returns the residual vector.
-    """
-    v = list(vec)
-    for p, row in pivot_rows:
-        c = v[p]
-        if not c.is_zero:
-            v = [a - c * b for a, b in zip(v, row)]
-    return v

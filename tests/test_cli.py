@@ -362,3 +362,108 @@ def test_interp_bytes_pinned(tmp_path, capsys, mode, field, emb, fmt):
     code, out, _ = run(capsys, *interp_argv(mode, field, emb, fmt, tmp_path / "values.csv"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == INTERP_PINS[(mode, field, emb, fmt)]
+
+
+# SHA-256 of `incseq oracle sm` and `incseq oracle vanish` stdout: the
+# builtin J(3,5) and strict J(3,5) point sets and a `--points` file with
+# a repeated point, both term orders, three field kinds, text and json.
+# Pinned from the implementation that ran a dense elimination per
+# candidate monomial, so the raw-payload scan must reproduce its bytes.
+# A `--points` file needs a finite field (points are sorted by element
+# index), so the rational field is pinned through the builtins only.
+ORACLE_VALUES = {
+    "gf:7": [str(v) for v in range(7)],
+    "gf:3^2": [f"[{a},{b}]" for b in range(3) for a in range(3)],
+}
+ORACLE_SOURCES = {"jnq": ("--builtin", "jnq:3,5", 5), "sjnq": ("--builtin", "sjnq:3,5", 3),
+                  "points": ("--points", None, 3)}
+ORACLE_PINS = {
+    ('jnq', 'sm', 'deglex', 'gf:7', 'text'): "77eb8c1617b01f4361700430c823d4afcaf83fec6e793f3555756eb75014389e",
+    ('jnq', 'sm', 'deglex', 'gf:7', 'json'): "b6af88394aff2fe403e117e24953a391dc5cf45190fce991ec9bcfdaf2252223",
+    ('jnq', 'sm', 'deglex', 'gf:3^2', 'text'): "77eb8c1617b01f4361700430c823d4afcaf83fec6e793f3555756eb75014389e",
+    ('jnq', 'sm', 'deglex', 'gf:3^2', 'json'): "b6af88394aff2fe403e117e24953a391dc5cf45190fce991ec9bcfdaf2252223",
+    ('jnq', 'sm', 'deglex', 'rational', 'text'): "77eb8c1617b01f4361700430c823d4afcaf83fec6e793f3555756eb75014389e",
+    ('jnq', 'sm', 'deglex', 'rational', 'json'): "b6af88394aff2fe403e117e24953a391dc5cf45190fce991ec9bcfdaf2252223",
+    ('jnq', 'sm', 'lex', 'gf:7', 'text'): "a0efa784f19e8c2c8b167881d7125efa8e638fa7fb193b74c52f23c664ecc6cb",
+    ('jnq', 'sm', 'lex', 'gf:7', 'json'): "955942bc96662ff80d5cabf6f2e39544462cf1a095f8ba37910e73400591c7e2",
+    ('jnq', 'sm', 'lex', 'gf:3^2', 'text'): "a0efa784f19e8c2c8b167881d7125efa8e638fa7fb193b74c52f23c664ecc6cb",
+    ('jnq', 'sm', 'lex', 'gf:3^2', 'json'): "955942bc96662ff80d5cabf6f2e39544462cf1a095f8ba37910e73400591c7e2",
+    ('jnq', 'sm', 'lex', 'rational', 'text'): "a0efa784f19e8c2c8b167881d7125efa8e638fa7fb193b74c52f23c664ecc6cb",
+    ('jnq', 'sm', 'lex', 'rational', 'json'): "955942bc96662ff80d5cabf6f2e39544462cf1a095f8ba37910e73400591c7e2",
+    ('jnq', 'vanish', 'deglex', 'gf:7', 'text'): "e1d391e720d26ce72a9d97f35b66e98fdb253cd3859f348a3e625f9768fc67ff",
+    ('jnq', 'vanish', 'deglex', 'gf:7', 'json'): "7235ec87a54d34de19972d264078a56a6709d867ec884b74150a52ead7fba82c",
+    ('jnq', 'vanish', 'deglex', 'gf:3^2', 'text'): "adc10fe1e052715bc161dc1f0c137179a32a928d6e66968be5162b58475aa318",
+    ('jnq', 'vanish', 'deglex', 'gf:3^2', 'json'): "46482a5205b6ca423cff599478e7161e66f56db6b7855680977f4ebf1e90d7af",
+    ('jnq', 'vanish', 'deglex', 'rational', 'text'): "13881673bf5931a7805562f6559bd1478799602f8bf6873ac068afe2f6f9fbaf",
+    ('jnq', 'vanish', 'deglex', 'rational', 'json'): "5ed017081d25eca7770dbc265a1884978733a91d40070bcbb9229d3632573055",
+    ('jnq', 'vanish', 'lex', 'gf:7', 'text'): "e1d391e720d26ce72a9d97f35b66e98fdb253cd3859f348a3e625f9768fc67ff",
+    ('jnq', 'vanish', 'lex', 'gf:7', 'json'): "7235ec87a54d34de19972d264078a56a6709d867ec884b74150a52ead7fba82c",
+    ('jnq', 'vanish', 'lex', 'gf:3^2', 'text'): "adc10fe1e052715bc161dc1f0c137179a32a928d6e66968be5162b58475aa318",
+    ('jnq', 'vanish', 'lex', 'gf:3^2', 'json'): "46482a5205b6ca423cff599478e7161e66f56db6b7855680977f4ebf1e90d7af",
+    ('jnq', 'vanish', 'lex', 'rational', 'text'): "13881673bf5931a7805562f6559bd1478799602f8bf6873ac068afe2f6f9fbaf",
+    ('jnq', 'vanish', 'lex', 'rational', 'json'): "5ed017081d25eca7770dbc265a1884978733a91d40070bcbb9229d3632573055",
+    ('sjnq', 'sm', 'deglex', 'gf:7', 'text'): "6516333f3c73149ba9fff4f3060c14655e94c2a37272c6e540e05695da98f874",
+    ('sjnq', 'sm', 'deglex', 'gf:7', 'json'): "63dc2bddc0304db317599a75f58f81ec5253e2fb7a91770a9bcf0821050797da",
+    ('sjnq', 'sm', 'deglex', 'gf:3^2', 'text'): "6516333f3c73149ba9fff4f3060c14655e94c2a37272c6e540e05695da98f874",
+    ('sjnq', 'sm', 'deglex', 'gf:3^2', 'json'): "63dc2bddc0304db317599a75f58f81ec5253e2fb7a91770a9bcf0821050797da",
+    ('sjnq', 'sm', 'deglex', 'rational', 'text'): "6516333f3c73149ba9fff4f3060c14655e94c2a37272c6e540e05695da98f874",
+    ('sjnq', 'sm', 'deglex', 'rational', 'json'): "63dc2bddc0304db317599a75f58f81ec5253e2fb7a91770a9bcf0821050797da",
+    ('sjnq', 'sm', 'lex', 'gf:7', 'text'): "89de2fbef2079d77fdc930420ca62c69205b5d21244bcca5f450db2c9e403be3",
+    ('sjnq', 'sm', 'lex', 'gf:7', 'json'): "707567b94fa289fa343e944521dd3bfdc11b477f46268f7bbca81f9b06bbb72d",
+    ('sjnq', 'sm', 'lex', 'gf:3^2', 'text'): "89de2fbef2079d77fdc930420ca62c69205b5d21244bcca5f450db2c9e403be3",
+    ('sjnq', 'sm', 'lex', 'gf:3^2', 'json'): "707567b94fa289fa343e944521dd3bfdc11b477f46268f7bbca81f9b06bbb72d",
+    ('sjnq', 'sm', 'lex', 'rational', 'text'): "89de2fbef2079d77fdc930420ca62c69205b5d21244bcca5f450db2c9e403be3",
+    ('sjnq', 'sm', 'lex', 'rational', 'json'): "707567b94fa289fa343e944521dd3bfdc11b477f46268f7bbca81f9b06bbb72d",
+    ('sjnq', 'vanish', 'deglex', 'gf:7', 'text'): "ac69193b235d7a08726530c226821a8773eaeff2e7826689583ac4c93cda9d55",
+    ('sjnq', 'vanish', 'deglex', 'gf:7', 'json'): "619420815389060f22feb068869a74b540108f20aef506b792eafda97ddb7327",
+    ('sjnq', 'vanish', 'deglex', 'gf:3^2', 'text'): "2bcb0111e4f59af58e4943aac2d93142c3728bd648e23918af7b9171e7b50e84",
+    ('sjnq', 'vanish', 'deglex', 'gf:3^2', 'json'): "0a1d750f5f9a675366629a57565f2a33ddc1fde87bf11c8139171509f78daddb",
+    ('sjnq', 'vanish', 'deglex', 'rational', 'text'): "c692ec3d2034c9e73ef419fe6c450ec0d54063d223c1c4c68f92c0e184e27f7a",
+    ('sjnq', 'vanish', 'deglex', 'rational', 'json'): "e8b860101dcdfcf03eeddb02d6a369ee308c97b19ccc7a8148e8dbee185d5bab",
+    ('sjnq', 'vanish', 'lex', 'gf:7', 'text'): "ac69193b235d7a08726530c226821a8773eaeff2e7826689583ac4c93cda9d55",
+    ('sjnq', 'vanish', 'lex', 'gf:7', 'json'): "619420815389060f22feb068869a74b540108f20aef506b792eafda97ddb7327",
+    ('sjnq', 'vanish', 'lex', 'gf:3^2', 'text'): "2bcb0111e4f59af58e4943aac2d93142c3728bd648e23918af7b9171e7b50e84",
+    ('sjnq', 'vanish', 'lex', 'gf:3^2', 'json'): "0a1d750f5f9a675366629a57565f2a33ddc1fde87bf11c8139171509f78daddb",
+    ('sjnq', 'vanish', 'lex', 'rational', 'text'): "c692ec3d2034c9e73ef419fe6c450ec0d54063d223c1c4c68f92c0e184e27f7a",
+    ('sjnq', 'vanish', 'lex', 'rational', 'json'): "e8b860101dcdfcf03eeddb02d6a369ee308c97b19ccc7a8148e8dbee185d5bab",
+    ('points', 'sm', 'deglex', 'gf:7', 'text'): "9db7d3a373d7071201ea2f2b16fbc8448f3da94501df90668ec88b73fd3db9cc",
+    ('points', 'sm', 'deglex', 'gf:7', 'json'): "a9f0e41565e8e83b1e4705de41526f1fd231ab3218ee7dfa51aaa6c58599ef01",
+    ('points', 'sm', 'deglex', 'gf:3^2', 'text'): "a47ca4d57e1479de196a2e9ef1b2a1eac4e1fb45846b70729712b6153fd1bd89",
+    ('points', 'sm', 'deglex', 'gf:3^2', 'json'): "c3cca43e351076fc8921e915435dd292c06e566ce14fa690b8a6251eca57b9e8",
+    ('points', 'sm', 'lex', 'gf:7', 'text'): "4404e526293f2eeb9aabc7d24492f2a5bc4eb0302ed574db56d49921f8a07a24",
+    ('points', 'sm', 'lex', 'gf:7', 'json'): "4c0679e4365518bb78c3dfc5e52d1cdb38def50143b2b39555b65c05484301a4",
+    ('points', 'sm', 'lex', 'gf:3^2', 'text'): "c84247135a2d3159f0ba5ebccb98b4b1d202b8d7957d628d766b512a088fdba5",
+    ('points', 'sm', 'lex', 'gf:3^2', 'json'): "803e87e33d18da435925973b6d28f89858f625544aad8b6a1088a4f6c68b94ec",
+    ('points', 'vanish', 'deglex', 'gf:7', 'text'): "ca30959280eb17ab73ea5d35d084845c3fe194d416e23961f03577406dc689ed",
+    ('points', 'vanish', 'deglex', 'gf:7', 'json'): "2413f828d3b3151e2b64ffeb8eeb53c61bd20671aa5e20aa221c5b22dd40d6dd",
+    ('points', 'vanish', 'deglex', 'gf:3^2', 'text'): "0d9830c9f99a3d859f1090480662de154a25e34fdaa3fdba65262cf7b1703743",
+    ('points', 'vanish', 'deglex', 'gf:3^2', 'json'): "fbf3cd26666f1f4edab633ffcd44224e14eeea9a4023bbf2487854cf1228749a",
+    ('points', 'vanish', 'lex', 'gf:7', 'text'): "cf10e25a788825557a6fa9f7fa9c5a171fc24c8623bc4dd9ca015bd8212b6410",
+    ('points', 'vanish', 'lex', 'gf:7', 'json'): "97682d83c5b0cc811eeb30fb4c67977134f0eeb0a1f5d51a6f30b6edda55cbde",
+    ('points', 'vanish', 'lex', 'gf:3^2', 'text'): "05392ce88c4f950aa8339c4a5867317be16db25294fd0c2329e4900531ed2ba3",
+    ('points', 'vanish', 'lex', 'gf:3^2', 'json'): "c3e7580536b376527a4e27484884cf64862a840d64cfaa2c037039859915a59f",
+}
+
+
+def oracle_points_text(field):
+    vals = ORACLE_VALUES[field]
+    rows = [(vals[k % len(vals)], vals[(k * k + 1) % len(vals)], vals[(k // 3 + 2 * k) % len(vals)])
+            for k in range(12)]
+    return "\n".join(",".join(r) for r in rows + rows[4:5]) + "\n"
+
+
+def oracle_argv(source, op, order, field, fmt, points_file):
+    flag, spec, maxdeg = ORACLE_SOURCES[source]
+    if spec is None:
+        points_file.write_text(oracle_points_text(field))
+        spec = str(points_file)
+    argv = ["oracle", op, flag, spec, "--n", "3", "--q", "5", "--field", field,
+            "--embedding", GB_EMBEDDINGS[field], "--order", order, "--format", fmt]
+    return argv + ["--maxdeg", str(maxdeg)] if op == "vanish" else argv
+
+
+@pytest.mark.parametrize("source,op,order,field,fmt", sorted(ORACLE_PINS))
+def test_oracle_bytes_pinned(tmp_path, capsys, source, op, order, field, fmt):
+    code, out, _ = run(capsys, *oracle_argv(source, op, order, field, fmt, tmp_path / "points.txt"))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_PINS[(source, op, order, field, fmt)]

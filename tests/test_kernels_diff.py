@@ -4,9 +4,13 @@
 The reference copies below live only here.  Each builds its result from
 `Polynomial` arithmetic on `FieldElement` coefficients, so the fast
 kernels must agree with them exactly: the same remainder terms, the same
-reducedness verdict, the same expanded products and values.  Hypothesis runs
+reducedness verdict, the same expanded products and values, the same
+standard monomials and vanishing polynomials.  Hypothesis runs
 derandomized, so the examples are the same on every run.
 """
+
+import heapq
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +25,8 @@ from incseq.groebner import (
     is_reduced_basis,
     strict_basis,
 )
+from incseq.linalg import row_echelon
+from incseq.oracle import standard_monomials, vanishing_polynomial
 from incseq.poly import (
     DEGLEX,
     LEX,
@@ -28,7 +34,9 @@ from incseq.poly import (
     format_polynomial,
     mono_divides,
     mono_eval,
+    monomials_up_to_degree,
     reduce_by_basis,
+    sort_monomials,
 )
 
 KERNELS = settings(derandomize=True, database=None, deadline=None, max_examples=80,
@@ -99,6 +107,66 @@ def reference_evaluate(f, point):
     return total
 
 
+def reference_eliminate(vec, pivot_rows):
+    """Reduce vec against rows normalized to leading 1 at their pivot."""
+    v = list(vec)
+    for p, row in pivot_rows:
+        c = v[p]
+        if not c.is_zero:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def reference_standard_monomials(points, order):
+    """Buchberger-Moller scan evaluating every candidate with `mono_eval`
+    and eliminating `FieldElement` vectors."""
+    pts = list(dict.fromkeys(points))
+    n = len(pts[0])
+    target = len(pts)
+    kept = []
+    pivot_rows = []
+    start = (0,) * n
+    heap = [(order.key(start), start)]
+    seen = {start}
+    while heap and len(kept) < target:
+        _, m = heapq.heappop(heap)
+        vec = reference_eliminate([mono_eval(m, p) for p in pts], pivot_rows)
+        pivot = next((i for i, x in enumerate(vec) if not x.is_zero), None)
+        if pivot is None:
+            continue
+        inv = vec[pivot].inverse()
+        pivot_rows.append((pivot, [x * inv for x in vec]))
+        kept.append(m)
+        for i in range(n):
+            ext = tuple(e + (1 if j == i else 0) for j, e in enumerate(m))
+            if ext not in seen:
+                seen.add(ext)
+                heapq.heappush(heap, (order.key(ext), ext))
+    return frozenset(kept)
+
+
+def reference_vanishing_polynomial(points, max_degree, order):
+    """First kernel vector of the dense evaluation matrix on all
+    monomials of degree <= max_degree, read off its reduced row echelon
+    form, made monic."""
+    pts = list(dict.fromkeys(points))
+    n = len(pts[0])
+    field = pts[0][0].field
+    columns = sort_monomials(monomials_up_to_degree(n, max_degree), order)
+    rows = [[mono_eval(m, p) for m in columns] for p in pts]
+    echelon, pivots = row_echelon(rows, field)
+    pivot_set = set(pivots)
+    free = next((c for c in range(len(columns)) if c not in pivot_set), None)
+    if free is None:
+        return None
+    kernel = [field.zero] * len(columns)
+    kernel[free] = field.one
+    for r, c in enumerate(pivots):
+        if c < free:
+            kernel[c] = -echelon[r][free]
+    return Polynomial(field, n, dict(zip(columns, kernel))).monic(order)
+
+
 # -- strategies -------------------------------------------------------------
 
 def elements(field, nonzero=False):
@@ -167,6 +235,21 @@ def divisor_lists(draw):
     lower = Polynomial(field, n, {m: c for m, c in lower.terms.items() if order.key(m) < order.key(lm)})
     divisors.append(Polynomial(field, n, {lm: draw(elements(field, nonzero=True))}) + lower)
     return field, n, order, draw(st.permutations(divisors))
+
+
+@st.composite
+def point_lists(draw):
+    """A few random points over one field, some of them repeated.  The
+    coordinates come from a small random alphabet, so low-degree
+    dependencies often appear before the values reach full rank."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    alphabet = draw(st.lists(elements(field), min_size=2, max_size=5, unique=True))
+    size = min(draw(st.integers(1, 12)), len(alphabet) ** n)
+    grid = list(itertools.product(alphabet, repeat=n))
+    distinct = draw(st.lists(st.sampled_from(grid), min_size=size, max_size=size, unique=True))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=3))
+    return draw(st.permutations(distinct + repeats))
 
 
 def _assert_same(got, want):
@@ -246,3 +329,16 @@ def test_evaluate(field, n, data):
     got = f.evaluate(point)
     assert got == reference_evaluate(f, point)
     assert got.field is field
+
+
+@settings(KERNELS, max_examples=200)
+@given(point_lists(), st.sampled_from(ORDERS), st.integers(0, 4))
+def test_oracle_scan(points, order, max_degree):
+    assert standard_monomials(points, order) == reference_standard_monomials(points, order)
+    got = vanishing_polynomial(points, max_degree, order)
+    want = reference_vanishing_polynomial(points, max_degree, order)
+    if want is None:
+        assert got is None
+    else:
+        _assert_same(got, want)
+        assert format_polynomial(got, order) == format_polynomial(want, order)

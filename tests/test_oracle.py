@@ -102,3 +102,25 @@ def test_evaluation_matrix_layout():
 def test_duplicate_points_deduplicated():
     p = (Q.element(1), Q.element(2))
     assert standard_monomials([p, p, p], DEGLEX) == {(0, 0)}
+
+
+def test_mixed_widths_rejected():
+    gf5 = field_from_string("gf:5")
+    pts = [(gf5.element(1), gf5.element(2)), (gf5.element(3),)]
+    with pytest.raises(ValueError, match="width"):
+        standard_monomials(pts, DEGLEX)
+    with pytest.raises(ValueError, match="width"):
+        vanishing_polynomial(pts, 1)
+
+
+def test_mixed_fields_rejected():
+    gf5, gf7 = field_from_string("gf:5"), field_from_string("gf:7")
+    for second in [(gf5.element(3), gf7.element(4)), (gf7.element(3), gf7.element(4)),
+                   (gf5.element(3), 4)]:
+        pts = [(gf5.element(1), gf5.element(2)), second]
+        with pytest.raises(ValueError, match="not an element"):
+            standard_monomials(pts, DEGLEX)
+        with pytest.raises(ValueError, match="not an element"):
+            vanishing_polynomial(pts, 1)
+    # an equal field built separately is the same field
+    assert standard_monomials([(gf5.element(1),), (field_from_string("gf:5").element(2),)]) == {(0,), (1,)}
