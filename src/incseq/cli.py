@@ -15,41 +15,7 @@ import sys
 from . import acceptance, geometry, groebner, interpolation, oracle
 from .combinatorics import Embedding, increasing_sequences, parse_embedding
 from .field import Field, field_from_string, is_prime, smallest_prime_geq
-from .poly import DEGLEX, Polynomial, format_polynomial, mono_to_str, parse_order, parse_polynomial
-
-
-class RunConfig:
-    """Resolved global options; round-trips through its canonical string."""
-
-    __slots__ = ("subcommand", "n", "q", "field_spec", "embedding_spec", "order", "format", "seed")
-
-    def __init__(self, subcommand, n, q, field_spec, embedding_spec, order, format, seed):
-        self.subcommand = subcommand
-        self.n = n
-        self.q = q
-        self.field_spec = field_spec
-        self.embedding_spec = embedding_spec
-        self.order = order
-        self.format = format
-        self.seed = seed
-
-    def canonical_string(self) -> str:
-        parts = [self.subcommand]
-        if self.n is not None:
-            parts += ["--n", str(self.n)]
-        if self.q is not None:
-            parts += ["--q", str(self.q)]
-        if self.field_spec is not None:
-            parts += ["--field", self.field_spec]
-        if self.embedding_spec is not None:
-            parts += ["--embedding", self.embedding_spec]
-        parts += ["--order", self.order, "--format", self.format, "--seed", str(self.seed)]
-        return " ".join(parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, RunConfig):
-            return NotImplemented
-        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
+from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
 
 
 def _default_field_spec(q: int, prime_power: bool = False) -> str:
@@ -87,10 +53,7 @@ def _resolve(args, prime_power_field: bool = False):
     field = field_from_string(field_spec)
     embedding_spec = args.embedding or _default_embedding_spec(field, args.q)
     emb = parse_embedding(embedding_spec, field, args.q)
-    order = parse_order(args.order)
-    config = RunConfig(args.subcommand, args.n, args.q, field_spec, embedding_spec,
-                       args.order, args.format, args.seed)
-    return field, emb, order, config
+    return field, emb, parse_order(args.order)
 
 
 def _emit(args, payload: dict, text_lines) -> None:
@@ -129,7 +92,7 @@ def _basis_for(args, field, emb, order):
 
 
 def cmd_gb(args) -> int:
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.n is None:
         raise ValueError("--n is required")
     gb = _basis_for(args, field, emb, order)
@@ -155,7 +118,7 @@ def cmd_gb(args) -> int:
 
 
 def cmd_sm(args) -> int:
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.n is None:
         raise ValueError("--n is required")
     gb = _basis_for(args, field, emb, order)
@@ -170,7 +133,7 @@ def cmd_sm(args) -> int:
 def cmd_hilbert(args) -> int:
     if args.n is None or args.q is None:
         raise ValueError("--n and --q are required")
-    smax = args.q - 1 if args.kind == "full" else args.q - args.n
+    smax = groebner.degree_bound(args.kind, args.n, args.q)
     svals = [args.s] if args.s is not None else list(range(max(smax, 0) + 1))
     values = []
     for s in svals:
@@ -184,7 +147,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.n is None:
         raise ValueError("--n is required")
     if (args.point is None) == (args.values is None):
@@ -225,7 +188,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_nonvanish(args) -> int:
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.n is None:
         raise ValueError("--n is required")
     f = parse_polynomial(args.poly, field, args.n)
@@ -251,12 +214,13 @@ def cmd_oracle(args) -> int:
             raise ValueError(f"unknown builtin {kind!r}: expected jnq:n,q or sjnq:n,q")
         args.q = q
         builtin = (n, q, strict)
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.points:
         if args.n is None:
             raise ValueError("--n is required with --points")
-        ps = geometry.parse_points(_read(args.points), field, args.n)
-        pts = ps.sorted_points()
+        # the answer does not depend on the order of the points, so they
+        # need no sorting (which an infinite field could not do)
+        pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
     elif builtin:
         n, q, strict = builtin
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
@@ -300,7 +264,7 @@ def cmd_kakeya(args) -> int:
             return 0 if cert.ok else 1
         _emit(args, payload, lines)
         return 0
-    field, emb, order, _ = _resolve(args, prime_power_field=True)
+    field, emb, order = _resolve(args, prime_power_field=True)
     if args.kakeya_op == "build-t":
         if args.n is None:
             raise ValueError("--n is required")
@@ -328,7 +292,7 @@ def cmd_kakeya(args) -> int:
 
 
 def cmd_nikodym(args) -> int:
-    field, emb, order, _ = _resolve(args, prime_power_field=True)
+    field, emb, order = _resolve(args, prime_power_field=True)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
     if result.ok:
@@ -345,7 +309,7 @@ def cmd_nikodym(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    field, emb, order, _ = _resolve(args)
+    field, emb, order = _resolve(args)
     if args.n is None:
         raise ValueError("--n is required")
     excluded = [tuple(int(v) for v in item.split(",")) for item in (args.exclude or [])]

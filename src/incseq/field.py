@@ -77,19 +77,8 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
                 div.append(e % p)
                 e //= p
             div.append(1)
-            # long division of modulus by div, remainder test
-            rem = [c % p for c in modulus]
-            while len(rem) > d:
-                lead = rem.pop()
-                if lead:
-                    for i in range(d):
-                        rem[len(rem) - d + i] = (rem[len(rem) - d + i] - lead * div[i]) % p
-            if not any(rem):
+            if not _polymod(list(modulus), tuple(div), p):
                 return False
-    if k == 1:
-        return True
-    # k >= 2: also rule out linear factors when k//2 == 0 is impossible,
-    # but degree-1 divisors are covered once k >= 2 since 1 <= k//2.
     return True
 
 

@@ -10,10 +10,10 @@ first nonzero coordinate is 1.
 import itertools
 import math
 
-from .combinatorics import Embedding, increasing_sequences
+from .combinatorics import Embedding, _split_top_level, increasing_sequences
 from .field import Field, FieldElement
 from .oracle import standard_monomials, vanishing_polynomial
-from .poly import DEGLEX, Polynomial, monomials_up_to_degree
+from .poly import DEGLEX, monomials_up_to_degree
 
 COVER_POINT_CAP = 10**4
 COVER_PLANE_CAP = 10**3
@@ -59,15 +59,18 @@ class PointSet:
         return f"PointSet(n={self.n}, size={len(self.points)})"
 
 
-def parse_points(text: str, field: Field, n: int) -> PointSet:
-    """One point per line, comma-separated canonical element strings."""
-    from .combinatorics import _split_top_level
-
-    points = []
+def _data_lines(text: str):
+    """The stripped lines of text, skipping blank and `#` comment lines."""
     for line in text.splitlines():
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+        if line and not line.startswith("#"):
+            yield line
+
+
+def parse_points(text: str, field: Field, n: int) -> PointSet:
+    """One point per line, comma-separated canonical element strings."""
+    points = []
+    for line in _data_lines(text):
         parts = _split_top_level(line)
         if len(parts) != n:
             raise ValueError(f"point {line!r} has {len(parts)} coordinates, expected {n}")
@@ -133,12 +136,8 @@ class Hyperplane:
     __slots__ = ("normal", "offset")
 
     def __init__(self, normal, offset: FieldElement):
-        pivot = next((i for i, x in enumerate(normal) if not x.is_zero), None)
-        if pivot is None:
-            raise ValueError("hyperplane normal must be nonzero")
-        inv = normal[pivot].inverse()
-        self.normal = tuple(x * inv for x in normal)
-        self.offset = offset * inv
+        pivot, self.normal = canonical_direction(normal)
+        self.offset = offset / normal[pivot]
 
     @classmethod
     def make(cls, normal, offset):
@@ -170,13 +169,8 @@ def format_hyperplane(h: Hyperplane) -> str:
 
 def parse_hyperplanes(text: str, field: Field, n: int) -> list[Hyperplane]:
     """One per line: `<n1>,...,<nn>;<offset>`."""
-    from .combinatorics import _split_top_level
-
     planes = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines(text):
         if ";" not in line:
             raise ValueError(f"hyperplane {line!r} needs `normal;offset`")
         left, right = line.rsplit(";", 1)
@@ -210,29 +204,26 @@ def increasing_directions(n: int, q: int, emb: Embedding) -> list:
 
 def all_canonical_directions(field: Field, n: int) -> list:
     """Every canonical nonzero direction of F^n, deterministic order."""
-    out = []
     elements = field.elements()
-    for pivot in range(n):
-        prefix = (field.zero,) * pivot + (field.one,)
-        tail_len = n - pivot - 1
-        stack = [prefix]
-        for _ in range(tail_len):
-            stack = [t + (e,) for t in stack for e in elements]
-        out.extend(stack)
-    return out
+    return [(field.zero,) * pivot + (field.one,) + tail for pivot in range(n)
+            for tail in itertools.product(elements, repeat=n - pivot - 1)]
 
 
 def transversal(field: Field, n: int, pivot: int):
     """All base points with coordinate `pivot` equal to zero: exactly one
     representative per line in a direction with that pivot."""
+    axes = [field.elements()] * n
+    axes[pivot] = (field.zero,)
+    return list(itertools.product(*axes))
+
+
+def _lines(field: Field, n: int, v):
+    """(base, points) of every line in the nonzero direction v, one per
+    transversal base, in transversal order."""
+    pivot, v = canonical_direction(v)
     elements = field.elements()
-    bases = [()]
-    for i in range(n):
-        if i == pivot:
-            bases = [b + (field.zero,) for b in bases]
-        else:
-            bases = [b + (e,) for b in bases for e in elements]
-    return bases
+    for base in transversal(field, n, pivot):
+        yield base, frozenset(tuple(b + t * d for b, d in zip(base, v)) for t in elements)
 
 
 def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
@@ -253,31 +244,17 @@ def line_star_size_bound(n: int, q: int) -> int:
 
 
 class KakeyaCertificate:
-    """Per-direction witness lines: direction -> base point."""
+    """Per-direction witness lines (direction -> base point), or, when
+    `direction` is set, the first direction with no line meeting the set
+    at the threshold (and no entries)."""
 
-    __slots__ = ("threshold", "entries")
+    __slots__ = ("threshold", "entries", "direction", "ok")
 
-    def __init__(self, threshold: int, entries):
+    def __init__(self, threshold: int, entries, direction=None):
         self.threshold = threshold
         self.entries = tuple(entries)
-
-    @property
-    def ok(self):
-        return True
-
-
-class KakeyaFailure:
-    """First direction with no line meeting the set at the threshold."""
-
-    __slots__ = ("threshold", "direction")
-
-    def __init__(self, threshold: int, direction):
-        self.threshold = threshold
         self.direction = direction
-
-    @property
-    def ok(self):
-        return False
+        self.ok = direction is None
 
 
 def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
@@ -290,42 +267,26 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
         raise ValueError(f"threshold must be in [1, {q}]")
     entries = []
     for v in increasing_directions(K.n, q, emb):
-        pivot = next(i for i, x in enumerate(v) if not x.is_zero)
-        found = None
-        for base in transversal(K.field, K.n, pivot):
-            line = Line(K.field, base, v)
-            if len(line.points() & K.points) >= threshold:
-                found = line.base
-                break
+        found = next((base for base, points in _lines(K.field, K.n, v)
+                      if len(points & K.points) >= threshold), None)
         if found is None:
-            return KakeyaFailure(threshold, v)
+            return KakeyaCertificate(threshold, (), v)
         entries.append((v, found))
     return KakeyaCertificate(threshold, entries)
 
 
 class NikodymCertificate:
-    """Per-point witness directions: embedded point -> direction whose
-    punctured line through the point stays inside the set."""
+    """Per-point witness directions (embedded point -> direction whose
+    punctured line through the point stays inside the set), or, when
+    `point` is set, the first point with no such direction (and no
+    entries)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "point", "ok")
 
-    def __init__(self, entries):
+    def __init__(self, entries, point=None):
         self.entries = tuple(entries)
-
-    @property
-    def ok(self):
-        return True
-
-
-class NikodymFailure:
-    __slots__ = ("point",)
-
-    def __init__(self, point):
         self.point = point
-
-    @property
-    def ok(self):
-        return False
+        self.ok = point is None
 
 
 def verify_nikodym(B: PointSet, emb: Embedding):
@@ -344,23 +305,20 @@ def verify_nikodym(B: PointSet, emb: Embedding):
                 found = v
                 break
         if found is None:
-            return NikodymFailure(z)
+            return NikodymCertificate((), z)
         entries.append((z, found))
     return NikodymCertificate(entries)
 
 
 class BoundPass:
     __slots__ = ("size", "bound")
+    ok = True
 
     def __init__(self, size: int, bound: int):
         if size < bound:
             raise InconsistencyError(f"size {size} below the proved bound {bound}")
         self.size = size
         self.bound = bound
-
-    @property
-    def ok(self):
-        return True
 
     def __repr__(self):
         return f"BoundPass(size={self.size}, bound={self.bound})"
@@ -372,6 +330,7 @@ class KakeyaBoundCounterexample:
     which therefore has no rich line."""
 
     __slots__ = ("size", "bound", "poly", "witness_direction", "chain_verified")
+    ok = False
 
     def __init__(self, size, bound, poly, witness_direction, chain_verified):
         self.size = size
@@ -379,10 +338,6 @@ class KakeyaBoundCounterexample:
         self.poly = poly
         self.witness_direction = witness_direction
         self.chain_verified = chain_verified
-
-    @property
-    def ok(self):
-        return False
 
 
 def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
@@ -417,7 +372,7 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
     for v in directions_set.sorted_points():
         if all(x.is_zero for x in v):
             continue
-        rich = _has_rich_line(K, v, ell + 1)
+        rich = any(len(points & K.points) >= ell + 1 for _, points in _lines(field, n, v))
         top_zero = top.evaluate(v).is_zero
         if rich and not top_zero:
             chain_ok = False  # cannot happen with exact arithmetic
@@ -428,29 +383,18 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
     return KakeyaBoundCounterexample(len(K), bound, poly, witness, chain_ok)
 
 
-def _has_rich_line(K: PointSet, v, threshold: int) -> bool:
-    pivot, canon = canonical_direction(v)
-    for base in transversal(K.field, K.n, pivot):
-        if len(Line(K.field, base, canon).points() & K.points) >= threshold:
-            return True
-    return False
-
-
 class NikodymContradictionTrace:
     """Proof chain for an impossible input: a nonzero low-degree
     polynomial forced to vanish on every embedded nondecreasing point."""
 
     __slots__ = ("size", "bound", "poly", "extended_zeros")
+    ok = False
 
     def __init__(self, size, bound, poly, extended_zeros):
         self.size = size
         self.bound = bound
         self.poly = poly
         self.extended_zeros = tuple(extended_zeros)
-
-    @property
-    def ok(self):
-        return False
 
 
 def nikodym_bound_check(B: PointSet, emb: Embedding):
@@ -475,10 +419,9 @@ def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int):
     poly = vanishing_polynomial(B.sorted_points(), q - 2, field=B.field, n=n)
     if poly is None:
         raise InconsistencyError("no vanishing polynomial despite |B| < column count")
-    nonzero_ts = [t for t in B.field.elements() if not t.is_zero]
     zeros = []
     for z, v in cert.entries:
-        punctured = [tuple(a + t * b for a, b in zip(z, v)) for t in nonzero_ts]
+        punctured = Line(B.field, z, v).punctured(z)
         if not all(p in B.points for p in punctured):
             raise CertificateError(f"certificate line through {z} leaves the set")
         if not all(poly.evaluate(p).is_zero for p in punctured):
@@ -494,39 +437,39 @@ def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int):
 
 
 class CoverResult:
-    __slots__ = ("covered", "uncovered_point", "size", "bound", "excluded_count")
+    __slots__ = ("ok", "uncovered_point", "size", "bound")
 
-    def __init__(self, covered, uncovered_point, size, bound, excluded_count):
-        self.covered = covered
+    def __init__(self, ok, uncovered_point, size, bound):
+        self.ok = ok
         self.uncovered_point = uncovered_point
         self.size = size
         self.bound = bound
-        self.excluded_count = excluded_count
 
-    @property
-    def ok(self):
-        return self.covered
+
+def _cover_targets(n: int, q: int, emb: Embedding, excluded):
+    """The distinct embedded nondecreasing points outside the excluded
+    sequences (at most n of them), in enumeration order, and the proved
+    lower bound on the size of a cover of them."""
+    excluded = [tuple(s) for s in excluded]
+    if len(excluded) > n:
+        raise ValueError(f"at most n={n} excluded points allowed, got {len(excluded)}")
+    excluded_pts = {emb.apply(s) for s in excluded}
+    targets = dict.fromkeys(p for p in map(emb.apply, increasing_sequences(n, q)) if p not in excluded_pts)
+    return list(targets), q - 1 if excluded else q
 
 
 def cover_verify(planes, n: int, q: int, emb: Embedding, excluded=()) -> CoverResult:
     """Check the planes cover every embedded nondecreasing point outside
     the excluded sequences (at most n of them), and assert the proved
     size bound when they do."""
-    excluded = [tuple(s) for s in excluded]
-    if len(excluded) > n:
-        raise ValueError(f"at most n={n} excluded points allowed, got {len(excluded)}")
-    excluded_pts = {emb.apply(s) for s in excluded}
+    targets, bound = _cover_targets(n, q, emb, excluded)
     distinct = list(dict.fromkeys(planes))
-    for seq in increasing_sequences(n, q):
-        p = emb.apply(seq)
-        if p in excluded_pts:
-            continue
+    for p in targets:
         if not any(h.contains(p) for h in distinct):
-            return CoverResult(False, p, len(distinct), None, len(excluded))
-    bound = q - 1 if excluded else q
+            return CoverResult(False, p, len(distinct), None)
     if len(distinct) < bound:
         raise InconsistencyError(f"cover of size {len(distinct)} beats the proved bound {bound}")
-    return CoverResult(True, None, len(distinct), bound, len(excluded))
+    return CoverResult(True, None, len(distinct), bound)
 
 
 def canonical_hyperplanes(field: Field, n: int) -> list[Hyperplane]:
@@ -552,13 +495,7 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     searching index-ascending subsets so the first hit is the
     lexicographically least witness.  Coverage masks are bitsets.
     """
-    excluded = [tuple(s) for s in excluded]
-    if len(excluded) > n:
-        raise ValueError(f"at most n={n} excluded points allowed, got {len(excluded)}")
-    excluded_pts = {emb.apply(s) for s in excluded}
-    targets = [emb.apply(s) for s in increasing_sequences(n, q)
-               if emb.apply(s) not in excluded_pts]
-    targets = list(dict.fromkeys(targets))
+    targets, bound = _cover_targets(n, q, emb, excluded)
     if len(targets) > COVER_POINT_CAP:
         raise ValueError(f"point count {len(targets)} exceeds the cap {COVER_POINT_CAP}")
     planes = canonical_hyperplanes(field, n)
@@ -573,7 +510,7 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
                 m |= 1 << i
         masks.append(m)
     if not targets:
-        return CoverSearchResult(0, [], q - 1 if excluded else q)
+        return CoverSearchResult(0, [], bound)
 
     # greedy upper bound
     uncovered = full
@@ -608,8 +545,8 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     for size in range(1, len(greedy) + 1):
         got = dfs(0, full, size, [])
         if got is not None:
-            return CoverSearchResult(size, [planes[i] for i in got], q - 1 if excluded else q)
-    return CoverSearchResult(len(greedy), [planes[i] for i in greedy], q - 1 if excluded else q)
+            return CoverSearchResult(size, [planes[i] for i in got], bound)
+    return CoverSearchResult(len(greedy), [planes[i] for i in greedy], bound)
 
 
 def optimal_kakeya_f3() -> PointSet:
@@ -637,8 +574,7 @@ def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):
     per_direction = []
     total = 1
     for v in directions:
-        pivot = next(i for i, x in enumerate(v) if not x.is_zero)
-        lines = [Line(field, base, v).points() for base in transversal(field, n, pivot)]
+        lines = [points for _, points in _lines(field, n, v)]
         per_direction.append(lines)
         total *= len(lines)
         if total > LINE_UNION_CAP:

@@ -147,18 +147,17 @@ def full_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) 
     everything of degree <= q-1."""
     _check_embedding(n, q, embedding)
     factored = [_decomposition_factors(d, embedding) for d in decompositions(n, q, "good")]
-    sm = monomials_up_to_degree(n, q - 1)
+    sm = monomials_up_to_degree(n, degree_bound("full", n, q))
     return GroebnerBasis("full", n, q, embedding, order, factored, sm)
 
 
 def strict_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
     """Basis for strictly increasing sequences: one block polynomial per
     super decomposition; standard monomials have degree <= q-n."""
-    if q < n:
-        raise ValueError(f"strictly increasing sequences need q >= n, got n={n}, q={q}")
+    bound = degree_bound("strict", n, q)
     _check_embedding(n, q, embedding)
     factored = [_decomposition_factors(d, embedding) for d in decompositions(n, q, "super")]
-    sm = monomials_up_to_degree(n, q - n)
+    sm = monomials_up_to_degree(n, bound)
     return GroebnerBasis("strict", n, q, embedding, order, factored, sm)
 
 
@@ -197,6 +196,19 @@ def _factored_leading_monomial(factors, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def degree_bound(kind: str, n: int, q: int) -> int:
+    """Top degree of the standard monomials: q-1 for the nondecreasing
+    sequences (kind full), q-n for the strictly increasing ones (kind
+    strict, which needs q >= n)."""
+    if kind == "full":
+        return q - 1
+    if kind == "strict":
+        if q < n:
+            raise ValueError(f"strict kind needs q >= n, got n={n}, q={q}")
+        return q - n
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def _check_embedding(n: int, q: int, embedding: Embedding):
     if embedding.q != q:
         raise ValueError(f"embedding covers [{embedding.q}], expected [{q}]")
@@ -231,14 +243,7 @@ def hilbert_value(kind: str, n: int, q: int, s: int) -> HilbertValue:
     count (flagged) beyond it."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    if kind == "full":
-        smax = q - 1
-    elif kind == "strict":
-        if q < n:
-            raise ValueError(f"strict kind needs q >= n, got n={n}, q={q}")
-        smax = q - n
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    smax = degree_bound(kind, n, q)
     eff = min(s, smax)
     return HilbertValue(math.comb(n + eff, eff), s <= smax)
 
@@ -250,20 +255,13 @@ def nonvanishing_point(f: Polynomial, kind: str, n: int, q: int, embedding: Embe
     Only applicable below the degree bound (q-1 nondecreasing, q-n
     strict), where a witness is guaranteed for nonzero f.
     """
-    if kind == "full":
-        bound = q - 1
-        strict = False
-    elif kind == "strict":
-        bound = q - n
-        strict = True
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    bound = degree_bound(kind, n, q)
     if f.is_zero:
         return None
     if f.degree() > bound:
         raise ValueError(f"degree {f.degree()} exceeds the bound {bound} for kind {kind!r}")
     _check_embedding(n, q, embedding)
-    for seq in increasing_sequences(n, q, strict):
+    for seq in increasing_sequences(n, q, kind == "strict"):
         point = embedding.apply(seq)
         if not f.evaluate(point).is_zero:
             return point

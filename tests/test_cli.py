@@ -3,8 +3,11 @@ import json
 
 import pytest
 
-from incseq.cli import RunConfig, build_parser, main
+from incseq import oracle
+from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
+from incseq.field import field_from_string
+from incseq.poly import format_polynomial, mono_to_str, parse_order
 
 
 def run(capsys, *argv):
@@ -117,6 +120,27 @@ def test_oracle_points_file(tmp_path, capsys):
     assert sorted(json.loads(out)["standard_monomials"]) == ["1", "x1", "x2"]
 
 
+@pytest.mark.parametrize("order_name", ["deglex", "lex"])
+def test_oracle_points_file_rational(tmp_path, capsys, order_name):
+    # a points file over Q, with a repeated point, gives the library's answer
+    rows = ["0,0", "1/2,-3", "2,5/7", "1/2,-3", "-1,1", "3,0"]
+    f = tmp_path / "pts.txt"
+    f.write_text("\n".join(rows) + "\n")
+    field, order = field_from_string("rational"), parse_order(order_name)
+    pts = [tuple(field.parse_element(x) for x in row.split(",")) for row in rows]
+    argv = ["--points", str(f), "--n", "2", "--q", "3", "--field", "rational",
+            "--order", order_name, "--format", "json"]
+    code, out, _ = run(capsys, "oracle", "sm", *argv)
+    assert code == 0
+    sm = sorted(oracle.standard_monomials(pts, order), key=order.key)
+    assert json.loads(out) == {"standard_monomials": [mono_to_str(m) for m in sm],
+                               "counts": {"sm": 5, "points": 5}}
+    code, out, _ = run(capsys, "oracle", "vanish", *argv, "--maxdeg", "2")
+    assert code == 0
+    vp = oracle.vanishing_polynomial(pts, 2, order)
+    assert json.loads(out) == {"vanishing": format_polynomial(vp, order), "degree": vp.degree()}
+
+
 def test_kakeya_paper_example(capsys):
     code, out, _ = run(capsys, "kakeya", "paper-example", "--verify", "--format", "json")
     assert code == 0
@@ -190,21 +214,6 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-
-
-def test_run_config_roundtrip():
-    parser = build_parser()
-    args = parser.parse_args(["gb", "--n", "2", "--q", "3", "--field", "gf:3",
-                              "--embedding", "grid:-1", "--order", "deglex",
-                              "--format", "json", "--seed", "7"])
-    config = RunConfig("gb", args.n, args.q, args.field, args.embedding,
-                       args.order, args.format, args.seed)
-    canonical = config.canonical_string()
-    again = parser.parse_args(canonical.split(" "))
-    config2 = RunConfig("gb", again.n, again.q, again.field, again.embedding,
-                        again.order, again.format, again.seed)
-    assert config == config2
-    assert config2.canonical_string() == canonical
 
 
 def test_verify_all_small(capsys):
@@ -369,8 +378,10 @@ def test_interp_bytes_pinned(tmp_path, capsys, mode, field, emb, fmt):
 # a repeated point, both term orders, three field kinds, text and json.
 # Pinned from the implementation that ran a dense elimination per
 # candidate monomial, so the raw-payload scan must reproduce its bytes.
-# A `--points` file needs a finite field (points are sorted by element
-# index), so the rational field is pinned through the builtins only.
+# That implementation sorted the points of a `--points` file by element
+# index, which an infinite field cannot do, so the rational field is
+# pinned through the builtins only; test_oracle_points_file_rational
+# checks a rational points file against the library.
 ORACLE_VALUES = {
     "gf:7": [str(v) for v in range(7)],
     "gf:3^2": [f"[{a},{b}]" for b in range(3) for a in range(3)],
@@ -467,3 +478,135 @@ def test_oracle_bytes_pinned(tmp_path, capsys, source, op, order, field, fmt):
     code, out, _ = run(capsys, *oracle_argv(source, op, order, field, fmt, tmp_path / "points.txt"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_PINS[(source, op, order, field, fmt)]
+
+
+# SHA-256 of the exit code and stdout of `incseq kakeya`, `nikodym` and
+# `cover` over a prime field and two extension fields, text and json.
+# Kakeya and Nikodym run in F^n with |F| = q on the line star T, on T
+# damaged by dropping its second point (no full line in direction e_n
+# is left), on T thinned to two of every three points (threshold 2) and
+# on every other point of T (not Nikodym).  Covers run in F^2 over the
+# first q field elements, of which the first two are 0 and 1.  Pinned
+# from the implementation before the geometry rewrite, so it must
+# reproduce the verdicts, witnesses and first-hit bases byte for byte.
+# The paper example has its own field, GF(3), so it is pinned once per
+# format.
+GEOMETRY_KAKEYA = {"gf:5": (3, 5), "gf:2^2": (3, 4), "gf:3^2": (2, 9)}
+GEOMETRY_COVER = {
+    "gf:5": ["0", "1", "2", "3", "4"],
+    "gf:2^2": ["[0,0]", "[1,0]", "[0,1]", "[1,1]"],
+    "gf:3^2": ["[0,0]", "[1,0]", "[2,0]", "[0,1]"],
+}
+GEOMETRY_PINS = {
+    ("build-t", "gf:5", "text"): "82213c66c97d329b6a0ceca7e58f5e1a1cdb6c8c8829f8c9d3f02cbb8bab244e",
+    ("build-t", "gf:5", "json"): "a96a8f44f0bf4c489660ffabfae0bd25734fcb705ee74d5fea7ee5942cb337bc",
+    ("build-t", "gf:2^2", "text"): "b3bfa9e371e47c26e8c3867a22866ed91c23c7fba60e2ef72bec4286029e016f",
+    ("build-t", "gf:2^2", "json"): "d79925de9b797e4899d826a9870658f6404faa3fa44bc0e581e000ba81f8228e",
+    ("build-t", "gf:3^2", "text"): "825bc6a0420c24ec2dc146540776b6e450bf3d318ce1e0492b28939b5521d4c9",
+    ("build-t", "gf:3^2", "json"): "f46f2bd5b309f63ab9565a6dfaf7e5f80b8a4ff1a8103d0eab732713a95320b8",
+    ("kakeya-q", "gf:5", "text"): "7e61184121a1b88e5e9288adbf5fac01b25f54fdc1b1b237d732999665f0aa14",
+    ("kakeya-q", "gf:5", "json"): "021201c1ab580cbef9c171dd152566d0179887f978e8844ad96c28c3f315119a",
+    ("kakeya-q", "gf:2^2", "text"): "72b138f2f9b9037c02fed0637eced918215ef935fad2c83db076448510e09497",
+    ("kakeya-q", "gf:2^2", "json"): "ad366692fd5ee4998222ff9d6e5ad968347f6a5a125a1776760216162d11d6ac",
+    ("kakeya-q", "gf:3^2", "text"): "7c0da9339f27a7dd19d3d60ad6d553809f952d9e1d62095b8645c346d8723e5f",
+    ("kakeya-q", "gf:3^2", "json"): "b530be0c1751c22323c97c92d3a94401cb55d4f089dfbf6e89023987cc6ca9ad",
+    ("kakeya-2", "gf:5", "text"): "5d770248fea50bea59084b45e894475a9f57f7f09ba9025bccf2e24ee8700a60",
+    ("kakeya-2", "gf:5", "json"): "6439f235cf3ec97912ec75a49654e8f2da801f3ff13e64ab6f3389d1a49feb8f",
+    ("kakeya-2", "gf:2^2", "text"): "18197a5ec85b4ea06031bf3c89b8bfb5a5fd529036bd8f2f9fe30571546a33a8",
+    ("kakeya-2", "gf:2^2", "json"): "c54ce003c0f5b2b999197f54754b59c40bc9a105459f37db66c03d728951110c",
+    ("kakeya-2", "gf:3^2", "text"): "e454000dd423828dc59e6c77cda95aee5694e38ef3fa33756347b6330b574938",
+    ("kakeya-2", "gf:3^2", "json"): "23a93cd53733bdbf1e8b08b0b6bb301ff13278c5c4f059bf874734d5b4fa8dd7",
+    ("kakeya-damaged", "gf:5", "text"): "8585de8c2f4bf5ba706c3dbbfbc6872ddc16a6b5945b877cb0e36e38c5457ebf",
+    ("kakeya-damaged", "gf:5", "json"): "10ab79f6e2a0b060df1ebdd9ec84595731132222e7cc9cf8aaa1c98fd913a58d",
+    ("kakeya-damaged", "gf:2^2", "text"): "43020a17aa18fbc7edc84bab1d07bc1285490286f3011c70b5e68aa93a7c5016",
+    ("kakeya-damaged", "gf:2^2", "json"): "260f90438ae76a74862adc5b142f975ad342891521e301928f420a89773dab8a",
+    ("kakeya-damaged", "gf:3^2", "text"): "9d5865fd06f84c984db14daf4bdcb89fa2d7e12b544ce90503a6fb965d1d1da0",
+    ("kakeya-damaged", "gf:3^2", "json"): "b335e5198d17317472f68e99b0b7119037726135240630284e31dfeef36d5577",
+    ("nikodym-pass", "gf:5", "text"): "0eb6ab98f0ff20d24283f156e3153a9c3b41ffe3a6bfbd665780e1ff28a6409e",
+    ("nikodym-pass", "gf:5", "json"): "41a6cd1efd600717f563444bece80e8ab0acfc07709365a340d352db87cdd41b",
+    ("nikodym-pass", "gf:2^2", "text"): "7cbae7ec0d554be17d777b43a3fb6c4ebdba36ff1990718800d22c9cc44d9b29",
+    ("nikodym-pass", "gf:2^2", "json"): "8e4eab40a46c9a9fb3c2674be1fe130c1cfe3fbdb519176bca682fae58b7c23d",
+    ("nikodym-pass", "gf:3^2", "text"): "57b3e10f157b7927351c786f95ae652e6e040ef8c017b749c84aa9aca8870587",
+    ("nikodym-pass", "gf:3^2", "json"): "d1413129b61d5784efcb401e038e0fef3ee9451ad76fff14dc178cceb17ae086",
+    ("nikodym-fail", "gf:5", "text"): "e00949f24bd354004c18a530d451e532ada1584b0281eb35e47288d04f41a8be",
+    ("nikodym-fail", "gf:5", "json"): "60a3a555ddd2e10126f19818644d99c1c0742a6257d4aea99ebf100ff3513b00",
+    ("nikodym-fail", "gf:2^2", "text"): "b4f355821734b8480d15b268168c5d7bdefab4e3570dfb5c847cb44ab2150f2d",
+    ("nikodym-fail", "gf:2^2", "json"): "551d8f3a829684af0815cf4381f33da7431f660c9ab94d01f4106f577d285e90",
+    ("nikodym-fail", "gf:3^2", "text"): "f4fb62b7e3f5fba902cd72b1e4c67c0c481e2eaa7d7486c6796cfd3d6db6b74b",
+    ("nikodym-fail", "gf:3^2", "json"): "7979a231693cc39bfb0c71ad7ea7a6c007f6d1ffa1b53603b44f345790aab8ee",
+    ("search-0", "gf:5", "text"): "521df2fa2eecc708ea1ec31b3a16d1fb9f88e703cb475a959c517cf5010cefad",
+    ("search-0", "gf:5", "json"): "dfdaf41aedd39fd366d98641798c83fc7d8f6243bbf839230cf949622d1161ec",
+    ("search-0", "gf:2^2", "text"): "52df09a3a8423cb9ffe30e614e8d22d4e8a29ac754cac1ae7fce0730e988c837",
+    ("search-0", "gf:2^2", "json"): "11679ba8936cd864110e26d622048b29ecbb9a30efbca2448a5629bb4059b104",
+    ("search-0", "gf:3^2", "text"): "712e76bfff5baec0b7d41fea693d540c4e2e229ac07b58ea02a4830a3e6a4d81",
+    ("search-0", "gf:3^2", "json"): "ad4a89ed6a1aa4d7dcf09abf760691aabbecf7b8e5b09357bb5e6bb980e453c3",
+    ("search-1", "gf:5", "text"): "c51fa3cacad8f35bf332f948acff0b9ca4e13d403d2f5ac394e88b62a85099f7",
+    ("search-1", "gf:5", "json"): "34ff906c2901d6f0573c12c689cc6d51559e6f4a18312953c371e6b4e87ee9b0",
+    ("search-1", "gf:2^2", "text"): "59b66c8db1d658162ef860b87a63ae899f0c778c29dfbf5dd173ae9bec5ddc24",
+    ("search-1", "gf:2^2", "json"): "c625fa4553fb345514da3d381388f66c1d09615362d698b90856eca80c0af53c",
+    ("search-1", "gf:3^2", "text"): "ebf22ab5b6ac9da5c8c8be0543766e66169c4220296e75419340eb731de36029",
+    ("search-1", "gf:3^2", "json"): "a8525a7f55ef7e7f32a81031351209c067a1bd8ee4c26ce8cc31a648f8f470ce",
+    ("search-2", "gf:5", "text"): "dc22dbf6106ae12494aa75fcd5e791d50ee21970c09e9e98d102501bb17a3f63",
+    ("search-2", "gf:5", "json"): "bc217cb6b075dfe2ae348589a052ada974649bbaf3fd9788dab1c96a1a671cab",
+    ("search-2", "gf:2^2", "text"): "d08142f6fff0417ffa3a18f76e89627a54a49cc5c307b7c10b5f38b88ce90cd5",
+    ("search-2", "gf:2^2", "json"): "cc7ffbd6f26a2284858f7e018b6411af68852291d24f0a153b935f6a64b87533",
+    ("search-2", "gf:3^2", "text"): "a4e61f2c20adc38fcfbbe7d4816c86dd458f2e766dee96bcfa801d99cf03c9c6",
+    ("search-2", "gf:3^2", "json"): "e52280983eb693927b2dfdf217c8a6e99f7a230ede33457882826013ae833ca4",
+    ("cover-pass", "gf:5", "text"): "b60f4c0eab386f5d595fe9316de1937fa815de571764b16092862f10f56a93ec",
+    ("cover-pass", "gf:5", "json"): "dee1e8ec202edf147aeade68c828965845fb1a1ef194507a05d6ed1790af7002",
+    ("cover-pass", "gf:2^2", "text"): "796209b5a8f8af7f99f7c9a47f35adf42fab145700cea2668ab0f8b8ed6fd8d1",
+    ("cover-pass", "gf:2^2", "json"): "62b47c185ba1fda8ad148fd5a5db5204d11c0b11f354fa0df5e59b68b3e38e65",
+    ("cover-pass", "gf:3^2", "text"): "796209b5a8f8af7f99f7c9a47f35adf42fab145700cea2668ab0f8b8ed6fd8d1",
+    ("cover-pass", "gf:3^2", "json"): "62b47c185ba1fda8ad148fd5a5db5204d11c0b11f354fa0df5e59b68b3e38e65",
+    ("cover-fail", "gf:5", "text"): "eef396b93e69ba616908a7dffea19132f68f8309d451c3458dd5b1cd57db308e",
+    ("cover-fail", "gf:5", "json"): "a2958a157b53ac37341a4c8bf6e3367dc79aa4c8efec5f304b142cbfd6150e1f",
+    ("cover-fail", "gf:2^2", "text"): "3b40f1a7379909219111e903a75a8fdc641077e4b198c1ebb298799da4f55555",
+    ("cover-fail", "gf:2^2", "json"): "e335126c67f4afd7c814001573289d6b3d8cc245260e18073df47e9eb0d9d86f",
+    ("cover-fail", "gf:3^2", "text"): "3b40f1a7379909219111e903a75a8fdc641077e4b198c1ebb298799da4f55555",
+    ("cover-fail", "gf:3^2", "json"): "e335126c67f4afd7c814001573289d6b3d8cc245260e18073df47e9eb0d9d86f",
+    ("paper-example", "gf:3", "text"): "da96c88eb71b15c84a7898df75c24da83014f2dfcd67d8c5b29a7e7c1a00602e",
+    ("paper-example", "gf:3", "json"): "e2f6d6471116a9d9315a4dbbb3a9c188fe19b9ea0c9d69db828f9ab008d07497",
+}
+
+
+def geometry_argv(capsys, case, field, fmt, tmp_path):
+    if case == "paper-example":
+        return ["kakeya", "paper-example", "--verify", "--format", fmt]
+    tail = ["--field", field, "--format", fmt]
+    if case.startswith(("search", "cover")):
+        images = GEOMETRY_COVER[field]
+        tail = ["--n", "2", "--q", str(len(images)), "--embedding", "list:" + ",".join(images)] + tail
+        if case.startswith("search"):
+            excluded = ["1,1", "1,2"][:int(case[-1])]
+            return ["cover", "search"] + tail + [a for s in excluded for a in ("--exclude", s)]
+        planes = tmp_path / "planes.txt"
+        zero, one = images[:2]
+        if case == "cover-pass":
+            # x2 = e_j for j >= 2, a repeated plane, a comment and a blank line
+            rows = ["# x2 = e_j", ""] + [f"{zero},{one};{e}" for e in images[1:] + images[1:2]]
+            planes.write_text("\n".join(rows) + "\n")
+            return ["cover", "verify", "--planes", str(planes), "--exclude", "1,1"] + tail
+        planes.write_text(f"{one},{zero};{zero}\n")
+        return ["cover", "verify", "--planes", str(planes)] + tail
+    n, q = GEOMETRY_KAKEYA[field]
+    tail = ["--n", str(n), "--q", str(q)] + tail
+    if case == "build-t":
+        return ["kakeya", "build-t"] + tail
+    code, out, _ = run(capsys, "kakeya", "build-t", "--n", str(n), "--q", str(q), "--field", field)
+    assert code == 0
+    star = out.splitlines()[1:]
+    points = {"kakeya-2": [p for i, p in enumerate(star) if i % 3 != 1],
+              "kakeya-damaged": star[:1] + star[2:], "nikodym-fail": star[::2]}.get(case, star)
+    infile = tmp_path / "points.txt"
+    infile.write_text("\n".join(points) + "\n")
+    if case.startswith("nikodym"):
+        return ["nikodym", "verify", "--in", str(infile)] + tail
+    threshold = ["--threshold", "2"] if case == "kakeya-2" else []
+    return ["kakeya", "verify", "--in", str(infile)] + threshold + tail
+
+
+@pytest.mark.parametrize("case,field,fmt", sorted(GEOMETRY_PINS))
+def test_geometry_bytes_pinned(tmp_path, capsys, case, field, fmt):
+    code, out, _ = run(capsys, *geometry_argv(capsys, case, field, fmt, tmp_path))
+    digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
+    assert digest == GEOMETRY_PINS[(case, field, fmt)]
