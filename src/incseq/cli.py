@@ -246,7 +246,9 @@ def cmd_oracle(args) -> int:
 def _load_pointset(args, field) -> geometry.PointSet:
     if args.n is None:
         raise ValueError("--n is required")
-    return geometry.parse_points(_read(getattr(args, "infile")), field, args.n)
+    if args.infile is None:
+        raise ValueError("--in is required")
+    return geometry.parse_points(_read(args.infile), field, args.n)
 
 
 def cmd_kakeya(args) -> int:
@@ -296,7 +298,7 @@ def cmd_nikodym(args) -> int:
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
     if result.ok:
-        bound = geometry.nikodym_bound_check(B, emb)
+        bound = geometry.nikodym_bound_check(B, emb, result)
         payload = {"ok": True, "size": len(B), "bound": bound.bound,
                    "entries": [{"point": geometry.format_point(z), "direction": geometry.format_point(v)}
                                for z, v in result.entries]}
@@ -320,6 +322,8 @@ def cmd_cover(args) -> int:
         _emit(args, payload, [f"minimum: {result.minimum} (lower bound {result.bound})"]
               + [f"  {s}" for s in payload["witness"]])
         return 0
+    if args.planes is None:
+        raise ValueError("--planes is required")
     planes = geometry.parse_hyperplanes(_read(args.planes), field, args.n)
     result = geometry.cover_verify(planes, args.n, args.q, emb, excluded)
     if result.ok:

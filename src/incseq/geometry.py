@@ -5,12 +5,18 @@ Point sets live in F^n for a finite field F of exactly q elements
 (Kakeya/Nikodym) or size >= q (covers); points are tuples of field
 elements.  Directions and hyperplane normals are canonicalized so the
 first nonzero coordinate is 1.
+
+The searches run in index form: element i is `field.elements()[i]`, a
+point is a tuple of indices, and field arithmetic is a lookup in q x q
+tables.  Results are converted back to field elements once, on return.
 """
 
 import itertools
 import math
+from functools import reduce
+from operator import or_
 
-from .combinatorics import Embedding, _split_top_level, increasing_sequences
+from .combinatorics import Embedding, _split_top_level, increasing_sequences, is_increasing
 from .field import Field, FieldElement
 from .oracle import standard_monomials, vanishing_polynomial
 from .poly import DEGLEX, monomials_up_to_degree
@@ -93,6 +99,63 @@ def canonical_direction(v):
         raise ValueError("zero vector has no direction")
     inv = v[pivot].inverse()
     return pivot, tuple(x * inv for x in v)
+
+
+class _Tables:
+    """Index form of a finite field: element i is `elements[i]`, index
+    maps a raw payload to its index, and add, mul and inv are tables on
+    indices built from the raw payload arithmetic (inv[zero] is None)."""
+
+    __slots__ = ("field", "elements", "index", "zero", "one", "add", "mul", "inv")
+
+    def __init__(self, field: Field):
+        elements = field.elements()
+        index = {e.value: i for i, e in enumerate(elements)}
+        values = list(index)
+        self.field = field
+        self.elements = elements
+        self.index = index
+        self.zero = index[field.zero.value]
+        self.one = index[field.one.value]
+        self.add = [[index[field._add(a, b)] for b in values] for a in values]
+        self.mul = [[index[field._mul(a, b)] for b in values] for a in values]
+        self.inv = [None if i == self.zero else row.index(self.one) for i, row in enumerate(self.mul)]
+
+    def ix(self, p) -> tuple:
+        """The index tuple of a point over this field."""
+        field = self.field
+        if any(x.field is not field and x.field != field for x in p):
+            raise ValueError(f"point {p} is not over {field!r}")
+        return tuple(self.index[x.value] for x in p)
+
+    def el(self, p) -> tuple:
+        """The field-element tuple of an index tuple."""
+        return tuple(self.elements[i] for i in p)
+
+    def canonical(self, v):
+        """canonical_direction on an index tuple."""
+        pivot = next((i for i, x in enumerate(v) if x != self.zero), None)
+        if pivot is None:
+            raise ValueError("zero vector has no direction")
+        row = self.mul[self.inv[v[pivot]]]
+        return pivot, tuple(row[x] for x in v)
+
+    def multiples(self, v, ts) -> list:
+        """t*v for each index t in ts."""
+        mul = self.mul
+        return [tuple(mul[t][x] for x in v) for t in ts]
+
+    def directions(self, n: int) -> list:
+        """Every canonical nonzero direction of F^n: pivot-major, the
+        coordinates after the pivot in element order."""
+        return [(self.zero,) * pivot + (self.one,) + tail for pivot in range(n)
+                for tail in itertools.product(range(len(self.elements)), repeat=n - pivot - 1)]
+
+    def transversal(self, n: int, pivot: int):
+        """Every index point with coordinate `pivot` zero, in product order."""
+        axes = [range(len(self.elements))] * n
+        axes[pivot] = (self.zero,)
+        return itertools.product(*axes)
 
 
 class Line:
@@ -186,44 +249,52 @@ def _require_ambient(field: Field, q: int):
         raise ValueError(f"ambient field must have exactly q={q} elements, got size {field.size}")
 
 
-def increasing_directions(n: int, q: int, emb: Embedding) -> list:
-    """Canonical representatives of the nonzero embedded nondecreasing
-    directions, in first-occurrence enumeration order."""
+def _increasing_directions(tab: _Tables, n: int, q: int, emb: Embedding) -> list:
+    """increasing_directions in index form."""
+    images = tab.ix(emb.apply(range(1, q + 1)))
     seen = set()
     out = []
     for seq in increasing_sequences(n, q):
-        v = emb.apply(seq)
-        if all(x.is_zero for x in v):
+        v = tuple(images[s - 1] for s in seq)
+        if all(x == tab.zero for x in v):
             continue
-        _, canon = canonical_direction(v)
+        _, canon = tab.canonical(v)
         if canon not in seen:
             seen.add(canon)
             out.append(canon)
     return out
 
 
+def increasing_directions(n: int, q: int, emb: Embedding) -> list:
+    """Canonical representatives of the nonzero embedded nondecreasing
+    directions, in first-occurrence enumeration order."""
+    tab = _Tables(emb.field)
+    return [tab.el(v) for v in _increasing_directions(tab, n, q, emb)]
+
+
 def all_canonical_directions(field: Field, n: int) -> list:
     """Every canonical nonzero direction of F^n, deterministic order."""
-    elements = field.elements()
-    return [(field.zero,) * pivot + (field.one,) + tail for pivot in range(n)
-            for tail in itertools.product(elements, repeat=n - pivot - 1)]
+    tab = _Tables(field)
+    return [tab.el(v) for v in tab.directions(n)]
 
 
 def transversal(field: Field, n: int, pivot: int):
     """All base points with coordinate `pivot` equal to zero: exactly one
     representative per line in a direction with that pivot."""
-    axes = [field.elements()] * n
-    axes[pivot] = (field.zero,)
-    return list(itertools.product(*axes))
+    tab = _Tables(field)
+    return [tab.el(b) for b in tab.transversal(n, pivot)]
 
 
-def _lines(field: Field, n: int, v):
-    """(base, points) of every line in the nonzero direction v, one per
-    transversal base, in transversal order."""
-    pivot, v = canonical_direction(v)
-    elements = field.elements()
-    for base in transversal(field, n, pivot):
-        yield base, frozenset(tuple(b + t * d for b, d in zip(base, v)) for t in elements)
+def _lines(tab: _Tables, n: int, v):
+    """(base, points) of every line in the canonical index direction v,
+    one per transversal base, in transversal order; points is a list of
+    the line's q index points."""
+    pivot = v.index(tab.one)
+    steps = tab.multiples(v, range(len(tab.elements)))
+    add = tab.add
+    for base in tab.transversal(n, pivot):
+        rows = [add[b] for b in base]
+        yield base, [tuple(r[s] for r, s in zip(rows, step)) for step in steps]
 
 
 def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
@@ -232,11 +303,11 @@ def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
     _require_ambient(field, q)
     if emb.field != field:
         raise ValueError("embedding field differs from the ambient field")
-    origin = (field.zero,) * n
-    points = {origin}
-    for v in increasing_directions(n, q, emb):
-        points |= Line(field, origin, v).points()
-    return PointSet(field, n, points)
+    tab = _Tables(field)
+    points = {(tab.zero,) * n}
+    for v in _increasing_directions(tab, n, q, emb):
+        points.update(tab.multiples(v, range(q)))
+    return PointSet(field, n, map(tab.el, points))
 
 
 def line_star_size_bound(n: int, q: int) -> int:
@@ -265,13 +336,15 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
     _require_ambient(K.field, q)
     if not 1 <= threshold <= q:
         raise ValueError(f"threshold must be in [1, {q}]")
+    tab = _Tables(K.field)
+    points = set(map(tab.ix, K.points))
     entries = []
-    for v in increasing_directions(K.n, q, emb):
-        found = next((base for base, points in _lines(K.field, K.n, v)
-                      if len(points & K.points) >= threshold), None)
+    for v in _increasing_directions(tab, K.n, q, emb):
+        found = next((base for base, line in _lines(tab, K.n, v)
+                      if sum(p in points for p in line) >= threshold), None)
         if found is None:
-            return KakeyaCertificate(threshold, (), v)
-        entries.append((v, found))
+            return KakeyaCertificate(threshold, (), tab.el(v))
+        entries.append((tab.el(v), tab.el(found)))
     return KakeyaCertificate(threshold, entries)
 
 
@@ -294,19 +367,21 @@ def verify_nikodym(B: PointSet, emb: Embedding):
     the punctured line {z + tv : t != 0} inside B."""
     q = emb.q
     _require_ambient(B.field, q)
-    directions = all_canonical_directions(B.field, B.n)
-    nonzero_ts = [t for t in B.field.elements() if not t.is_zero]
+    tab = _Tables(B.field)
+    points = set(map(tab.ix, B.points))
+    nonzero_ts = [t for t in range(q) if t != tab.zero]
+    # each direction's offsets t*v, computed once for every point
+    directions = [(v, tab.multiples(v, nonzero_ts)) for v in tab.directions(B.n)]
+    images = tab.ix(emb.apply(range(1, q + 1)))
     entries = []
     for seq in increasing_sequences(B.n, q):
-        z = emb.apply(seq)
-        found = None
-        for v in directions:
-            if all(tuple(a + t * b for a, b in zip(z, v)) in B.points for t in nonzero_ts):
-                found = v
-                break
+        z = tuple(images[s - 1] for s in seq)
+        rows = [tab.add[a] for a in z]
+        found = next((v for v, steps in directions
+                      if all(tuple(r[s] for r, s in zip(rows, step)) in points for step in steps)), None)
         if found is None:
-            return NikodymCertificate((), z)
-        entries.append((z, found))
+            return NikodymCertificate((), tab.el(z))
+        entries.append((tab.el(z), tab.el(found)))
     return NikodymCertificate(entries)
 
 
@@ -367,12 +442,15 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
     if poly is None:
         raise InconsistencyError("no vanishing polynomial despite |K| < column count")
     top = poly.homogeneous_component(poly.degree())
+    tab = _Tables(field)
+    points = set(map(tab.ix, K.points))
     witness = None
     chain_ok = True
     for v in directions_set.sorted_points():
         if all(x.is_zero for x in v):
             continue
-        rich = any(len(points & K.points) >= ell + 1 for _, points in _lines(field, n, v))
+        _, canon = tab.canonical(tab.ix(v))
+        rich = any(sum(p in points for p in line) > ell for _, line in _lines(tab, n, canon))
         top_zero = top.evaluate(v).is_zero
         if rich and not top_zero:
             chain_ok = False  # cannot happen with exact arithmetic
@@ -397,14 +475,16 @@ class NikodymContradictionTrace:
         self.extended_zeros = tuple(extended_zeros)
 
 
-def nikodym_bound_check(B: PointSet, emb: Embedding):
+def nikodym_bound_check(B: PointSet, emb: Embedding, cert=None):
     """Size bound binom(n+q-2, n) for certified increasing Nikodym sets.
 
     Verification failures raise; a certified set below the bound is
     mathematically impossible, and the proof chain is replayed to emit
     the contradiction trace (any break in the chain means the
-    certificate was bad)."""
-    cert = verify_nikodym(B, emb)
+    certificate was bad).  `cert` is verify_nikodym(B, emb) when the
+    caller has it already; by default it is computed here."""
+    if cert is None:
+        cert = verify_nikodym(B, emb)
     if not cert.ok:
         raise CertificateError(f"not an increasing Nikodym set: no punctured line through {cert.point}")
     n, q = B.n, emb.q
@@ -453,6 +533,10 @@ def _cover_targets(n: int, q: int, emb: Embedding, excluded):
     excluded = [tuple(s) for s in excluded]
     if len(excluded) > n:
         raise ValueError(f"at most n={n} excluded points allowed, got {len(excluded)}")
+    for s in excluded:
+        if len(s) != n or not is_increasing(s, q):
+            raise ValueError(f"excluded sequence {','.join(map(str, s))} is not a nondecreasing "
+                             f"sequence of length {n} over 1..{q}")
     excluded_pts = {emb.apply(s) for s in excluded}
     targets = dict.fromkeys(p for p in map(emb.apply, increasing_sequences(n, q)) if p not in excluded_pts)
     return list(targets), q - 1 if excluded else q
@@ -490,63 +574,86 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     """Exact minimum number of affine hyperplanes covering the embedded
     nondecreasing points minus the excluded ones.
 
-    Candidates are the canonical hyperplanes; the answer is found by
-    iterative deepening over the cover size below a greedy upper bound,
-    searching index-ascending subsets so the first hit is the
-    lexicographically least witness.  Coverage masks are bitsets.
+    Candidates are the canonical hyperplanes, listed direction-major with
+    offsets in element order; the answer is found by iterative deepening
+    over the cover size up to a greedy upper bound, searching
+    index-ascending subsets so the first hit is the lexicographically
+    least witness.  Coverage masks are bitsets.
+
+    k planes covering the targets multiply out to a nonzero polynomial of
+    degree k vanishing on them, so when the oracle finds no vanishing
+    polynomial of degree < bound, no cover smaller than the bound exists
+    and the deepening starts at the bound; otherwise it starts at 1.
     """
     targets, bound = _cover_targets(n, q, emb, excluded)
     if len(targets) > COVER_POINT_CAP:
         raise ValueError(f"point count {len(targets)} exceeds the cap {COVER_POINT_CAP}")
-    planes = canonical_hyperplanes(field, n)
-    if len(planes) > COVER_PLANE_CAP:
-        raise ValueError(f"hyperplane count {len(planes)} exceeds the cap {COVER_PLANE_CAP}")
-    full = (1 << len(targets)) - 1
-    masks = []
-    for h in planes:
-        m = 0
-        for i, p in enumerate(targets):
-            if h.contains(p):
-                m |= 1 << i
-        masks.append(m)
+    tab = _Tables(field)
+    size = len(tab.elements)
+    directions = tab.directions(n)
+    count = len(directions) * size
+    if count > COVER_PLANE_CAP:
+        raise ValueError(f"hyperplane count {count} exceeds the cap {COVER_PLANE_CAP}")
+    # the plane through p with normal v is number d*size + v.p, v = directions[d]
+    add, mul = tab.add, tab.mul
+    masks = [0] * count
+    for j, p in enumerate(map(tab.ix, targets)):
+        for d, v in enumerate(directions):
+            dot = tab.zero
+            for a, x in zip(v, p):
+                dot = add[dot][mul[a][x]]
+            masks[d * size + dot] |= 1 << j
+
+    def plane(i):
+        return Hyperplane.make(tab.el(directions[i // size]), tab.elements[i % size])
+
     if not targets:
         return CoverSearchResult(0, [], bound)
+    full = (1 << len(targets)) - 1
 
     # greedy upper bound
     uncovered = full
     greedy = []
     while uncovered:
-        best = max(range(len(masks)), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
+        best = max(range(count), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
         if not masks[best] & uncovered:
             return CoverSearchResult(None, [], None)  # uncoverable: some point on no plane
         greedy.append(best)
         uncovered &= ~masks[best]
 
+    # dead[i]: the targets that no plane of index >= i covers
+    dead = [full] * (count + 1)
+    for i in range(count - 1, -1, -1):
+        dead[i] = dead[i + 1] & ~masks[i]
+
     def dfs(start: int, uncovered: int, slots: int, picks: list):
         if not uncovered:
             return list(picks)
-        if slots == 0:
+        if slots == 0 or uncovered & dead[start]:
             return None
-        # each remaining plane covers at most max_gain new points
-        remaining = [i for i in range(start, len(masks)) if masks[i] & uncovered]
-        if not remaining:
+        # the `slots` planes of largest gain cover at most this many new points
+        gains = sorted([(m & uncovered).bit_count() for m in masks[start:]], reverse=True)
+        if sum(gains[:slots]) < uncovered.bit_count():
             return None
-        max_gain = max((masks[i] & uncovered).bit_count() for i in remaining)
-        if max_gain * slots < uncovered.bit_count():
-            return None
-        for i in remaining:
-            picks.append(i)
-            got = dfs(i + 1, uncovered & ~masks[i], slots - 1, picks)
-            if got is not None:
-                return got
-            picks.pop()
+        for i in range(start, count):
+            if uncovered & dead[i]:
+                break  # dead only grows with i: no later child covers it either
+            if masks[i] & uncovered:
+                picks.append(i)
+                got = dfs(i + 1, uncovered & ~masks[i], slots - 1, picks)
+                if got is not None:
+                    return got
+                picks.pop()
         return None
 
-    for size in range(1, len(greedy) + 1):
-        got = dfs(0, full, size, [])
+    first = bound if vanishing_polynomial(targets, bound - 1) is None else 1
+    if first > len(greedy):
+        raise InconsistencyError(f"greedy cover of size {len(greedy)} beats the proved bound {bound}")
+    for k in range(first, len(greedy) + 1):
+        got = dfs(0, full, k, [])
         if got is not None:
-            return CoverSearchResult(size, [planes[i] for i in got], bound)
-    return CoverSearchResult(len(greedy), [planes[i] for i in greedy], bound)
+            return CoverSearchResult(k, map(plane, got), bound)
+    return CoverSearchResult(len(greedy), map(plane, greedy), bound)
 
 
 def optimal_kakeya_f3() -> PointSet:
@@ -570,20 +677,16 @@ def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):
     direction (how small constructions are assembled); returns
     (size, PointSet) with the first minimal union in scan order."""
     _require_ambient(field, q)
-    directions = increasing_directions(n, q, emb)
-    per_direction = []
-    total = 1
-    for v in directions:
-        lines = [points for _, points in _lines(field, n, v)]
-        per_direction.append(lines)
-        total *= len(lines)
-        if total > LINE_UNION_CAP:
-            raise ValueError(f"line-union search space exceeds {LINE_UNION_CAP}")
-    best_size = None
-    best_union = frozenset()
+    tab = _Tables(field)
+    directions = _increasing_directions(tab, n, q, emb)
+    if q ** ((n - 1) * len(directions)) > LINE_UNION_CAP:
+        raise ValueError(f"line-union search space exceeds {LINE_UNION_CAP}")
+    # lines and unions are bitsets over the points of F^n
+    bit = {p: 1 << i for i, p in enumerate(itertools.product(range(q), repeat=n))}
+    per_direction = [[sum(bit[p] for p in line) for _, line in _lines(tab, n, v)] for v in directions]
+    best = None
     for choice in itertools.product(*per_direction):
-        union = frozenset().union(*choice) if choice else frozenset()
-        if best_size is None or len(union) < best_size:
-            best_size = len(union)
-            best_union = union
-    return best_size, PointSet(field, n, best_union)
+        union = reduce(or_, choice, 0)
+        if best is None or union.bit_count() < best.bit_count():
+            best = union
+    return best.bit_count(), PointSet(field, n, [tab.el(p) for p, b in bit.items() if best & b])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from incseq import oracle
+from incseq import geometry, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import field_from_string
@@ -182,6 +182,18 @@ def test_nikodym_verify(tmp_path, capsys):
     f.write_text("0,0\n")
     code, out, _ = run(capsys, "nikodym", "verify", "--in", str(f), "--n", "2", "--q", "3", "--format", "json")
     assert code == 1 and json.loads(out)["ok"] is False
+
+
+def test_nikodym_verify_scans_once(tmp_path, capsys, monkeypatch):
+    # the bound check takes the certificate the verdict came from
+    _, out, _ = run(capsys, "kakeya", "build-t", "--n", "2", "--q", "3", "--format", "json")
+    f = tmp_path / "t.txt"
+    f.write_text("\n".join(json.loads(out)["points"]) + "\n")
+    calls = []
+    verify = geometry.verify_nikodym
+    monkeypatch.setattr(geometry, "verify_nikodym", lambda *args: calls.append(args) or verify(*args))
+    code, _, _ = run(capsys, "nikodym", "verify", "--in", str(f), "--n", "2", "--q", "3")
+    assert code == 0 and len(calls) == 1
 
 
 def test_cover_search_and_verify(tmp_path, capsys):
@@ -610,3 +622,65 @@ def test_geometry_bytes_pinned(tmp_path, capsys, case, field, fmt):
     code, out, _ = run(capsys, *geometry_argv(capsys, case, field, fmt, tmp_path))
     digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
     assert digest == GEOMETRY_PINS[(case, field, fmt)]
+
+
+# SHA-256 of the exit code and stdout of `incseq cover search` with the
+# default field embedding, at sizes GEOMETRY_PINS never reach, with 0, 1
+# and 2 excluded sequences.  Pinned from the implementation before the
+# index-form rewrite and the certificate-started search, so the minimum
+# and the lex-least witness must come out byte for byte.
+COVER_SEARCH_EXCLUDED = {2: ["1,1", "1,2"], 3: ["1,1,1", "1,1,2"]}
+COVER_SEARCH_PINS = {
+    (2, 7, "gf:7", 0, "text"): "3004e1d64956b02f4e9d41638de54a04c284ebd6b6f7a3d915885b241fb48b70",
+    (2, 7, "gf:7", 0, "json"): "bab896323383aa6c1e85ff5fbf4cd88801044cf9c3cbd0a6dc37ca7446fb28db",
+    (2, 7, "gf:7", 1, "text"): "faaa238f214e7df9e088e35686c7b238dc44029e30cf7a7fc3f1b6a52887bb84",
+    (2, 7, "gf:7", 1, "json"): "4da479990cf864a0afb277689155ecaa4c89d7402becfb08e51e7b1d42721444",
+    (2, 7, "gf:7", 2, "text"): "e1ffb73f215d880ff467b3171e4ab6644d7101cef1bc63d74acadb6dce75ac3f",
+    (2, 7, "gf:7", 2, "json"): "e57667b53c819e4542c9084ca6ff1aef9895d315a16b0c3ae7de3f36988e68cc",
+    (3, 5, "gf:5", 0, "text"): "b70034ef57aa707fa8fcb21a23137c6fdf9956d6651f29173d2e9d11860e5622",
+    (3, 5, "gf:5", 0, "json"): "8237e08444785b927a334affd98ebb5872b97991cebf2af35d5fd2db1c4204de",
+    (3, 5, "gf:5", 1, "text"): "28ddadaeb5e5759649d4e5e79fb56a737efd163ba739b41e73e42c661287c52c",
+    (3, 5, "gf:5", 1, "json"): "56a2a292197e1fca2e8b2953497967c304068c7c313ca8d75ec9318c677b76a7",
+    (3, 5, "gf:5", 2, "text"): "1008b3397534821e102a1fa74d473e6b61e9e36c39d7e4da0f61a9aefb83f698",
+    (3, 5, "gf:5", 2, "json"): "66e0222c309efac06a969c0abf6689f16393a84580292689735fbec49b6b8cc9",
+    (2, 9, "gf:3^2", 0, "text"): "2d745facf33dfec64f9e5bfc4980de4473039b7879a47064f97674e3e0a9ee6f",
+    (2, 9, "gf:3^2", 0, "json"): "2c10de3f9fcbe886c41be8b11a773c87f7bb92dda61a4bc5876c6f9032aed453",
+    (2, 9, "gf:3^2", 1, "text"): "0b5561564c34878704c6d561bbcd44c4cbe0a1334d46a51e3db57a81d00b32f8",
+    (2, 9, "gf:3^2", 1, "json"): "61d79fb66c5c7dbe26745f9daf8b000869184c5d306b034f23544bb4ea28ce94",
+    (2, 9, "gf:3^2", 2, "text"): "cb15fb6193056a377498fca9816c4eb03a8690a5136d69c85639d0ed28044e1e",
+    (2, 9, "gf:3^2", 2, "json"): "062f325cf1efbc59fdff8614ee6b2a52835e50b79fd852710b6fa83da14e1a15",
+}
+
+
+@pytest.mark.parametrize("n,q,field,excluded,fmt", sorted(COVER_SEARCH_PINS))
+def test_cover_search_bytes_pinned(capsys, n, q, field, excluded, fmt):
+    argv = ["cover", "search", "--n", str(n), "--q", str(q), "--field", field, "--format", fmt]
+    for s in COVER_SEARCH_EXCLUDED[n][:excluded]:
+        argv += ["--exclude", s]
+    code, out, _ = run(capsys, *argv)
+    digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
+    assert digest == COVER_SEARCH_PINS[(n, q, field, excluded, fmt)]
+
+
+@pytest.mark.parametrize("op", ["search", "verify"])
+@pytest.mark.parametrize("excluded", ["2,1", "1"])
+def test_cover_rejects_malformed_exclusion(tmp_path, capsys, op, excluded):
+    # not nondecreasing, or of the wrong length: such a sequence excludes
+    # no point, so it must not lower the bound to q-1
+    planes = tmp_path / "planes.txt"
+    planes.write_text("1,0;0\n1,0;1\n1,0;2\n")
+    tail = ["--planes", str(planes)] if op == "verify" else []
+    code, out, err = run(capsys, "cover", op, "--n", "2", "--q", "3", "--exclude", excluded, *tail)
+    assert code == 2 and out == ""
+    assert f"excluded sequence {excluded} is not a nondecreasing sequence of length 2" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["kakeya", "verify"], "--in"),
+    (["nikodym", "verify"], "--in"),
+    (["cover", "verify"], "--planes"),
+])
+def test_missing_input_file_exit_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--n", "2", "--q", "3")
+    assert code == 2 and out == ""
+    assert f"{flag} is required" in err

@@ -1,23 +1,50 @@
 """Differential tests: the raw-payload kernels against the wrapped
-`Polynomial` implementations they replaced.
+`Polynomial` implementations they replaced, and the index-form geometry
+against the `FieldElement` geometry it replaced.
 
 The reference copies below live only here.  Each builds its result from
 `Polynomial` arithmetic on `FieldElement` coefficients, so the fast
 kernels must agree with them exactly: the same remainder terms, the same
 reducedness verdict, the same expanded products and values, the same
-standard monomials and vanishing polynomials.  Hypothesis runs
-derandomized, so the examples are the same on every run.
+standard monomials and vanishing polynomials, the same certificates,
+witnesses, minima and point sets.  Hypothesis runs derandomized, so the
+examples are the same on every run.
 """
 
 import heapq
 import itertools
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from incseq import geometry
 from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
+from incseq.geometry import (
+    COVER_PLANE_CAP,
+    COVER_POINT_CAP,
+    LINE_UNION_CAP,
+    BoundPass,
+    CoverSearchResult,
+    Hyperplane,
+    InconsistencyError,
+    KakeyaBoundCounterexample,
+    KakeyaCertificate,
+    Line,
+    NikodymCertificate,
+    PointSet,
+    _require_ambient,
+    canonical_direction,
+    cover_search,
+    kakeya_line_union_search,
+    kakeya_lower_bound_check,
+    line_star,
+    verify_kakeya,
+    verify_nikodym,
+)
 from incseq.groebner import (
     downset_basis,
     expand_factors,
@@ -165,6 +192,211 @@ def reference_vanishing_polynomial(points, max_degree, order):
         if c < free:
             kernel[c] = -echelon[r][free]
     return Polynomial(field, n, dict(zip(columns, kernel))).monic(order)
+
+
+# The geometry references: the `FieldElement` implementations that the
+# index-form ones replaced, verbatim but for the `reference_` prefix.
+
+def reference_increasing_directions(n, q, emb):
+    seen = set()
+    out = []
+    for seq in increasing_sequences(n, q):
+        v = emb.apply(seq)
+        if all(x.is_zero for x in v):
+            continue
+        _, canon = canonical_direction(v)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
+
+
+def reference_all_canonical_directions(field, n):
+    elements = field.elements()
+    return [(field.zero,) * pivot + (field.one,) + tail for pivot in range(n)
+            for tail in itertools.product(elements, repeat=n - pivot - 1)]
+
+
+def reference_transversal(field, n, pivot):
+    axes = [field.elements()] * n
+    axes[pivot] = (field.zero,)
+    return list(itertools.product(*axes))
+
+
+def reference_lines(field, n, v):
+    pivot, v = canonical_direction(v)
+    elements = field.elements()
+    for base in reference_transversal(field, n, pivot):
+        yield base, frozenset(tuple(b + t * d for b, d in zip(base, v)) for t in elements)
+
+
+def reference_line_star(n, q, field, emb):
+    _require_ambient(field, q)
+    if emb.field != field:
+        raise ValueError("embedding field differs from the ambient field")
+    origin = (field.zero,) * n
+    points = {origin}
+    for v in reference_increasing_directions(n, q, emb):
+        points |= Line(field, origin, v).points()
+    return PointSet(field, n, points)
+
+
+def reference_verify_kakeya(K, emb, threshold):
+    q = emb.q
+    _require_ambient(K.field, q)
+    if not 1 <= threshold <= q:
+        raise ValueError(f"threshold must be in [1, {q}]")
+    entries = []
+    for v in reference_increasing_directions(K.n, q, emb):
+        found = next((base for base, points in reference_lines(K.field, K.n, v)
+                      if len(points & K.points) >= threshold), None)
+        if found is None:
+            return KakeyaCertificate(threshold, (), v)
+        entries.append((v, found))
+    return KakeyaCertificate(threshold, entries)
+
+
+def reference_verify_nikodym(B, emb):
+    q = emb.q
+    _require_ambient(B.field, q)
+    directions = reference_all_canonical_directions(B.field, B.n)
+    nonzero_ts = [t for t in B.field.elements() if not t.is_zero]
+    entries = []
+    for seq in increasing_sequences(B.n, q):
+        z = emb.apply(seq)
+        found = None
+        for v in directions:
+            if all(tuple(a + t * b for a, b in zip(z, v)) in B.points for t in nonzero_ts):
+                found = v
+                break
+        if found is None:
+            return NikodymCertificate((), z)
+        entries.append((z, found))
+    return NikodymCertificate(entries)
+
+
+def reference_kakeya_lower_bound_check(K, directions_set, ell):
+    field, n = K.field, K.n
+    q = field.size
+    if q is None:
+        raise ValueError("bound check needs a finite ambient field")
+    if not 0 < ell <= q - 1:
+        raise ValueError(f"ell must be in (0, {q - 1}]")
+    sm = standard_monomials(directions_set.sorted_points(), DEGLEX)
+    required = set(monomials_up_to_degree(n, ell))
+    if not required <= sm:
+        raise ValueError("direction set does not dominate the degree-<= ell monomials")
+    bound = math.comb(n + ell, n)
+    if len(K) >= bound:
+        return BoundPass(len(K), bound)
+    poly = vanishing_polynomial(K.sorted_points(), ell, field=field, n=n)
+    if poly is None:
+        raise InconsistencyError("no vanishing polynomial despite |K| < column count")
+    top = poly.homogeneous_component(poly.degree())
+    witness = None
+    chain_ok = True
+    for v in directions_set.sorted_points():
+        if all(x.is_zero for x in v):
+            continue
+        rich = any(len(points & K.points) >= ell + 1 for _, points in reference_lines(field, n, v))
+        top_zero = top.evaluate(v).is_zero
+        if rich and not top_zero:
+            chain_ok = False  # cannot happen with exact arithmetic
+        if not top_zero and witness is None:
+            witness = v
+    if witness is None:
+        raise InconsistencyError("top-degree part vanished on every direction despite the monomial condition")
+    return KakeyaBoundCounterexample(len(K), bound, poly, witness, chain_ok)
+
+
+def reference_kakeya_line_union_search(n, q, field, emb):
+    _require_ambient(field, q)
+    directions = reference_increasing_directions(n, q, emb)
+    per_direction = []
+    total = 1
+    for v in directions:
+        lines = [points for _, points in reference_lines(field, n, v)]
+        per_direction.append(lines)
+        total *= len(lines)
+        if total > LINE_UNION_CAP:
+            raise ValueError(f"line-union search space exceeds {LINE_UNION_CAP}")
+    best_size = None
+    best_union = frozenset()
+    for choice in itertools.product(*per_direction):
+        union = frozenset().union(*choice) if choice else frozenset()
+        if best_size is None or len(union) < best_size:
+            best_size = len(union)
+            best_union = union
+    return best_size, PointSet(field, n, best_union)
+
+
+def reference_cover_targets(n, q, emb, excluded):
+    excluded = [tuple(s) for s in excluded]
+    if len(excluded) > n:
+        raise ValueError(f"at most n={n} excluded points allowed, got {len(excluded)}")
+    excluded_pts = {emb.apply(s) for s in excluded}
+    targets = dict.fromkeys(p for p in map(emb.apply, increasing_sequences(n, q)) if p not in excluded_pts)
+    return list(targets), q - 1 if excluded else q
+
+
+def reference_canonical_hyperplanes(field, n):
+    return [Hyperplane.make(v, off) for v in reference_all_canonical_directions(field, n)
+            for off in field.elements()]
+
+
+def reference_cover_search(n, q, field, emb, excluded=()):
+    targets, bound = reference_cover_targets(n, q, emb, excluded)
+    if len(targets) > COVER_POINT_CAP:
+        raise ValueError(f"point count {len(targets)} exceeds the cap {COVER_POINT_CAP}")
+    planes = reference_canonical_hyperplanes(field, n)
+    if len(planes) > COVER_PLANE_CAP:
+        raise ValueError(f"hyperplane count {len(planes)} exceeds the cap {COVER_PLANE_CAP}")
+    full = (1 << len(targets)) - 1
+    masks = []
+    for h in planes:
+        m = 0
+        for i, p in enumerate(targets):
+            if h.contains(p):
+                m |= 1 << i
+        masks.append(m)
+    if not targets:
+        return CoverSearchResult(0, [], bound)
+
+    # greedy upper bound
+    uncovered = full
+    greedy = []
+    while uncovered:
+        best = max(range(len(masks)), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
+        if not masks[best] & uncovered:
+            return CoverSearchResult(None, [], None)  # uncoverable: some point on no plane
+        greedy.append(best)
+        uncovered &= ~masks[best]
+
+    def dfs(start, uncovered, slots, picks):
+        if not uncovered:
+            return list(picks)
+        if slots == 0:
+            return None
+        # each remaining plane covers at most max_gain new points
+        remaining = [i for i in range(start, len(masks)) if masks[i] & uncovered]
+        if not remaining:
+            return None
+        max_gain = max((masks[i] & uncovered).bit_count() for i in remaining)
+        if max_gain * slots < uncovered.bit_count():
+            return None
+        for i in remaining:
+            picks.append(i)
+            got = dfs(i + 1, uncovered & ~masks[i], slots - 1, picks)
+            if got is not None:
+                return got
+            picks.pop()
+        return None
+
+    for size in range(1, len(greedy) + 1):
+        got = dfs(0, full, size, [])
+        if got is not None:
+            return CoverSearchResult(size, [planes[i] for i in got], bound)
+    return CoverSearchResult(len(greedy), [planes[i] for i in greedy], bound)
 
 
 # -- strategies -------------------------------------------------------------
@@ -342,3 +574,149 @@ def test_oracle_scan(points, order, max_degree):
     else:
         _assert_same(got, want)
         assert format_polynomial(got, order) == format_polynomial(want, order)
+
+
+# -- geometry -------------------------------------------------------------------
+
+GEOMETRY_FIELDS = [field_from_string(s) for s in
+                   ("gf:2", "gf:3", "gf:2^2", "gf:5", "gf:7", "gf:2^3", "gf:3^2")]
+
+
+def _largest_first(values):
+    """sampled_from shrinks toward its first value: make that the largest."""
+    return st.sampled_from(sorted(values, reverse=True))
+
+
+@st.composite
+def ambients(draw, max_space=125, fields=GEOMETRY_FIELDS):
+    """A field of q elements, n with q^n <= max_space, and [q] embedded
+    onto the whole field in random order."""
+    field = draw(st.sampled_from(fields))
+    q = field.size
+    n = draw(_largest_first([k for k in (1, 2, 3) if q ** k <= max_space]))
+    return field, n, q, draw(embeddings(field, q))
+
+
+@st.composite
+def point_sets(draw, field, n, q, emb):
+    """The line star, the whole space or a random set, with a few points
+    dropped and a few added, so verdicts go both ways."""
+    space = list(itertools.product(field.elements(), repeat=n))
+    kind = draw(st.sampled_from(["star", "space", "random"]))
+    if kind == "star":
+        points = set(line_star(n, q, field, emb).points)
+    elif kind == "space":
+        points = set(space)
+    else:
+        points = set(draw(st.lists(st.sampled_from(space), max_size=len(space))))
+    points -= set(draw(st.lists(st.sampled_from(space), max_size=3)))
+    points |= set(draw(st.lists(st.sampled_from(space), max_size=3)))
+    return PointSet(field, n, points)
+
+
+@st.composite
+def exclusions(draw, n, q):
+    """0..n valid excluded sequences, repeats allowed."""
+    return draw(st.lists(st.sampled_from(increasing_sequences(n, q)), max_size=n))
+
+
+@st.composite
+def cover_cases(draw):
+    """A field, n and q <= |F| small enough for the reference's
+    deepening from size 1, a random embedding and random exclusions."""
+    n = draw(_largest_first([1, 2, 3]))
+    field = draw(st.sampled_from([f for f in GEOMETRY_FIELDS if n < 3 or f.size <= 5]))
+    q = draw(_largest_first(range(1, min(field.size, [None, 9, 5, 4][n]) + 1)))
+    emb = draw(embeddings(field, q))
+    return n, q, field, emb, draw(exclusions(n, q))
+
+
+def _bound_result(check, *args):
+    """Every attribute of a bound check's result, or its exception."""
+    try:
+        r = check(*args)
+    except (ValueError, InconsistencyError) as exc:
+        return type(exc), str(exc)
+    if r.ok:
+        return "pass", r.size, r.bound
+    return ("counterexample", r.size, r.bound, format_polynomial(r.poly), r.witness_direction,
+            r.chain_verified)
+
+
+def _cover_result(r):
+    return r.minimum, r.bound, [(h.normal, h.offset) for h in r.witness]
+
+
+@KERNELS
+@given(ambients(), st.data())
+def test_line_star_and_verify_kakeya(ambient, data):
+    field, n, q, emb = ambient
+    assert line_star(n, q, field, emb).points == reference_line_star(n, q, field, emb).points
+    K = data.draw(point_sets(field, n, q, emb))
+    threshold = data.draw(st.integers(1, q))
+    got, want = verify_kakeya(K, emb, threshold), reference_verify_kakeya(K, emb, threshold)
+    assert (got.ok, got.threshold, got.entries, got.direction) == \
+        (want.ok, want.threshold, want.entries, want.direction)
+
+
+@KERNELS
+@given(ambients(), st.data())
+def test_verify_nikodym(ambient, data):
+    field, n, q, emb = ambient
+    B = data.draw(point_sets(field, n, q, emb))
+    got, want = verify_nikodym(B, emb), reference_verify_nikodym(B, emb)
+    assert (got.ok, got.entries, got.point) == (want.ok, want.entries, want.point)
+    if got.ok:
+        # handing the certificate over gives what computing it does
+        assert _bound_result(geometry.nikodym_bound_check, B, emb, got) == \
+            _bound_result(geometry.nikodym_bound_check, B, emb)
+
+
+@KERNELS
+@given(ambients(), st.data())
+def test_kakeya_lower_bound_check(ambient, data):
+    field, n, q, emb = ambient
+    space = list(itertools.product(field.elements(), repeat=n))
+    D = PointSet(field, n, [emb.apply(s) for s in increasing_sequences(n, q)])
+    ell = data.draw(st.integers(1, max(1, q - 1)))
+    size = data.draw(st.integers(0, min(len(space), math.comb(n + ell, n) + 1)))
+    K = PointSet(field, n, data.draw(st.lists(st.sampled_from(space), min_size=size, max_size=size,
+                                              unique=True)))
+    assert _bound_result(kakeya_lower_bound_check, K, D, ell) == \
+        _bound_result(reference_kakeya_lower_bound_check, K, D, ell)
+
+
+@KERNELS
+@given(ambients(max_space=25, fields=GEOMETRY_FIELDS[:4]))
+def test_kakeya_line_union_search(ambient):
+    # the reference enumerates every choice of lines, so keep q^n small
+    field, n, q, emb = ambient
+    got_size, got = kakeya_line_union_search(n, q, field, emb)
+    want_size, want = reference_kakeya_line_union_search(n, q, field, emb)
+    assert (got_size, got.points) == (want_size, want.points)
+
+
+@KERNELS
+@given(cover_cases())
+def test_cover_search(case):
+    n, q, field, emb, excluded = case
+    assert _cover_result(cover_search(n, q, field, emb, excluded)) == \
+        _cover_result(reference_cover_search(n, q, field, emb, excluded))
+
+
+@settings(KERNELS, max_examples=40)
+@given(cover_cases())
+def test_cover_search_without_certificate(case):
+    """An oracle that finds a vanishing polynomial below the bound sends
+    the deepening back to size 1, which must give the same answer."""
+    n, q, field, emb, excluded = case
+    calls = []
+
+    def found(points, max_degree, *args, **kwargs):
+        calls.append(max_degree)
+        return Polynomial.one(field, n)
+
+    with mock.patch.object(geometry, "vanishing_polynomial", found):
+        got = cover_search(n, q, field, emb, excluded)
+    assert _cover_result(got) == _cover_result(reference_cover_search(n, q, field, emb, excluded))
+    assert len(calls) == (1 if got.minimum else 0)
