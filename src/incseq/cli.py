@@ -180,6 +180,8 @@ def cmd_interp(args) -> int:
             if not row or row[0].strip().startswith("#"):
                 continue
             seq = tuple(int(v) for v in row[:-1])
+            if seq in values:
+                raise ValueError(f"--values repeats sequence {seq}")
             values[seq] = field.parse_element(row[-1])
     result = interpolation.interpolate(values, args.n, args.q, emb)
     payload = {"polynomial": format_polynomial(result, order), "degree": result.degree()}

@@ -234,11 +234,11 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return (self.field is other.field or self.field == other.field) and self.value == other.value
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash((self.field._hash, self.value))
 
     def __repr__(self):
         return self.field.format_element(self)
@@ -247,7 +247,8 @@ class FieldElement:
 
 
 class Field:
-    """Field handle: exact arithmetic, canonical element forms, printing."""
+    """Field handle: exact arithmetic, canonical element forms, printing.
+    Constructors set `spec` and `_hash = hash(spec)`, read by element hashes."""
 
     spec: FieldSpec
     char: int
@@ -272,7 +273,7 @@ class Field:
         return self.spec == other.spec
 
     def __hash__(self):
-        return hash(self.spec)
+        return self._hash
 
 
 class PrimeField(Field):
@@ -280,6 +281,7 @@ class PrimeField(Field):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.spec = FieldSpec.prime(p)
+        self._hash = hash(self.spec)
         self.p = p
         self.char = p
         self.size = p
@@ -344,6 +346,7 @@ class ExtensionField(Field):
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.spec = FieldSpec.extension(p, k, modulus)
+        self._hash = hash(self.spec)
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -434,6 +437,7 @@ class ExtensionField(Field):
 class RationalField(Field):
     def __init__(self):
         self.spec = FieldSpec.rational()
+        self._hash = hash(self.spec)
         self.char = 0
         self.size = None
         self.zero = FieldElement(self, Fraction(0))
@@ -473,15 +477,24 @@ class RationalField(Field):
         return "QQ"
 
 
+_INTERNED: dict[FieldSpec, Field] = {}
+
+
 def field_make(spec: FieldSpec) -> Field:
-    """Build a field handle from a validated spec."""
-    if spec.kind == "prime":
-        return PrimeField(spec.p)
-    if spec.kind == "extension":
-        return ExtensionField(spec.p, spec.k, spec.modulus)
-    if spec.kind == "rational":
-        return RationalField()
-    raise ValueError(f"unknown field kind {spec.kind!r}")
+    """The one (immutable, shared) handle of a validated spec's field; an
+    extension spec with or without its default modulus gives the same one."""
+    field = _INTERNED.get(spec)
+    if field is None:
+        if spec.kind == "prime":
+            field = PrimeField(spec.p)
+        elif spec.kind == "extension":
+            field = ExtensionField(spec.p, spec.k, spec.modulus)
+        elif spec.kind == "rational":
+            field = RationalField()
+        else:
+            raise ValueError(f"unknown field kind {spec.kind!r}")
+        field = _INTERNED[spec] = _INTERNED.setdefault(field.spec, field)
+    return field
 
 
 def field_from_string(text: str) -> Field:

@@ -1,21 +1,25 @@
 """Indicator (Kronecker-delta) polynomials on embedded nondecreasing
 sequences, and interpolation of arbitrary functions on them.
 
-The expanded form is a forward substitution in the interval-product basis
-of the downset construction: P_g(h) != 0 exactly when h >= g
-componentwise, so [P_g(h)] is lower triangular in lex order, and every
-term of P_g divides the difference vector of g, so the result lies in the
-span of the monomials of degree <= q-1, where it is unique.  For grid
-embeddings a factored form (product of q-1 linear polynomials) is built
-independently and the two must agree.
+The expanded form is solved in the interval-product basis P_g(x) =
+prod_j phi(x_j; g_{j-1}, g_j), g_0 = 1, phi(s; a, b) = prod_{a<=t<b}
+(s - i(t)).  Each factor involves one coordinate, so sum_g c_g P_g(h) =
+r(h) is Newton interpolation on a lower set, one coordinate at a time: a
+forward sweep of divided differences along x_1..x_n (after sweep j the
+values are keyed by (g_1..g_j, h_{j+1}..h_n), again a sequence), then a
+backward sweep of Horner steps along x_n..x_1 into powers of x_j (the key
+(g_1..g_j, e_{j+1}..e_n) sits at the sequence that climbs from g_j by
+e_{j+1}, ..., e_n).  All-zero groups are skipped, so an indicator touches
+only the g >= its sequence.  A solve costs O(n N q) field operations for N
+sequences, with no N x N table.  The result spans the monomials of degree
+<= q-1, where it is unique.  For grid embeddings a factored form (product
+of q-1 linear polynomials) is built independently and the two must agree.
 """
 
 from functools import lru_cache
-from itertools import product
 
 from .combinatorics import Embedding, increasing_sequences
 from .field import FieldElement
-from .groebner import _interval_system_factors, expand_factors
 from .poly import Polynomial
 
 
@@ -52,8 +56,18 @@ class IndicatorPolynomial:
         self.factored = factored
 
 
+def _groups(sequences, j, key):
+    """(0-based node of the first entry, indices) for the groups of
+    sequences that share key(s), each in index order; groups of one
+    sequence are left out, as neither sweep changes them."""
+    groups = {}
+    for i, s in enumerate(sequences):
+        groups.setdefault(key(s), []).append(i)
+    return [(sequences[g[0]][j] - 1, g) for g in groups.values() if len(g) > 1]
+
+
 class Interpolator:
-    """Shared triangular solve context for one (n, q, embedding)."""
+    """Newton sweep context for one (n, q, embedding)."""
 
     def __init__(self, n: int, q: int, embedding: Embedding):
         if embedding.q != q:
@@ -62,53 +76,65 @@ class Interpolator:
         self.q = q
         self.embedding = embedding
         self.field = embedding.field
-        self.sequences = increasing_sequences(n, q)
-        self.index = {s: i for i, s in enumerate(self.sequences)}
-        self.points = [embedding.apply(s) for s in self.sequences]
+        self.sequences = seqs = increasing_sequences(n, q)
+        self.index = {s: i for i, s in enumerate(seqs)}
+        self.points = [embedding.apply(s) for s in seqs]
         field = self.field
-        fsub, fmul, one = field._sub, field._mul, field.one.value
-        images = [None] + [x.value for x in embedding.images]
-        # span[s][a][b]: product of (i(s) - i(t)) for a <= t < b (1-based),
-        # the value one variable's factors of P_g take at coordinate s
-        span = [[[one] * (q + 1) for _ in range(q + 1)] for _ in range(q + 1)]
-        for s, a in product(range(1, q + 1), repeat=2):
-            for b in range(a, q):
-                span[s][a][b + 1] = fmul(span[s][a][b], fsub(images[s], images[b]))
-        # row h: P_g(h) for every g <= h, built prefix by prefix from g_0 = 1;
-        # g = h comes last, on the diagonal
-        self._rows = []
-        for h in self.sequences:
-            partial = [((1,), one)]
-            for hj in h:
-                partial = [(g + (t,), fmul(v, span[hj][g[-1]][t]))
-                           for g, v in partial for t in range(g[-1], hj + 1)]
-            *below, (_, diagonal) = partial
-            self._rows.append(([(self.index[g[1:]], v) for g, v in below], field._inv(diagonal)))
-        self._basis = [[(m, c.value) for m, c in
-                        expand_factors(field, n, _interval_system_factors(g, embedding)).terms.items()]
-                       for g in self.sequences]
+        # nodes[t] = i(t + 1); inverses[u][w] = 1 / (i(u + 1) - i(w + 1)) for w < u
+        self._nodes = nodes = [x.value for x in embedding.images]
+        self._inverses = [[field._inv(field._sub(nodes[u], nodes[w])) for w in range(u)]
+                          for u in range(q)]
+        # per coordinate j, the groups that vary only g_j: the forward
+        # sweep fixes every other entry, the backward sweep the entries
+        # before j and the steps after it
+        self._forward = [_groups(seqs, j, lambda s: s[:j] + s[j + 1:]) for j in range(n)]
+        self._backward = [_groups(seqs, j, lambda s: s[:j] + tuple(b - a for a, b in zip(s[j:], s[j + 1:])))
+                          for j in range(n)]
+        self._monomials = [tuple(b - a for a, b in zip((1,) + s, s)) for s in seqs]
 
-    def _solve(self, rhs, start: int) -> Polynomial:
-        """The sum of c_g P_g that takes the raw value rhs[h] at every h,
-        by forward substitution from `start` (rhs and c vanish before it)."""
+    def _solve(self, vals) -> Polynomial:
+        """The sum of c_g P_g that takes the raw value vals[h] at every h,
+        in monomial form; overwrites vals.  A group is skipped when each
+        entry is the zero payload object itself (no field call); a computed
+        zero is swept like any other value."""
         field = self.field
-        fadd, fsub, fmul, zero = field._add, field._sub, field._mul, field.zero.value
-        coeffs = {}
-        for i in range(start, len(rhs)):
-            below, pivot = self._rows[i]
-            acc = rhs[i]
-            for g, a in below:
-                if g in coeffs:
-                    acc = fsub(acc, fmul(a, coeffs[g]))
-            if acc != zero:
-                coeffs[i] = fmul(acc, pivot)
-        terms = {}
-        for g, c in coeffs.items():
-            for m, a in self._basis[g]:
-                terms[m] = fadd(terms.get(m, zero), fmul(c, a))
+        fsub, fmul, zero = field._sub, field._mul, field.zero.value
+        nodes, inverses = self._nodes, self._inverses
+        for groups in self._forward:
+            for a, idx in groups:
+                for first, i in enumerate(idx):
+                    if vals[i] is not zero:
+                        break
+                else:
+                    continue
+                v = [vals[i] for i in idx]
+                # divided differences; the leading zeros stay zero
+                for k in range(1, len(v)):
+                    for l in range(len(v) - 1, max(k, first) - 1, -1):
+                        v[l] = fmul(fsub(v[l], v[l - 1]), inverses[a + l][a + l - k])
+                for l in range(first, len(v)):
+                    vals[idx[l]] = v[l]
+        for groups in reversed(self._backward):
+            for a, idx in groups:
+                for top in range(len(idx) - 1, -1, -1):
+                    if vals[idx[top]] is not zero:
+                        break
+                else:
+                    continue
+                # p <- p * (x - node) + d, from the highest Newton coefficient down
+                p = [vals[idx[top]]]
+                for l in range(top - 1, -1, -1):
+                    x = nodes[a + l]
+                    p.append(p[-1])
+                    for k in range(len(p) - 2, 0, -1):
+                        p[k] = fsub(p[k - 1], fmul(x, p[k]))
+                    p[0] = fsub(vals[idx[l]], fmul(x, p[0]))
+                for l, c in enumerate(p):
+                    vals[idx[l]] = c
         out = Polynomial.__new__(Polynomial)
         out.field, out.n = field, self.n
-        out.terms = {m: FieldElement(field, c) for m, c in terms.items() if c != zero}
+        out.terms = {m: FieldElement(field, c) for m, c in zip(self._monomials, vals)
+                     if c is not zero and c != zero}
         return out
 
     def indicator(self, seq) -> IndicatorPolynomial:
@@ -116,9 +142,9 @@ class Interpolator:
         idx = self.index.get(seq)
         if idx is None:
             raise ValueError(f"{seq} is not a nondecreasing sequence over [1, {self.q}]")
-        rhs = [self.field.zero.value] * len(self.sequences)
-        rhs[idx] = self.field.one.value
-        expanded = self._solve(rhs, idx)
+        vals = [self.field.zero.value] * len(self.sequences)
+        vals[idx] = self.field.one.value
+        expanded = self._solve(vals)
         factored = self._factored(seq) if self.embedding.is_grid else None
         return IndicatorPolynomial(seq, self.points[idx], expanded, factored)
 
@@ -149,20 +175,27 @@ class Interpolator:
 
     def interpolate(self, values) -> Polynomial:
         """The unique polynomial of degree <= q-1 matching a full value
-        table on the embedded sequences."""
-        table = {tuple(s): v for s, v in values.items()}
-        rhs = []
-        for s in self.sequences:
-            if s not in table:
-                raise ValueError(f"value table is missing sequence {s}")
-            rhs.append(self.field._canon(table[s]))
-        return self._solve(rhs, 0)
+        table on the embedded sequences; every key must be one of them,
+        exactly once."""
+        vals = [None] * len(self.sequences)
+        for s, v in values.items():
+            i = self.index.get(tuple(s))
+            if i is None:
+                raise ValueError(f"value table key {tuple(s)} is not a nondecreasing sequence "
+                                 f"of length {self.n} over [1, {self.q}]")
+            if vals[i] is not None:
+                raise ValueError(f"value table repeats sequence {self.sequences[i]}")
+            vals[i] = self.field._canon(v)
+        if len(values) < len(vals):
+            missing = next(s for s, v in zip(self.sequences, vals) if v is None)
+            raise ValueError(f"value table is missing sequence {missing}")
+        return self._solve(vals)
 
 
 @lru_cache(maxsize=32)
 def get_interpolator(n: int, q: int, embedding: Embedding) -> Interpolator:
-    """Shared per-(n, q, embedding) context; the triangular system and
-    the expanded basis are built once and reused for every indicator and
+    """Shared per-(n, q, embedding) context; the sweep groups and node
+    inverses are built once and reused for every indicator and
     interpolation."""
     return Interpolator(n, q, embedding)
 

@@ -9,26 +9,7 @@ geometry modules.
 import heapq
 
 from .field import Field, FieldElement
-from .poly import DEGLEX, Polynomial, TermOrder, mono_eval, sort_monomials
-
-
-class EvaluationMatrix:
-    """Values of a monomial family at a point set: rows are points,
-    columns are monomials in ascending term order."""
-
-    __slots__ = ("points", "columns", "rows")
-
-    def __init__(self, points, columns, rows):
-        self.points = points
-        self.columns = columns
-        self.rows = rows
-
-
-def evaluation_matrix(points, monomials, order: TermOrder = DEGLEX) -> EvaluationMatrix:
-    points = list(points)
-    columns = sort_monomials(monomials, order)
-    rows = [[mono_eval(m, p) for m in columns] for p in points]
-    return EvaluationMatrix(tuple(points), tuple(columns), rows)
+from .poly import DEGLEX, Polynomial, TermOrder
 
 
 def _scan(pts, order: TermOrder, max_degree: int | None):

@@ -61,14 +61,6 @@ def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_eval(m: tuple[int, ...], point) -> FieldElement:
-    result = point[0].field.one
-    for x, e in zip(point, m):
-        if e:
-            result = result * x**e
-    return result
-
-
 def mono_to_str(m: tuple[int, ...]) -> str:
     """`x1^2*x3` style, variables 1-indexed; the empty monomial is `1`."""
     parts = []

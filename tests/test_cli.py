@@ -87,6 +87,26 @@ def test_interp_values_csv(tmp_path, capsys):
     assert json.loads(out)["polynomial"] == "1"
 
 
+GF7_VALUES = ["1,1,3", "1,2,0", "2,2,5"]  # n = 2, q = 2
+
+
+@pytest.mark.parametrize("row", ["2,1,5", "9,9,9,5"])
+def test_interp_values_rejects_foreign_row(tmp_path, capsys, row):
+    f = tmp_path / "values.csv"
+    f.write_text("\n".join(GF7_VALUES + [row]) + "\n")
+    code, out, err = run(capsys, "interp", "--n", "2", "--q", "2", "--field", "gf:7", "--values", str(f))
+    assert code == 2 and out == ""
+    assert "not a nondecreasing sequence" in err
+
+
+def test_interp_values_rejects_repeated_row(tmp_path, capsys):
+    f = tmp_path / "values.csv"
+    f.write_text("\n".join(GF7_VALUES + ["1,1,4"]) + "\n")
+    code, out, err = run(capsys, "interp", "--n", "2", "--q", "2", "--field", "gf:7", "--values", str(f))
+    assert code == 2 and out == ""
+    assert "repeats sequence (1, 1)" in err
+
+
 def test_nonvanish(capsys):
     code, out, _ = run(capsys, "nonvanish", "--poly", "x1 - x2", "--n", "2", "--q", "3",
                        "--field", "gf:3", "--format", "json")
@@ -383,6 +403,16 @@ def test_interp_bytes_pinned(tmp_path, capsys, mode, field, emb, fmt):
     code, out, _ = run(capsys, *interp_argv(mode, field, emb, fmt, tmp_path / "values.csv"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == INTERP_PINS[(mode, field, emb, fmt)]
+
+
+def test_interp_n7_q7_bytes_pinned(capsys):
+    """N = 1716 over Q: the stdout of the solve that built the N x N row
+    table of P_g(h), pinned before the per-coordinate sweeps replaced it."""
+    code, out, _ = run(capsys, "interp", "--n", "7", "--q", "7", "--field", "rational",
+                       "--point", "1,2,2,3,5,5,7")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9d8021245f1283433ceb1de0918040bd8c63267032ad8d613c04eb4e6f6559fe")
 
 
 # SHA-256 of `incseq oracle sm` and `incseq oracle vanish` stdout: the

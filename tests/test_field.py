@@ -6,6 +6,7 @@ import pytest
 from incseq.field import (
     EXTENSION_SIZE_CAP,
     ExtensionField,
+    Field,
     FieldSpec,
     PrimeField,
     RationalField,
@@ -178,3 +179,31 @@ def test_zero_inverse_rejected():
         f = field_from_string(spec)
         with pytest.raises(ZeroDivisionError):
             f.zero.inverse()
+
+
+def test_fields_interned_by_spec():
+    for text in ["gf:7", "gf:3^2", "rational"]:
+        assert field_from_string(text) is field_from_string(text)
+    gf9 = field_from_string("gf:3^2")
+    assert field_make(FieldSpec.extension(3, 2, gf9.modulus)) is gf9
+    assert field_make(FieldSpec.extension(3, 2, (5, 2, 1))) is gf9  # (5, 2, 1) = (2, 2, 1) mod 3
+    override = field_make(FieldSpec.extension(3, 2, (1, 0, 1)))
+    assert override is not gf9 and override != gf9
+    assert field_from_string("gf:7") is not field_from_string("gf:5")
+
+
+def test_element_hash_reads_the_cached_spec_hash(monkeypatch):
+    gf7 = field_from_string("gf:7")
+    separate = PrimeField(7)  # built directly, not interned
+    assert separate is not gf7 and separate == gf7
+    assert hash(separate.element(3)) == hash(gf7.element(3))
+    assert {gf7.element(3): "x"}[separate.element(3)] == "x"
+    q = field_from_string("rational")
+    assert hash(q.element(Fraction(1, 2))) == hash(RationalField().element(Fraction(1, 2)))
+
+    def no_hash(self):
+        raise AssertionError(f"{type(self).__name__} hashed per element")
+
+    monkeypatch.setattr(FieldSpec, "__hash__", no_hash)
+    monkeypatch.setattr(Field, "__hash__", no_hash)
+    assert len({gf7.element(v) for v in range(20)}) == 7

@@ -32,7 +32,9 @@ from incseq.geometry import (
     verify_kakeya,
     verify_nikodym,
 )
-from incseq.poly import monomials_up_to_degree, mono_eval
+from incseq.poly import monomials_up_to_degree
+
+from dense_reference import mono_eval
 
 GF3 = field_from_string("gf:3")
 E23 = Embedding.grid(GF3, 3, -1)

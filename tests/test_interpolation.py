@@ -9,8 +9,9 @@ from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
 from incseq.groebner import _interval_system_factors, expand_factors, full_basis
 from incseq.interpolation import Interpolator, get_interpolator, indicator, interpolate
-from incseq.linalg import row_echelon
-from incseq.poly import DEGLEX, Polynomial, format_polynomial, mono_eval, monomials_up_to_degree, reduce_by_basis
+from incseq.poly import DEGLEX, Polynomial, format_polynomial, monomials_up_to_degree, reduce_by_basis
+
+from dense_reference import mono_eval, row_echelon
 
 Q = field_from_string("rational")
 
@@ -122,10 +123,43 @@ def test_interpolate_missing_point_rejected():
         interpolate({(1, 1): 1}, 2, 3, emb)
 
 
+@pytest.mark.parametrize("key", [(2, 1), (1, 4), (0, 1), (1, 1, 1), ()])
+def test_interpolate_foreign_key_rejected(key):
+    """A key that is not a sequence is an error, not a dropped row."""
+    emb = Embedding.grid(Q, 3, 0)
+    table = {s: 1 for s in increasing_sequences(2, 3)}
+    table[key] = 2
+    with pytest.raises(ValueError, match="not a nondecreasing sequence"):
+        interpolate(table, 2, 3, emb)
+
+
+def test_interpolate_repeated_key_rejected():
+    """Two keys naming one sequence (here a tuple and a range) are an
+    error, not last-one-wins."""
+    emb = Embedding.grid(Q, 3, 0)
+    table = {s: 1 for s in increasing_sequences(2, 3)}
+    table[range(1, 3)] = 2
+    with pytest.raises(ValueError, match=r"repeats sequence \(1, 2\)"):
+        interpolate(table, 2, 3, emb)
+
+
 def test_invalid_sequence_rejected():
     emb = Embedding.grid(Q, 3, 0)
     with pytest.raises(ValueError):
         indicator((2, 1), 2, 3, emb)
+
+
+def test_n8_q8_rational_indicator():
+    """N = 6435 over Q runs to completion (a check of the result, not of
+    its time)."""
+    emb = Embedding.grid(Q, 8, -1)
+    interp = Interpolator(8, 8, emb)
+    seq = (1, 2, 2, 3, 5, 5, 7, 8)
+    ip = interp.indicator(seq)
+    assert ip.expanded.degree() == 7
+    assert ip.factored.expand() == ip.expanded
+    for t in [seq] + interp.sequences[::97]:
+        assert ip.expanded.evaluate(emb.apply(t)) == (Q.one if t == seq else Q.zero)
 
 
 def test_q1_edge():
@@ -197,10 +231,18 @@ def test_triangular_solve_matches_dense_solve(spec, kind, data):
     for j, s in enumerate(interp.sequences):
         want = Polynomial(field, n, {m: inverse[k][j] for k, m in enumerate(columns)})
         _assert_same(interp.indicator(s).expanded, want)
-    values = data.draw(st.lists(_values(field), min_size=len(columns), max_size=len(columns)))
-    want = Polynomial(field, n, {m: sum((a * v for a, v in zip(inverse[k], values)), field.zero)
-                                 for k, m in enumerate(columns)})
-    _assert_same(interp.interpolate(dict(zip(interp.sequences, values))), want)
+    size = len(columns)
+    dense = data.draw(st.lists(_values(field), min_size=size, max_size=size))
+    # sparse tables, so that the sweeps skip zero groups: a few nonzero
+    # entries, and one slab h_j >= t with runs of zeros along coordinate j
+    support = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3))
+    spikes = [data.draw(_values(field)) if i in support else field.zero for i in range(size)]
+    j, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, q))
+    slab = [v if s[j] >= t else field.zero for s, v in zip(interp.sequences, dense)]
+    for values in (dense, spikes, slab):
+        want = Polynomial(field, n, {m: sum((a * v for a, v in zip(inverse[k], values)), field.zero)
+                                     for k, m in enumerate(columns)})
+        _assert_same(interp.interpolate(dict(zip(interp.sequences, values))), want)
 
 
 @pytest.mark.parametrize("kind", ["grid", "list"])

@@ -52,7 +52,6 @@ from incseq.groebner import (
     is_reduced_basis,
     strict_basis,
 )
-from incseq.linalg import row_echelon
 from incseq.oracle import standard_monomials, vanishing_polynomial
 from incseq.poly import (
     DEGLEX,
@@ -60,11 +59,12 @@ from incseq.poly import (
     Polynomial,
     format_polynomial,
     mono_divides,
-    mono_eval,
     monomials_up_to_degree,
     reduce_by_basis,
     sort_monomials,
 )
+
+from dense_reference import mono_eval, row_echelon
 
 KERNELS = settings(derandomize=True, database=None, deadline=None, max_examples=80,
                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

@@ -4,9 +4,11 @@ import pytest
 
 from incseq.combinatorics import Embedding, embedded_points, increasing_sequences
 from incseq.field import field_from_string
-from incseq.oracle import evaluation_matrix, standard_monomials, vanishes_on, vanishing_polynomial
+from incseq.oracle import standard_monomials, vanishes_on, vanishing_polynomial
 from incseq.groebner import full_basis, strict_basis
 from incseq.poly import DEGLEX, LEX, Polynomial, monomials_up_to_degree
+
+from dense_reference import evaluation_matrix
 
 Q = field_from_string("rational")
 GF3 = field_from_string("gf:3")
