@@ -40,7 +40,7 @@ def _fields_for(q: int):
 def criterion_1(max_n: int = 4, max_q: int = 4) -> CriterionResult:
     """Closed-form basis correctness on nondecreasing sequences: exact
     vanishing, reducedness, and the degree-<= q-1 standard monomials."""
-    start = time.time()
+    start = time.perf_counter()
     checked = 0
     for n in range(1, max_n + 1):
         for q in range(1, max_q + 1):
@@ -61,7 +61,7 @@ def criterion_1(max_n: int = 4, max_q: int = 4) -> CriterionResult:
                 if len(gb.standard_monomials) != len(points):
                     return CriterionResult(1, "groebner", False, f"|sm| != |points| at n={n} q={q}")
                 checked += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     ok = elapsed < 5.0
     return CriterionResult(1, "groebner", ok,
                            f"{checked} (n,q,field) instances verified in {elapsed:.2f}s (budget 5s)")
@@ -218,7 +218,7 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     """Hyperplane covers over GF(3), n=2, q=3: exact minima 3 and 2,
     sharp explicit covers, and the exhaustive 2-plane impossibility."""
-    start = time.time()
+    start = time.perf_counter()
     gf3 = field_from_string("gf:3")
     emb = Embedding.grid(gf3, 3, -1)
     free = geometry.cover_search(2, 3, gf3, emb)
@@ -240,7 +240,7 @@ def criterion_8() -> CriterionResult:
     for h1, h2 in itertools.combinations(planes, 2):
         if all(h1.contains(p) or h2.contains(p) for p in points):
             return CriterionResult(8, "covers", False, f"two planes cover everything: {h1}, {h2}")
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     return CriterionResult(8, "covers", ok,
                            f"minima 3/2 exact, sharp covers verified, {len(planes)} planes pair-checked in {elapsed:.2f}s (budget 10s)")

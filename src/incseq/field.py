@@ -18,6 +18,14 @@ _BUILTIN_MODULI = {
 }
 
 
+def _exact_int(value, field) -> int:
+    """An int or integral Fraction as an int; a float, or a Fraction with a
+    denominator, has no exact image in a finite field."""
+    if isinstance(value, float) or (isinstance(value, Fraction) and value.denominator != 1):
+        raise ValueError(f"{value!r} is not exactly an element of {field!r}")
+    return int(value)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
     if n < 2:
@@ -235,6 +243,10 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return (self.field is other.field or self.field == other.field) and self.value == other.value
+        if isinstance(other, int):
+            # coercing would break hashing: GF(7)'s 3 would equal both 3 and 10
+            raise TypeError(f"comparing {self!r} of {self.field!r} with the int {other!r}; "
+                            f"compare with field.element({other!r})")
         return NotImplemented
 
     def __hash__(self):
@@ -293,7 +305,7 @@ class PrimeField(Field):
             if value.field != self:
                 raise ValueError("element from a different field")
             return value.value
-        return int(value) % self.p
+        return _exact_int(value, self) % self.p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -392,9 +404,12 @@ class ExtensionField(Field):
             if value.field != self:
                 raise ValueError("element from a different field")
             return value.value
-        if isinstance(value, int):
-            return self._pad([value % self.p])
-        return tuple(int(c) % self.p for c in value)
+        if isinstance(value, (int, float, Fraction)):
+            return self._pad([_exact_int(value, self) % self.p])
+        value = tuple(value)
+        if len(value) != self.k:
+            raise ValueError(f"{value!r} has {len(value)} coefficients, {self!r} needs {self.k}")
+        return tuple(_exact_int(c, self) % self.p for c in value)
 
     def _add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -448,6 +463,8 @@ class RationalField(Field):
             if value.field != self:
                 raise ValueError("element from a different field")
             return value.value
+        if isinstance(value, float):
+            raise ValueError(f"{value!r} is a float; pass a Fraction or a string for an exact rational")
         return Fraction(value)
 
     def _add(self, a, b):

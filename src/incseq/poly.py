@@ -6,8 +6,10 @@ multi-divisor normal-form reduction.
 """
 
 import heapq
+from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, sub
+from math import lcm
+from operator import add, mul, sub
 
 from .field import Field, FieldElement
 
@@ -231,6 +233,10 @@ class Polynomial:
         for x in point:
             if not isinstance(x, FieldElement) or (x.field is not field and x.field != field):
                 raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
+        if not self.terms:
+            return field.zero
+        if field.char == 0:
+            return FieldElement(field, _rational_value(self.terms, point))
         fadd, fmul = field._add, field._mul
         # powers[j][e] = x_j^e up to the largest exponent of x_j in a term
         powers = [list(accumulate(repeat(x.value, top), fmul, initial=field.one.value))
@@ -266,6 +272,31 @@ class Polynomial:
         return self.to_str()
 
     __str__ = __repr__
+
+
+def _rational_value(terms, point) -> Fraction:
+    """A nonzero polynomial's value over Q in Python ints, normalized once.
+
+    With L the lcm of the coefficient denominators, D that of the
+    coordinates, d the total degree and X_j = x_j*D, the value is
+    sum((c_m*L) * D^(d-|m|) * prod(X_j^m_j)) / (L * D^d).
+    """
+    L = lcm(*(c.value.denominator for c in terms.values()))
+    D = lcm(*(x.value.denominator for x in point))
+    # powers[j][e] = X_j^e up to the largest exponent of x_j in a term
+    powers = [list(accumulate(repeat(x.value.numerator * (D // x.value.denominator), top), mul,
+                              initial=1))
+              for x, top in zip(point, map(max, zip(*terms)))]
+    d = max(map(sum, terms))
+    scale = list(accumulate(repeat(D, d), mul, initial=1))  # scale[k] = D^k
+    total = 0
+    for m, c in terms.items():
+        v = c.value.numerator * (L // c.value.denominator) * scale[d - sum(m)]
+        for row, e in zip(powers, m):
+            if e:
+                v *= row[e]
+        total += v
+    return Fraction(total, L * scale[d])
 
 
 def format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:

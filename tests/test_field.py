@@ -207,3 +207,41 @@ def test_element_hash_reads_the_cached_spec_hash(monkeypatch):
     monkeypatch.setattr(FieldSpec, "__hash__", no_hash)
     monkeypatch.setattr(Field, "__hash__", no_hash)
     assert len({gf7.element(v) for v in range(20)}) == 7
+
+
+def test_values_the_field_cannot_hold_exactly_rejected():
+    q, gf7, gf9 = (field_from_string(s) for s in ("rational", "gf:7", "gf:3^2"))
+    for field in (q, gf7, gf9):
+        with pytest.raises(ValueError):
+            field.element(0.1)
+        with pytest.raises(ValueError):
+            field.element(2.0)
+    for field in (gf7, gf9):
+        with pytest.raises(ValueError):
+            field.element(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        gf7.element(2.7)
+    with pytest.raises(ValueError):
+        gf9.element((1, 2, 5))
+    with pytest.raises(ValueError):
+        gf9.element((1,))
+    with pytest.raises(ValueError):
+        gf9.element((1, 0.5))
+    # exact values still convert
+    assert q.element(Fraction(-3, 4)).value == Fraction(-3, 4)
+    assert gf7.element(Fraction(9)) == gf7.element(2)
+    assert gf9.element(Fraction(4)) == gf9.element(1) == gf9.element((4, 3))
+
+
+def test_element_compared_with_int_raises():
+    gf7, q = field_from_string("gf:7"), field_from_string("rational")
+    for x in (gf7.zero, gf7.element(3), q.one):
+        for v in (0, 1, 3, 10):
+            with pytest.raises(TypeError):
+                _ = x == v
+            with pytest.raises(TypeError):
+                _ = x != v
+            with pytest.raises(TypeError):
+                _ = v == x
+    assert gf7.element(3) == gf7.element(10) and gf7.element(3) != gf7.element(4)
+    assert gf7.zero != "0" and gf7.zero != None  # noqa: E711

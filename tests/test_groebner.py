@@ -2,8 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from incseq.combinatorics import Embedding, all_downsets, difference_vector, increasing_sequences
+from incseq.combinatorics import (
+    Embedding,
+    all_downsets,
+    difference_vector,
+    increasing_sequences,
+    parse_embedding,
+)
 from incseq.field import field_from_string, smallest_prime_geq
 from incseq.groebner import (
     downset_basis,
@@ -14,7 +22,15 @@ from incseq.groebner import (
     strict_basis,
 )
 from incseq.oracle import standard_monomials, vanishes_on
-from incseq.poly import DEGLEX, LEX, Polynomial, monomials_up_to_degree, reduce_by_basis
+from incseq.poly import (
+    DEGLEX,
+    LEX,
+    Polynomial,
+    mono_divides,
+    monomials_up_to_degree,
+    parse_order,
+    reduce_by_basis,
+)
 
 Q = field_from_string("rational")
 GF3 = field_from_string("gf:3")
@@ -228,3 +244,40 @@ def test_embedding_width_checked():
     emb = Embedding.grid(Q, 4, -1)
     with pytest.raises(ValueError):
         full_basis(2, 3, emb)
+
+
+# -- closed-form downset bases against the oracle ---------------------------
+
+@st.composite
+def downset_cases(draw):
+    """(field, order, n, q, embedding, generators): the downset of I(n,q)
+    below 1-3 generators, embedded at random distinct images."""
+    spec = draw(st.sampled_from(["gf:7", "gf:2^3", "gf:3^2", "rational"]))
+    field = field_from_string(spec)
+    order = draw(st.sampled_from(["deglex", "lex"]))
+    n, q = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    values = (st.sampled_from(field.elements()) if field.size
+              else st.fractions(min_value=-6, max_value=6, max_denominator=4).map(field.element))
+    images = draw(st.lists(values, min_size=q, max_size=q, unique=True))
+    embedding = "list:" + ",".join(field.format_element(x) for x in images)
+    generators = draw(st.lists(st.sampled_from(increasing_sequences(n, q)), min_size=1, max_size=3,
+                               unique=True))
+    return spec, order, n, q, embedding, generators
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(downset_cases())
+def test_downset_basis_matches_oracle(case):
+    spec, order, n, q, embedding, generators = case
+    field = field_from_string(spec)
+    order = parse_order(order)
+    downset = [s for s in increasing_sequences(n, q)
+               if any(mono_divides(s, g) for g in generators)]  # s <= g componentwise
+    gb = downset_basis(n, q, downset, parse_embedding(embedding, field, q), order)
+    assert standard_monomials(gb.points, order) == gb.standard_monomials
+    for p in gb.polynomials:
+        assert vanishes_on(p, gb.points)
+    lms = set(gb.leading_monomials)
+    for m in monomials_up_to_degree(n, q):
+        assert (m in gb.standard_monomials) != any(mono_divides(lm, m) for lm in lms)

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, decompositions, increasing_sequences
 from incseq.field import field_from_string
@@ -18,6 +21,8 @@ from incseq.poly import (
     reduce_by_basis,
     sort_monomials,
 )
+
+from dense_reference import mono_eval
 
 Q = field_from_string("rational")
 
@@ -226,3 +231,40 @@ def test_coefficients_must_belong_to_the_field():
     # an equal field built separately is the same field
     f = Polynomial(gf3, 1, {(1,): field_from_string("gf:3").one, (0,): gf3.one})
     assert format_polynomial(f) == "x1 + 1"
+
+
+# -- evaluation over Q against a term-by-term Fraction sum --------------------
+
+RATIONALS = st.one_of(st.sampled_from([Fraction(0), Fraction(-3, 4), Fraction(1, 3)]),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def rational_cases(draw):
+    """(polynomial, constant, point) over Q: up to 4 variables, exponents up
+    to 8, non-integral coefficients and coordinates, zero coordinates."""
+    n = draw(st.integers(1, 4))
+    monos = st.tuples(*[st.integers(0, 8)] * n)
+    terms = draw(st.dictionaries(monos, RATIONALS, min_size=2, max_size=12))
+    point = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    f = Polynomial(Q, n, {m: Q.element(c) for m, c in terms.items()})
+    return f, Polynomial.constant(Q, n, draw(RATIONALS)), [Q.element(x) for x in point]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(rational_cases())
+def test_rational_evaluate_matches_fraction_sum(case):
+    f, constant, point = case
+    for g in (f, constant, Polynomial.zero(Q, f.n)):
+        want = sum((c.value * mono_eval(m, point).value for m, c in g.terms.items()), Fraction(0))
+        got = g.evaluate(point)
+        assert got.field is Q and type(got.value) is Fraction
+        assert got.value == want
+    # the width and field checks come before the integer path
+    gf5 = field_from_string("gf:5")
+    with pytest.raises(ValueError):
+        f.evaluate(point + [Q.zero])
+    with pytest.raises(ValueError):
+        f.evaluate(point[:-1] + [gf5.one])
+    with pytest.raises(ValueError):
+        f.evaluate(point[:-1] + [1])
