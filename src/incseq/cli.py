@@ -80,13 +80,21 @@ def _read_downset(path: str):
 
 
 def _basis_for(args, field, emb, order):
+    """The basis of --kind, refused before it is built when its expansion
+    would exceed groebner.EXPANSION_CAP terms."""
+    points = ()
+    if args.kind == "downset":
+        if not args.downset_file:
+            raise ValueError("--downset-file is required for kind downset")
+        points = _read_downset(args.downset_file)
+    terms = groebner.expanded_terms(args.kind, args.n, args.q, points)
+    if terms > groebner.EXPANSION_CAP:
+        raise ValueError(f"the {args.kind} basis for n={args.n}, q={args.q} expands to {terms} terms, "
+                         f"above the cap {groebner.EXPANSION_CAP}")
     if args.kind == "full":
         return groebner.full_basis(args.n, args.q, emb, order)
     if args.kind == "strict":
         return groebner.strict_basis(args.n, args.q, emb, order)
-    if not args.downset_file:
-        raise ValueError("--downset-file is required for kind downset")
-    points = _read_downset(args.downset_file)
     return groebner.downset_basis(args.n, args.q, points, emb, order,
                                   minimize=getattr(args, "minimize", False))
 

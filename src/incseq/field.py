@@ -26,6 +26,11 @@ def _exact_int(value, field) -> int:
     return int(value)
 
 
+def _integral(x: Fraction):
+    """The canonical rational payload: x as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
     if n < 2:
@@ -243,10 +248,10 @@ class FieldElement:
     def __eq__(self, other):
         if isinstance(other, FieldElement):
             return (self.field is other.field or self.field == other.field) and self.value == other.value
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction, float)):
             # coercing would break hashing: GF(7)'s 3 would equal both 3 and 10
-            raise TypeError(f"comparing {self!r} of {self.field!r} with the int {other!r}; "
-                            f"compare with field.element({other!r})")
+            raise TypeError(f"comparing {self!r} of {self.field!r} with the "
+                            f"{type(other).__name__} {other!r}; compare with field.element({other!r})")
         return NotImplemented
 
     def __hash__(self):
@@ -450,31 +455,41 @@ class ExtensionField(Field):
 
 
 class RationalField(Field):
+    """Q.  A payload is an int when the value is integral and otherwise a
+    Fraction in lowest terms, so integral arithmetic (every coefficient of
+    a product of factors (x_j - i(t)) with integral roots) runs on ints.
+    The two forms of one value are equal, hash equal and print alike."""
+
     def __init__(self):
         self.spec = FieldSpec.rational()
         self._hash = hash(self.spec)
         self.char = 0
         self.size = None
-        self.zero = FieldElement(self, Fraction(0))
-        self.one = FieldElement(self, Fraction(1))
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
 
     def _canon(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise ValueError("element from a different field")
             return value.value
         if isinstance(value, float):
             raise ValueError(f"{value!r} is a float; pass a Fraction or a string for an exact rational")
-        return Fraction(value)
+        return _integral(Fraction(value))
 
     def _add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _integral(c)
 
     def _sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _integral(c)
 
     def _mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _integral(c)
 
     def _neg(self, a):
         return -a
@@ -482,7 +497,8 @@ class RationalField(Field):
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # an int has numerator and denominator too; 1 / a would be a float
+        return _integral(Fraction(a.denominator, a.numerator))
 
     def format_element(self, x: FieldElement) -> str:
         return str(x.value)

@@ -18,9 +18,12 @@ from .combinatorics import (
     embedded_points,
     increasing_sequences,
     is_downset,
+    is_increasing,
 )
 from .field import FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_degree
+
+EXPANSION_CAP = 10**6  # terms in an expanded basis the CLI will build
 
 
 def _decomposition_factors(dec: Decomposition, emb: Embedding):
@@ -51,6 +54,7 @@ def expand_factors(field, n, factors) -> Polynomial:
     the whole product is the tensor product of those n polynomials, so
     no two terms ever meet.
     """
+    factors = tuple(factors)  # read twice
     fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
     columns = [[one] for _ in range(n)]  # coefficients of each variable's factor, degree 0 first
     for j, t in factors:
@@ -63,10 +67,13 @@ def expand_factors(field, n, factors) -> Polynomial:
     for col in columns:
         col = [(k, a) for k, a in enumerate(col) if a != zero]
         terms = {m + (k,): fmul(c, a) for m, c in terms.items() for k, a in col}
-    out = Polynomial.__new__(Polynomial)
-    out.field, out.n = field, n
-    out.terms = {m: FieldElement(field, c) for m, c in terms.items()}
-    return out
+    # each variable's factors multiply out monic, so every term divides
+    # the product of the tops: that leads under every order.  Re-keying
+    # its term by the recorded tuple keeps one copy of it per polynomial.
+    lm = _factored_leading_monomial(factors, n)
+    terms = {m: FieldElement(field, c) for m, c in terms.items()}
+    terms[lm] = terms.pop(lm)
+    return Polynomial._raw(field, n, terms, (None, lm))
 
 
 class GroebnerBasis:
@@ -194,6 +201,31 @@ def _factored_leading_monomial(factors, n: int) -> tuple[int, ...]:
     for j, _ in factors:
         counts[j] += 1
     return tuple(counts)
+
+
+def expanded_terms(kind: str, n: int, q: int, downset=()) -> int:
+    """Terms of the expanded basis of a kind, counted without building it
+    as if no coefficient vanished: an upper bound, exact for images 1..q
+    over Q.  For a downset, the count before minimizing.
+
+    A block with s_j factors in x_j expands to prod(s_j + 1) terms.  The
+    block sizes of the full (strict) basis run over the compositions of q
+    (q - n + 1) into n parts, which gives binom(size + 2n - 1, 2n - 1).  A
+    downset basis adds one block per sequence g outside F, with sizes
+    difference_vector(g); over all of I(n, q) those sum to binom(q + 2n - 1, 2n).
+    """
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be >= 1")
+    if kind == "strict":
+        return math.comb(q + n, 2 * n - 1) if q >= n else 0
+    full = math.comb(q + 2 * n - 1, 2 * n - 1)
+    if kind == "full":
+        return full
+    if kind != "downset":
+        raise ValueError(f"unknown kind {kind!r}")
+    inside = {tuple(g) for g in downset if len(g) == n and is_increasing(g, q)}
+    return full + math.comb(q + 2 * n - 1, 2 * n) - sum(
+        math.prod(d + 1 for d in difference_vector(g)) for g in inside)
 
 
 def degree_bound(kind: str, n: int, q: int) -> int:

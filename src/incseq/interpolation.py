@@ -131,11 +131,9 @@ class Interpolator:
                     p[0] = fsub(vals[idx[l]], fmul(x, p[0]))
                 for l, c in enumerate(p):
                     vals[idx[l]] = c
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n = field, self.n
-        out.terms = {m: FieldElement(field, c) for m, c in zip(self._monomials, vals)
-                     if c is not zero and c != zero}
-        return out
+        terms = {m: FieldElement(field, c) for m, c in zip(self._monomials, vals)
+                 if c is not zero and c != zero}
+        return Polynomial._raw(field, self.n, terms)
 
     def indicator(self, seq) -> IndicatorPolynomial:
         seq = tuple(seq)

@@ -94,9 +94,14 @@ def sort_monomials(monos, order: TermOrder, reverse: bool = False):
 
 
 class Polynomial:
-    """Sparse polynomial: map from exponent tuple to nonzero coefficient."""
+    """Sparse polynomial: map from exponent tuple to nonzero coefficient.
 
-    __slots__ = ("field", "n", "terms")
+    `terms` is never changed after construction, so the last leading
+    monomial computed is kept in `_lm` as (order kind, monomial); the kind
+    is None when the monomial leads under every order.
+    """
+
+    __slots__ = ("field", "n", "terms", "_lm")
 
     def __init__(self, field: Field, n: int, terms=None):
         self.field = field
@@ -111,6 +116,15 @@ class Polynomial:
                 if not c.is_zero:
                     clean[m] = c
         self.terms = clean
+        self._lm = None
+
+    @classmethod
+    def _raw(cls, field, n, terms, lm=None) -> "Polynomial":
+        """A polynomial on terms that are already clean: width-n monomials
+        to nonzero elements of field.  lm is the `_lm` value, if known."""
+        out = cls.__new__(cls)
+        out.field, out.n, out.terms, out._lm = field, n, terms, lm
+        return out
 
     @classmethod
     def zero(cls, field, n):
@@ -159,9 +173,7 @@ class Polynomial:
                 terms.pop(m, None)
             else:
                 terms[m] = s
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n, out.terms = self.field, self.n, terms
-        return out
+        return Polynomial._raw(self.field, self.n, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -169,10 +181,7 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n = self.field, self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Polynomial._raw(self.field, self.n, {m: -c for m, c in self.terms.items()}, self._lm)
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -191,9 +200,7 @@ class Polynomial:
                     terms.pop(m, None)
                 else:
                     terms[m] = s
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n, out.terms = self.field, self.n, terms
-        return out
+        return Polynomial._raw(self.field, self.n, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (FieldElement, int)):
@@ -204,10 +211,7 @@ class Polynomial:
         c = self.field.element(c)
         if c.is_zero:
             return Polynomial.zero(self.field, self.n)
-        out = Polynomial.__new__(Polynomial)
-        out.field, out.n = self.field, self.n
-        out.terms = {m: t * c for m, t in self.terms.items()}
-        return out
+        return Polynomial._raw(self.field, self.n, {m: t * c for m, t in self.terms.items()}, self._lm)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -251,9 +255,14 @@ class Polynomial:
         return FieldElement(field, total)
 
     def leading_monomial(self, order: TermOrder) -> tuple[int, ...]:
+        known = self._lm
+        if known is not None and known[0] in (None, order.kind):
+            return known[1]
         if self.is_zero:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        self._lm = (order.kind, lm)
+        return lm
 
     def leading_coefficient(self, order: TermOrder) -> FieldElement:
         return self.terms[self.leading_monomial(order)]
@@ -274,8 +283,10 @@ class Polynomial:
     __str__ = __repr__
 
 
-def _rational_value(terms, point) -> Fraction:
-    """A nonzero polynomial's value over Q in Python ints, normalized once.
+def _rational_value(terms, point):
+    """A nonzero polynomial's value over Q in Python ints, as the canonical
+    payload: an int when the value is integral, else a Fraction in lowest
+    terms (normalized once).
 
     With L the lcm of the coefficient denominators, D that of the
     coordinates, d the total degree and X_j = x_j*D, the value is
@@ -296,7 +307,9 @@ def _rational_value(terms, point) -> Fraction:
             if e:
                 v *= row[e]
         total += v
-    return Fraction(total, L * scale[d])
+    den = L * scale[d]
+    whole, rest = divmod(total, den)
+    return Fraction(total, den) if rest else whole
 
 
 def format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:
@@ -435,6 +448,4 @@ def reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
                 heapq.heappush(heap, (key(mm), mm))
             else:
                 work[mm] = fsub(old, fmul(tc, factor))
-    out = Polynomial.__new__(Polynomial)
-    out.field, out.n, out.terms = field, f.n, remainder
-    return out
+    return Polynomial._raw(field, f.n, remainder)

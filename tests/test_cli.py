@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from incseq import geometry, oracle
+from incseq import geometry, groebner, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import field_from_string
@@ -246,6 +246,24 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_oversized_basis_refused_up_front(capsys, tmp_path):
+    # 834,451,800 terms: refused before a single block is built
+    for sub in ("gb", "sm"):
+        code, out, err = run(capsys, sub, "--n", "12", "--q", "12", "--field", "gf:13")
+        assert code == 2 and out == ""
+        assert "834451800 terms" in err and f"cap {groebner.EXPANSION_CAP}" in err
+    # n, q = 8, 9 expands to 1,307,504 terms; 8, 8 to 490,314
+    code, _, _ = run(capsys, "gb", "--n", "8", "--q", "9", "--kind", "strict")
+    assert code == 0
+    code, _, err = run(capsys, "sm", "--n", "8", "--q", "9")
+    assert code == 2 and "1307504 terms" in err
+    # a downset's estimate counts only the blocks outside it
+    f = tmp_path / "F.txt"
+    f.write_text("1,1\n")
+    code, out, _ = run(capsys, "sm", "--n", "2", "--q", "3", "--kind", "downset", "--downset-file", str(f))
+    assert code == 0 and out == "standard monomials (1): 1\n"
 
 
 def test_verify_all_small(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incseq.field import (
     EXTENSION_SIZE_CAP,
@@ -18,6 +20,7 @@ from incseq.field import (
     parse_field_spec,
     smallest_prime_geq,
 )
+from incseq.poly import Polynomial
 
 
 def test_gf3_arithmetic():
@@ -245,3 +248,81 @@ def test_element_compared_with_int_raises():
                 _ = v == x
     assert gf7.element(3) == gf7.element(10) and gf7.element(3) != gf7.element(4)
     assert gf7.zero != "0" and gf7.zero != None  # noqa: E711
+
+
+def test_element_compared_with_fraction_or_float_raises():
+    gf7, q = field_from_string("gf:7"), field_from_string("rational")
+    for x in (gf7.one, q.zero, q.one, q.element(Fraction(1, 2))):
+        for v in (Fraction(0), Fraction(1), Fraction(1, 2), 0.0, 1.0, 0.5):
+            with pytest.raises(TypeError):
+                _ = x == v
+            with pytest.raises(TypeError):
+                _ = x != v
+            with pytest.raises(TypeError):
+                _ = v == x
+            with pytest.raises(TypeError):
+                _ = v != x
+    # equal elements still hash equal, whatever form they were built from
+    for a, b in ((3, Fraction(6, 2)), (Fraction(1, 2), "2/4"), (0, Fraction(0, 5))):
+        assert q.element(a) == q.element(b) and hash(q.element(a)) == hash(q.element(b))
+    assert {q.element(1): "one"}[q.parse_element("3/3")] == "one"
+
+
+RATIONALS = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-2, 3)]),
+    st.integers(-10**40, 10**40),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def rational_pairs(draw):
+    """(a, b), with b often chosen so that a + b, a * b or 1 / a is
+    integral although a is not: 1/2 and 2, 1/3 and 2/3, -1/5 and -5."""
+    a = Fraction(draw(RATIONALS))
+    partners = [a.denominator, -a.denominator, 1 - a, -a, a]
+    if a:
+        partners += [1 / a, Fraction(3 * a.denominator, a.numerator)]
+    return a, draw(st.one_of(RATIONALS, st.sampled_from(partners)))
+
+
+def _assert_canonical(x, want):
+    """x is the element of Q with the value want, in canonical form."""
+    q = field_from_string("rational")
+    assert x.field is q and x.value == want
+    assert type(x.value) is (int if Fraction(want).denominator == 1 else Fraction)
+    assert q.format_element(x) == str(Fraction(want)) == str(x)
+    assert hash(x) == hash(q.element(Fraction(want)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rational_pairs(), st.lists(st.tuples(st.integers(0, 3), RATIONALS), min_size=1, max_size=4),
+       RATIONALS)
+def test_rational_payload_is_int_exactly_when_integral(pair, terms, x):
+    q = field_from_string("rational")
+    a, b = pair
+    _assert_canonical(q.zero, 0)
+    _assert_canonical(q.one, 1)
+    for source in (a, str(a), a.numerator if a.denominator == 1 else a):
+        _assert_canonical(q.element(source), a)
+    _assert_canonical(q.parse_element(str(a)), a)
+    _assert_canonical(q.element(Fraction(a.numerator * 7, a.denominator * 7)), a)
+    ea, eb = q.element(a), q.element(b)
+    fb = Fraction(b)
+    _assert_canonical(ea + eb, a + fb)
+    _assert_canonical(ea - eb, a - fb)
+    _assert_canonical(ea * eb, a * fb)
+    _assert_canonical(-ea, -a)
+    _assert_canonical(ea * 2, a * 2)
+    _assert_canonical(1 - ea, 1 - a)
+    if fb:
+        _assert_canonical(eb.inverse(), 1 / fb)
+        _assert_canonical(ea / eb, a / fb)
+    # evaluation: a univariate sum of terms c * x^e against plain Fractions
+    poly = Polynomial(q, 1, {})
+    for e, c in terms:
+        poly = poly + Polynomial(q, 1, {(e,): q.element(c)})
+    want = sum((Fraction(c.value) * Fraction(x) ** m[0] for m, c in poly.terms.items()), Fraction(0))
+    _assert_canonical(poly.evaluate([q.element(x)]), want)
+    _assert_canonical(poly.evaluate([q.element(a)]),
+                      sum((Fraction(c.value) * a ** m[0] for m, c in poly.terms.items()), Fraction(0)))

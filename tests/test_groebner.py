@@ -15,6 +15,7 @@ from incseq.combinatorics import (
 from incseq.field import field_from_string, smallest_prime_geq
 from incseq.groebner import (
     downset_basis,
+    expanded_terms,
     full_basis,
     hilbert_value,
     is_reduced_basis,
@@ -244,6 +245,29 @@ def test_embedding_width_checked():
     emb = Embedding.grid(Q, 4, -1)
     with pytest.raises(ValueError):
         full_basis(2, 3, emb)
+
+
+def test_expanded_terms_counts_the_expansion():
+    """Exact on images 1..q over Q, an upper bound when coefficients
+    vanish: image 0, or images a and -a."""
+    for n in range(1, 4):
+        for q in range(1, 6):
+            for shift, exact in ((0, True), (-1, False), (-(q + 1) // 2, False)):
+                emb = Embedding.grid(Q, q, shift)
+                seqs = increasing_sequences(n, q)
+                cases = [("full", full_basis(n, q, emb), ())]
+                if q >= n:
+                    cases.append(("strict", strict_basis(n, q, emb), ()))
+                for top in seqs:
+                    below = [s for s in seqs if mono_divides(s, top)]
+                    cases.append(("downset", downset_basis(n, q, below, emb), below))
+                for kind, gb, downset in cases:
+                    got = sum(len(p.terms) for p in gb.polynomials)
+                    bound = expanded_terms(kind, n, q, downset)
+                    assert got == bound if exact else got <= bound, (kind, n, q, shift, downset)
+    with pytest.raises(ValueError):
+        expanded_terms("full", 0, 3)
+    assert expanded_terms("full", 12, 12) == math.comb(35, 23)
 
 
 # -- closed-form downset bases against the oracle ---------------------------

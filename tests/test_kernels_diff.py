@@ -14,6 +14,7 @@ examples are the same on every run.
 import heapq
 import itertools
 import math
+from operator import add, sub
 from unittest import mock
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from incseq import geometry
 from incseq.combinatorics import Embedding, increasing_sequences
-from incseq.field import field_from_string
+from incseq.field import FieldElement, field_from_string
 from incseq.geometry import (
     COVER_PLANE_CAP,
     COVER_POINT_CAP,
@@ -57,6 +58,7 @@ from incseq.poly import (
     DEGLEX,
     LEX,
     Polynomial,
+    TermOrder,
     format_polynomial,
     mono_divides,
     monomials_up_to_degree,
@@ -125,6 +127,116 @@ def reference_expand_factors(field, n, factors):
     for j, t in factors:
         result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
     return result
+
+
+# Copies of `reduce_by_basis` and `is_reduced_basis` as they were before
+# leading monomials were kept on the polynomial.  Two edits only: every
+# leading monomial is recomputed by parent_leading_monomial, a max over
+# all terms, and the remainder is built through Polynomial._raw.
+
+def parent_leading_monomial(p, order):
+    if p.is_zero:
+        raise ValueError("zero polynomial has no leading monomial")
+    return max(p.terms, key=order.key)
+
+
+def parent_reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
+    """Deterministic normal form of f modulo a list of divisors.
+
+    The reducible monomial chosen at each step is the order-largest one
+    divisible by some divisor's leading monomial; the divisor used is the
+    first such in list order.  The remainder contains no monomial
+    divisible by any divisor's leading monomial.
+
+    One pass in descending order does this: subtracting a multiple of a
+    divisor only changes monomials below the one it cancels, so the
+    largest working term is always the next monomial to reduce or to
+    move to the remainder.
+    """
+    basis = list(basis)
+    lms = []
+    for g in basis:
+        if g.is_zero:
+            raise ValueError("zero polynomial in reduction basis")
+        f._check(g)
+        lms.append(parent_leading_monomial(g, order))
+    # a leading monomial of the term's own degree divides it only by being
+    # equal to it; lower ones are scanned in list order
+    first = {}
+    for i, lm in enumerate(lms):
+        first.setdefault(lm, i)
+    distinct = [(i, sum(lm), lm) for lm, i in first.items()]  # in list order
+    below = {}
+    field = f.field
+    fsub, fmul, fneg, zero = field._sub, field._mul, field._neg, field.zero.value
+    tails = {}
+    key = order.descending_key
+    work = {m: c.value for m, c in f.terms.items()}
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m)
+        if c == zero:
+            continue
+        degree = sum(m)
+        lower = below.get(degree)
+        if lower is None:
+            lower = below[degree] = [(i, lm) for i, d, lm in distinct if d < degree]
+        use = first.get(m)
+        for i, lm in lower:
+            if use is not None and i > use:
+                break
+            if mono_divides(lm, m):
+                use = i
+                break
+        if use is None:
+            remainder[m] = FieldElement(field, c)
+            continue
+        if use not in tails:
+            g, lm = basis[use], lms[use]
+            tails[use] = (field._inv(g.terms[lm].value),
+                          [(t, tc.value) for t, tc in g.terms.items() if t != lm])
+        lc_inv, tail = tails[use]
+        factor = fmul(c, lc_inv)
+        shift = tuple(map(sub, m, lms[use]))
+        for tm, tc in tail:
+            mm = tuple(map(add, tm, shift))
+            old = work.get(mm)
+            if old is None:
+                work[mm] = fneg(fmul(tc, factor))
+                heapq.heappush(heap, (key(mm), mm))
+            else:
+                work[mm] = fsub(old, fmul(tc, factor))
+    return Polynomial._raw(field, f.n, remainder)
+
+
+def parent_is_reduced_basis(polys, order: TermOrder) -> bool:
+    """Monic, and no monomial of one member divisible by another's
+    leading monomial (leading monomials equal to the member's own are
+    not "another's").
+
+    Leading monomials are indexed by total degree: one of the term's own
+    degree divides it only by being equal to it, so only those of lower
+    degree are scanned.
+    """
+    lms = [parent_leading_monomial(p, order) for p in polys]
+    lm_set = set(lms)
+    by_degree = sorted((sum(lm), lm) for lm in lm_set)
+    for p, lm in zip(polys, lms):
+        if p.terms[lm] != p.field.one:
+            return False
+        for m in p.terms:
+            if m != lm and m in lm_set:
+                return False
+            d = sum(m)
+            for e, other in by_degree:
+                if e >= d:
+                    break
+                if other != lm and mono_divides(other, m):
+                    return False
+    return True
 
 
 def reference_evaluate(f, point):
@@ -551,6 +663,39 @@ def test_is_reduced_on_arbitrary_lists(divs):
 def test_expand_factors(field, n, data):
     factors = data.draw(st.lists(st.tuples(st.integers(0, n - 1), elements(field)), max_size=6))
     _assert_same(expand_factors(field, n, factors), reference_expand_factors(field, n, factors))
+
+
+LM_FIELDS = [field_from_string(s) for s in ("gf:7", "gf:3^2", "rational")]
+
+
+@st.composite
+def factor_lists(draw, field, n):
+    """Factors (x_j - t) with t from a small alphabet that holds 0, so
+    repeated roots and zero roots are common; over Q the roots are
+    integral and non-integral."""
+    alphabet = draw(st.lists(elements(field), min_size=1, max_size=3)) + [field.zero]
+    return draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet)), max_size=7))
+
+
+@KERNELS
+@given(st.sampled_from(LM_FIELDS), st.integers(1, 4), st.data())
+def test_recorded_leading_monomials(field, n, data):
+    products = [expand_factors(field, n, data.draw(factor_lists(field, n)))
+                for _ in range(data.draw(st.integers(1, 4)))]
+    others = data.draw(st.lists(polynomials(field, n, 3, max_terms=5, nonzero=True), max_size=2))
+    scale = data.draw(elements(field, nonzero=True))
+    # ask in alternating orders, so a kept monomial of the other order is never reused
+    for order in ORDERS + ORDERS[::-1]:
+        for p in products + others:
+            for variant in (p, -p, p.scale(scale)):
+                assert variant.leading_monomial(order) == max(variant.terms, key=order.key)
+    f = data.draw(polynomials(field, n, 5, max_terms=8))
+    divisors = data.draw(st.permutations(products + others))
+    for order in ORDERS:
+        _assert_same(reduce_by_basis(f, divisors, order), parent_reduce_by_basis(f, divisors, order))
+        monic = [g.monic(order) for g in divisors]
+        for polys in (divisors, products, monic, monic[:1]):
+            assert is_reduced_basis(polys, order) == parent_is_reduced_basis(polys, order)
 
 
 @KERNELS

@@ -258,7 +258,7 @@ def test_rational_evaluate_matches_fraction_sum(case):
     for g in (f, constant, Polynomial.zero(Q, f.n)):
         want = sum((c.value * mono_eval(m, point).value for m, c in g.terms.items()), Fraction(0))
         got = g.evaluate(point)
-        assert got.field is Q and type(got.value) is Fraction
+        assert got.field is Q and type(got.value) is (int if want.denominator == 1 else Fraction)
         assert got.value == want
     # the width and field checks come before the integer path
     gf5 = field_from_string("gf:5")
