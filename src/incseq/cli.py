@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import acceptance, geometry, groebner, interpolation, oracle
-from .combinatorics import Embedding, increasing_sequences, parse_embedding
+from .combinatorics import Embedding, _data_lines, increasing_sequences, parse_embedding
 from .field import Field, field_from_string, is_prime, smallest_prime_geq
 from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
 
@@ -70,13 +70,7 @@ def _read(path: str) -> str:
 
 
 def _read_downset(path: str):
-    seqs = []
-    for line in _read(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        seqs.append(tuple(int(v) for v in line.split(",")))
-    return seqs
+    return [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(path))]
 
 
 def _basis_for(args, field, emb, order):

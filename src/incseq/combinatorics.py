@@ -1,5 +1,10 @@
-"""Increasing sequences, embeddings of [q] into a field, interval
-decompositions of [q], difference vectors, and downset utilities."""
+"""Increasing sequences, embeddings of [q] into a field, block size
+vectors, difference vectors, and downset utilities.
+
+A basis element is fixed by the sizes of its n blocks of consecutive
+points of [q], which are also its leading exponent: a composition of q
+(full), of q - n + 1 (strict, one point skipped between blocks), or
+difference_vector(g) (the downset block for g)."""
 
 import math
 from itertools import combinations, combinations_with_replacement
@@ -79,6 +84,11 @@ class Embedding:
         return f"Embedding({list(self.images)})"
 
 
+def _check_embedding(q: int, embedding: Embedding):
+    if embedding.q != q:
+        raise ValueError(f"embedding covers [{embedding.q}], expected [{q}]")
+
+
 def parse_embedding(text: str, field: Field, q: int) -> Embedding:
     """Parse `grid:<a>` or `list:<e1>,<e2>,...`."""
     text = text.strip()
@@ -92,6 +102,14 @@ def parse_embedding(text: str, field: Field, q: int) -> Embedding:
             raise ValueError(f"list embedding has {emb.q} entries, expected q={q}")
         return emb
     raise ValueError(f"bad embedding spec {text!r}: expected grid:<a> or list:<e1>,...")
+
+
+def _data_lines(text: str):
+    """The stripped lines of text, skipping blank and `#` comment lines."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -117,12 +135,14 @@ def increasing_sequences(n: int, q: int, strict: bool = False) -> list[tuple[int
         raise ValueError("n and q must be >= 1")
     if strict:
         return list(combinations(range(1, q + 1), n))
-    if math.comb(n + q - 1, q - 1) > ENUMERATION_CAP:
+    if count_increasing(n, q) > ENUMERATION_CAP:
         raise ValueError(f"refusing to enumerate more than {ENUMERATION_CAP} sequences")
     return list(combinations_with_replacement(range(1, q + 1), n))
 
 
 def count_increasing(n: int, q: int, strict: bool = False) -> int:
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be >= 1")
     return math.comb(q, n) if strict else math.comb(n + q - 1, q - 1)
 
 
@@ -159,73 +179,16 @@ def from_difference_vector(vec) -> tuple[int, ...]:
     return tuple(seq)
 
 
-class Decomposition:
-    """n consecutive interval blocks of [q].
-
-    good: the blocks partition [q] in order (blocks may be empty);
-    super: the blocks are the open intervals between chosen gap
-    positions j1 < ... < j_{n-1}, with total size q - n + 1.
-    """
-
-    __slots__ = ("kind", "q", "parts", "gaps")
-
-    def __init__(self, kind: str, q: int, parts, gaps=None):
-        self.kind = kind
-        self.q = q
-        self.parts = tuple(tuple(p) for p in parts)
-        self.gaps = tuple(gaps) if gaps is not None else None
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
-    def __eq__(self, other):
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return (self.kind, self.q, self.parts) == (other.kind, other.q, other.parts)
-
-    def __hash__(self):
-        return hash((self.kind, self.q, self.parts))
-
-    def __repr__(self):
-        return f"Decomposition({self.kind}, q={self.q}, parts={self.parts})"
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
+def compositions(total: int, parts: int):
+    """The size vectors of `parts` consecutive blocks, some possibly
+    empty, that hold `total` points, in lex order.  They are the exponent
+    vectors of degree `total` in `parts` variables."""
+    if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def decompositions(n: int, q: int, kind: str) -> list[Decomposition]:
-    """All good (resp. super) decompositions of [q] into n blocks."""
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be >= 1")
-    out = []
-    if kind == "good":
-        for sizes in _compositions(q, n):
-            parts, start = [], 1
-            for s in sizes:
-                parts.append(tuple(range(start, start + s)))
-                start += s
-            out.append(Decomposition("good", q, parts))
-    elif kind == "super":
-        if q < n:
-            return []
-        if n == 1:
-            return [Decomposition("super", q, [tuple(range(1, q + 1))], gaps=())]
-        for gaps in combinations(range(1, q + 1), n - 1):
-            parts = [tuple(range(1, gaps[0]))]
-            for a, b in zip(gaps, gaps[1:]):
-                parts.append(tuple(range(a + 1, b)))
-            parts.append(tuple(range(gaps[-1] + 1, q + 1)))
-            out.append(Decomposition("super", q, parts, gaps=gaps))
-    else:
-        raise ValueError(f"unknown decomposition kind {kind!r}")
-    return out
 
 
 def is_downset(points, n: int, q: int) -> bool:

@@ -16,7 +16,7 @@ import math
 from functools import reduce
 from operator import or_
 
-from .combinatorics import Embedding, _split_top_level, increasing_sequences, is_increasing
+from .combinatorics import Embedding, _data_lines, _split_top_level, increasing_sequences, is_increasing
 from .field import Field, FieldElement
 from .oracle import standard_monomials, vanishing_polynomial
 from .poly import DEGLEX, monomials_up_to_degree
@@ -63,14 +63,6 @@ class PointSet:
 
     def __repr__(self):
         return f"PointSet(n={self.n}, size={len(self.points)})"
-
-
-def _data_lines(text: str):
-    """The stripped lines of text, skipping blank and `#` comment lines."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line
 
 
 def parse_points(text: str, field: Field, n: int) -> PointSet:
@@ -588,12 +580,14 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     targets, bound = _cover_targets(n, q, emb, excluded)
     if len(targets) > COVER_POINT_CAP:
         raise ValueError(f"point count {len(targets)} exceeds the cap {COVER_POINT_CAP}")
-    tab = _Tables(field)
-    size = len(tab.elements)
-    directions = tab.directions(n)
-    count = len(directions) * size
+    size = field.size
+    if size is None:
+        raise ValueError("cannot enumerate an infinite field")
+    count = (size**n - 1) // (size - 1) * size  # canonical directions times offsets
     if count > COVER_PLANE_CAP:
         raise ValueError(f"hyperplane count {count} exceeds the cap {COVER_PLANE_CAP}")
+    tab = _Tables(field)
+    directions = tab.directions(n)
     # the plane through p with normal v is number d*size + v.p, v = directions[d]
     add, mul = tab.add, tab.mul
     masks = [0] * count

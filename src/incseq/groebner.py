@@ -2,18 +2,19 @@
 ideals of embedded (strictly) increasing sequences and their downsets,
 plus Hilbert values and nonvanishing-witness search.
 
-Every basis element is a product of linear factors (x_j - t) attached to
-an interval decomposition of [q]; elements are stored factored and
-expanded on demand.
+Every basis element is a block polynomial: a product of linear factors
+(x_j - i(t)) over n consecutive blocks of [q], fixed by its vector of
+block sizes, which is also its leading exponent.  Elements are stored
+factored and expanded on demand.
 """
 
 import math
 from functools import cached_property
 
 from .combinatorics import (
-    Decomposition,
     Embedding,
-    decompositions,
+    _check_embedding,
+    compositions,
     difference_vector,
     embedded_points,
     increasing_sequences,
@@ -26,24 +27,18 @@ from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_d
 EXPANSION_CAP = 10**6  # terms in an expanded basis the CLI will build
 
 
-def _decomposition_factors(dec: Decomposition, emb: Embedding):
-    """Linear factors (variable position, root) of the block polynomial."""
-    factors = []
-    for j, part in enumerate(dec.parts):
-        for t in part:
-            factors.append((j, emb.images[t - 1]))
-    return tuple(factors)
-
-
-def _interval_system_factors(g, emb: Embedding):
-    """Factors for the blocks attached to a sequence g in the downset
-    construction: block 1 is {1..g1-1}, block j is {g_{j-1}..g_j-1}."""
-    factors = []
-    for t in range(1, g[0]):
-        factors.append((0, emb.images[t - 1]))
-    for j in range(1, len(g)):
-        for t in range(g[j - 1], g[j]):
-            factors.append((j, emb.images[t - 1]))
+def _block_factors(sizes, emb: Embedding, skip: int = 0):
+    """Linear factors (variable position, root) of a block polynomial:
+    block j holds the next sizes[j] points t of [q], as factors
+    (x_j - i(t)), and skip points are passed over after each block.
+    The size vector is the leading exponent, so the compositions of q
+    (full) and of q - n + 1 with skip 1 (strict) biject onto the
+    monomials of degree q and q - n + 1; the downset block for g has
+    sizes difference_vector(g)."""
+    images, factors, t = emb.images, [], 0
+    for j, size in enumerate(sizes):
+        factors.extend((j, x) for x in images[t:t + size])
+        t += size + skip
     return tuple(factors)
 
 
@@ -54,7 +49,6 @@ def expand_factors(field, n, factors) -> Polynomial:
     the whole product is the tensor product of those n polynomials, so
     no two terms ever meet.
     """
-    factors = tuple(factors)  # read twice
     fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
     columns = [[one] for _ in range(n)]  # coefficients of each variable's factor, degree 0 first
     for j, t in factors:
@@ -70,7 +64,7 @@ def expand_factors(field, n, factors) -> Polynomial:
     # each variable's factors multiply out monic, so every term divides
     # the product of the tops: that leads under every order.  Re-keying
     # its term by the recorded tuple keeps one copy of it per polynomial.
-    lm = _factored_leading_monomial(factors, n)
+    lm = tuple(len(col) - 1 for col in columns)
     terms = {m: FieldElement(field, c) for m, c in terms.items()}
     terms[lm] = terms.pop(lm)
     return Polynomial._raw(field, n, terms, (None, lm))
@@ -150,20 +144,21 @@ def is_reduced_basis(polys, order: TermOrder) -> bool:
 
 def full_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
     """Basis of the ideal of all embedded nondecreasing sequences: one
-    block polynomial per good decomposition; standard monomials are
-    everything of degree <= q-1."""
-    _check_embedding(n, q, embedding)
-    factored = [_decomposition_factors(d, embedding) for d in decompositions(n, q, "good")]
+    block polynomial per composition of q into n block sizes; standard
+    monomials are everything of degree <= q-1."""
+    _check_embedding(q, embedding)
+    factored = [_block_factors(sizes, embedding) for sizes in compositions(q, n)]
     sm = monomials_up_to_degree(n, degree_bound("full", n, q))
     return GroebnerBasis("full", n, q, embedding, order, factored, sm)
 
 
 def strict_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
     """Basis for strictly increasing sequences: one block polynomial per
-    super decomposition; standard monomials have degree <= q-n."""
+    composition of q-n+1 into n block sizes, one point skipped between
+    blocks; standard monomials have degree <= q-n."""
     bound = degree_bound("strict", n, q)
-    _check_embedding(n, q, embedding)
-    factored = [_decomposition_factors(d, embedding) for d in decompositions(n, q, "super")]
+    _check_embedding(q, embedding)
+    factored = [_block_factors(sizes, embedding, skip=1) for sizes in compositions(q - n + 1, n)]
     sm = monomials_up_to_degree(n, bound)
     return GroebnerBasis("strict", n, q, embedding, order, factored, sm)
 
@@ -172,35 +167,26 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
                   minimize: bool = False) -> GroebnerBasis:
     """Basis for a nonempty downset F of nondecreasing sequences.
 
-    The full-ideal block polynomials are kept verbatim and one interval
-    polynomial is added per sequence outside F; standard monomials are
-    the difference vectors of F.  With minimize=True, members whose
-    leading monomial is divisible by another member's are dropped (the
-    construction is not inter-reduced by default).
+    The full-ideal block polynomials are kept verbatim and one block
+    polynomial with sizes difference_vector(g) is added per sequence g
+    outside F; standard monomials are the difference vectors of F.  With
+    minimize=True, members whose leading monomial (size vector) is
+    divisible by another member's are dropped (the construction is not
+    inter-reduced by default).
     """
     downset = frozenset(tuple(p) for p in points)
     if not downset:
         raise ValueError("downset must be nonempty")
     if not is_downset(downset, n, q):
         raise ValueError("point set is not a downset")
-    _check_embedding(n, q, embedding)
-    factored = [_decomposition_factors(d, embedding) for d in decompositions(n, q, "good")]
-    for g in increasing_sequences(n, q):
-        if g not in downset:
-            factored.append(_interval_system_factors(g, embedding))
-    sm = {difference_vector(g) for g in downset}
+    _check_embedding(q, embedding)
+    blocks = list(compositions(q, n))
+    blocks += [difference_vector(g) for g in increasing_sequences(n, q) if g not in downset]
     if minimize:
-        lms = [_factored_leading_monomial(fs, n) for fs in factored]
-        factored = [fs for fs, lm in zip(factored, lms)
-                    if not any(other != lm and mono_divides(other, lm) for other in lms)]
+        blocks = [lm for lm in blocks if not any(other != lm and mono_divides(other, lm) for other in blocks)]
+    factored = [_block_factors(sizes, embedding) for sizes in blocks]
+    sm = {difference_vector(g) for g in downset}
     return GroebnerBasis("downset", n, q, embedding, order, factored, sm, downset=downset)
-
-
-def _factored_leading_monomial(factors, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for j, _ in factors:
-        counts[j] += 1
-    return tuple(counts)
 
 
 def expanded_terms(kind: str, n: int, q: int, downset=()) -> int:
@@ -239,11 +225,6 @@ def degree_bound(kind: str, n: int, q: int) -> int:
             raise ValueError(f"strict kind needs q >= n, got n={n}, q={q}")
         return q - n
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _check_embedding(n: int, q: int, embedding: Embedding):
-    if embedding.q != q:
-        raise ValueError(f"embedding covers [{embedding.q}], expected [{q}]")
 
 
 class HilbertValue:
@@ -292,7 +273,7 @@ def nonvanishing_point(f: Polynomial, kind: str, n: int, q: int, embedding: Embe
         return None
     if f.degree() > bound:
         raise ValueError(f"degree {f.degree()} exceeds the bound {bound} for kind {kind!r}")
-    _check_embedding(n, q, embedding)
+    _check_embedding(q, embedding)
     for seq in increasing_sequences(n, q, kind == "strict"):
         point = embedding.apply(seq)
         if not f.evaluate(point).is_zero:

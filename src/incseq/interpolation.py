@@ -18,9 +18,11 @@ of q-1 linear polynomials) is built independently and the two must agree.
 
 from functools import lru_cache
 
-from .combinatorics import Embedding, increasing_sequences
+from .combinatorics import Embedding, _check_embedding, count_increasing, difference_vector, increasing_sequences
 from .field import FieldElement
 from .poly import Polynomial
+
+INTERPOLATION_CAP = 10**5  # sequences an Interpolator will enumerate
 
 
 class FactoredForm:
@@ -70,8 +72,10 @@ class Interpolator:
     """Newton sweep context for one (n, q, embedding)."""
 
     def __init__(self, n: int, q: int, embedding: Embedding):
-        if embedding.q != q:
-            raise ValueError(f"embedding covers [{embedding.q}], expected [{q}]")
+        _check_embedding(q, embedding)
+        count = count_increasing(n, q)
+        if count > INTERPOLATION_CAP:
+            raise ValueError(f"{count} sequences for n={n}, q={q} exceed the interpolation cap {INTERPOLATION_CAP}")
         self.n = n
         self.q = q
         self.embedding = embedding
@@ -90,7 +94,7 @@ class Interpolator:
         self._forward = [_groups(seqs, j, lambda s: s[:j] + s[j + 1:]) for j in range(n)]
         self._backward = [_groups(seqs, j, lambda s: s[:j] + tuple(b - a for a, b in zip(s[j:], s[j + 1:])))
                           for j in range(n)]
-        self._monomials = [tuple(b - a for a, b in zip((1,) + s, s)) for s in seqs]
+        self._monomials = [difference_vector(s) for s in seqs]
 
     def _solve(self, vals) -> Polynomial:
         """The sum of c_g P_g that takes the raw value vals[h] at every h,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from incseq import geometry, groebner, oracle
+from incseq import geometry, groebner, interpolation, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import field_from_string
@@ -264,6 +264,36 @@ def test_oversized_basis_refused_up_front(capsys, tmp_path):
     f.write_text("1,1\n")
     code, out, _ = run(capsys, "sm", "--n", "2", "--q", "3", "--kind", "downset", "--downset-file", str(f))
     assert code == 0 and out == "standard monomials (1): 1\n"
+
+
+def test_cover_plane_cap_checked_before_tables(capsys, monkeypatch):
+    # F^2 over GF(2003) has 2004 * 2003 canonical planes; the index tables
+    # would be 2003 x 2003, so they must not be built for a refusal
+    def refuse(field):
+        raise AssertionError("index tables built before the plane cap check")
+
+    monkeypatch.setattr(geometry, "_Tables", refuse)
+    code, out, err = run(capsys, "cover", "search", "--n", "2", "--q", "2", "--field", "gf:2003")
+    assert code == 2 and out == ""
+    assert err == f"error: hyperplane count 4014012 exceeds the cap {geometry.COVER_PLANE_CAP}\n"
+
+
+def test_oversized_interp_refused_up_front(capsys, monkeypatch):
+    enumerate_ = interpolation.increasing_sequences
+    monkeypatch.setattr(interpolation, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
+    # n = q = 11 has 352,716 sequences
+    argv = ["interp", "--n", "11", "--q", "11", "--field", "rational", "--point", ",".join("1" * 11)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("error: 352716 sequences for n=11, q=11 exceed the interpolation cap "
+                   f"{interpolation.INTERPOLATION_CAP}\n")
+    # the cap itself is accepted: N = 35 at n = q = 4
+    monkeypatch.setattr(interpolation, "increasing_sequences", enumerate_)
+    monkeypatch.setattr(interpolation, "INTERPOLATION_CAP", 35)
+    code, _, _ = run(capsys, "interp", "--n", "4", "--q", "4", "--field", "rational", "--point", "1,1,1,1")
+    assert code == 0
+    code, _, err = run(capsys, "interp", "--n", "4", "--q", "5", "--field", "rational", "--point", "1,1,1,1")
+    assert code == 2 and "70 sequences" in err
 
 
 def test_verify_all_small(capsys):

@@ -3,11 +3,10 @@ import math
 import pytest
 
 from incseq.combinatorics import (
-    Decomposition,
     Embedding,
     all_downsets,
+    compositions,
     count_increasing,
-    decompositions,
     difference_vector,
     from_difference_vector,
     increasing_sequences,
@@ -16,6 +15,7 @@ from incseq.combinatorics import (
     parse_embedding,
 )
 from incseq.field import field_from_string
+from incseq.groebner import _block_factors, strict_basis
 from incseq.poly import monomials_up_to_degree
 
 Q = field_from_string("rational")
@@ -113,46 +113,65 @@ def test_difference_vector_bijection():
             assert set(images) == set(monomials_up_to_degree(n, q - 1))
 
 
+def _parts(factors, n, emb):
+    """The blocks a factor list spells, as the points t of [q] whose image
+    i(t) is a root in x_j, for each j."""
+    point = {x: t for t, x in enumerate(emb.images, 1)}
+    return tuple(tuple(point[x] for j, x in factors if j == k) for k in range(n))
+
+
+def _blocks_in_order(factors, sizes):
+    """Block j's factors are the next sizes[j] ones, all in x_j."""
+    return [j for j, _ in factors] == [j for j, size in enumerate(sizes) for _ in range(size)]
+
+
 def test_good_decompositions():
-    good = decompositions(2, 2, "good")
-    assert [d.parts for d in good] == [((), (1, 2)), ((1,), (2,)), ((1, 2), ())]
-    assert decompositions(1, 5, "good") == [Decomposition("good", 5, [(1, 2, 3, 4, 5)])]
+    emb = Embedding.grid(Q, 2, -1)
+    assert [_parts(_block_factors(s, emb), 2, emb) for s in compositions(2, 2)] == [
+        ((), (1, 2)), ((1,), (2,)), ((1, 2), ())]
+    emb = Embedding.grid(Q, 5, -1)
+    assert [_parts(_block_factors(s, emb), 1, emb) for s in compositions(5, 1)] == [((1, 2, 3, 4, 5),)]
     for n in range(1, 7):
         for q in range(1, 7):
-            items = decompositions(n, q, "good")
+            emb = Embedding.grid(Q, q, -1)
+            items = list(compositions(q, n))
             assert len(items) == math.comb(q + n - 1, n - 1)
-            seen_sizes = set()
-            for d in items:
-                flat = [t for part in d.parts for t in part]
-                assert flat == list(range(1, q + 1))  # disjoint, ordered, union [q]
-                assert sum(d.sizes) == q
-                seen_sizes.add(d.sizes)
+            for sizes in items:
+                factors = _block_factors(sizes, emb)
+                assert [x for _, x in factors] == list(emb.images)  # roots run through i(1..q) in order
+                assert _blocks_in_order(factors, sizes)
+                assert sum(sizes) == q
             # leading-exponent map is a bijection onto the degree-q monomials
-            assert seen_sizes == {m for m in monomials_up_to_degree(n, q) if sum(m) == q}
+            assert set(items) == {m for m in monomials_up_to_degree(n, q) if sum(m) == q}
 
 
 def test_super_decompositions():
-    sup = decompositions(2, 3, "super")
-    assert [d.parts for d in sup] == [((), (2, 3)), ((1,), (3,)), ((1, 2), ())]
-    assert [d.gaps for d in sup] == [(1,), (2,), (3,)]
-    assert decompositions(3, 2, "super") == []
+    emb = Embedding.grid(Q, 3, -1)
+    parts = [_parts(_block_factors(s, emb, skip=1), 2, emb) for s in compositions(2, 2)]
+    assert parts == [((), (2, 3)), ((1,), (3,)), ((1, 2), ())]
+    # the skipped points
+    assert [tuple(sorted({1, 2, 3}.difference(*p))) for p in parts] == [(1,), (2,), (3,)]
+    with pytest.raises(ValueError):  # no super blocks when q < n
+        strict_basis(3, 2, Embedding.grid(Q, 2, -1))
     for n in range(1, 7):
         for q in range(n, 7):
-            items = decompositions(n, q, "super")
+            emb = Embedding.grid(Q, q, -1)
+            items = list(compositions(q - n + 1, n))
             assert len(items) == math.comb(q, n - 1)
-            seen_sizes = set()
-            for d in items:
-                flat = [t for part in d.parts for t in part]
+            for sizes in items:
+                factors = _block_factors(sizes, emb, skip=1)
+                flat = [t for part in _parts(factors, n, emb) for t in part]
                 assert flat == sorted(flat) and len(set(flat)) == len(flat)
-                assert sum(d.sizes) == q - n + 1
-                seen_sizes.add(d.sizes)
-            assert seen_sizes == {m for m in monomials_up_to_degree(n, q - n + 1) if sum(m) == q - n + 1}
+                assert len(flat) == q - n + 1  # exactly n - 1 points of [q] left out
+                assert _blocks_in_order(factors, sizes)
+                assert sum(sizes) == q - n + 1
+            assert set(items) == {m for m in monomials_up_to_degree(n, q - n + 1) if sum(m) == q - n + 1}
 
 
 def test_adjacent_gaps_empty_following_part():
-    # gaps (1, 2): the part between them is empty
-    d = next(d for d in decompositions(3, 3, "super") if d.gaps == (1, 2))
-    assert d.parts == ((), (), (3,))
+    # points 1 and 2 skipped: the block between them is empty
+    emb = Embedding.grid(Q, 3, -1)
+    assert _block_factors((0, 0, 1), emb, skip=1) == ((2, emb.images[2]),)
 
 
 def test_downset_validation():

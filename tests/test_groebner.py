@@ -270,7 +270,19 @@ def test_expanded_terms_counts_the_expansion():
     assert expanded_terms("full", 12, 12) == math.comb(35, 23)
 
 
-# -- closed-form downset bases against the oracle ---------------------------
+# -- closed-form downset and strict bases against the oracle ----------------
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+def _draw_embedding(draw, field, q):
+    """A list embedding of [q] at random distinct images."""
+    values = (st.sampled_from(field.elements()) if field.size
+              else st.fractions(min_value=-6, max_value=6, max_denominator=4).map(field.element))
+    images = draw(st.lists(values, min_size=q, max_size=q, unique=True))
+    return "list:" + ",".join(field.format_element(x) for x in images)
+
 
 @st.composite
 def downset_cases(draw):
@@ -280,17 +292,13 @@ def downset_cases(draw):
     field = field_from_string(spec)
     order = draw(st.sampled_from(["deglex", "lex"]))
     n, q = draw(st.integers(2, 4)), draw(st.integers(2, 5))
-    values = (st.sampled_from(field.elements()) if field.size
-              else st.fractions(min_value=-6, max_value=6, max_denominator=4).map(field.element))
-    images = draw(st.lists(values, min_size=q, max_size=q, unique=True))
-    embedding = "list:" + ",".join(field.format_element(x) for x in images)
+    embedding = _draw_embedding(draw, field, q)
     generators = draw(st.lists(st.sampled_from(increasing_sequences(n, q)), min_size=1, max_size=3,
                                unique=True))
     return spec, order, n, q, embedding, generators
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200,
-          suppress_health_check=[HealthCheck.too_slow])
+@ORACLE_SETTINGS
 @given(downset_cases())
 def test_downset_basis_matches_oracle(case):
     spec, order, n, q, embedding, generators = case
@@ -305,3 +313,27 @@ def test_downset_basis_matches_oracle(case):
     lms = set(gb.leading_monomials)
     for m in monomials_up_to_degree(n, q):
         assert (m in gb.standard_monomials) != any(mono_divides(lm, m) for lm in lms)
+
+
+@st.composite
+def strict_cases(draw):
+    """(field, order, n, q, embedding): 1 <= n <= 4, n <= q <= 5, embedded
+    at random distinct images."""
+    spec = draw(st.sampled_from(["gf:7", "gf:2^3", "gf:3^2", "rational"]))
+    field = field_from_string(spec)
+    order = draw(st.sampled_from(["deglex", "lex"]))
+    n = draw(st.integers(1, 4))
+    q = draw(st.integers(n, 5))
+    return spec, order, n, q, _draw_embedding(draw, field, q)
+
+
+@ORACLE_SETTINGS
+@given(strict_cases())
+def test_strict_basis_matches_oracle(case):
+    spec, order, n, q, embedding = case
+    field = field_from_string(spec)
+    gb = strict_basis(n, q, parse_embedding(embedding, field, q), parse_order(order))
+    assert standard_monomials(gb.points, gb.order) == gb.standard_monomials
+    for p in gb.polynomials:
+        assert vanishes_on(p, gb.points)
+    assert gb.is_reduced()

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incseq.combinatorics import Embedding, decompositions, increasing_sequences
+from incseq.combinatorics import Embedding, compositions, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import expand_factors, full_basis
+from incseq.groebner import _block_factors, expand_factors, full_basis
 from incseq.interpolation import get_interpolator
 from incseq.poly import (
     DEGLEX,
@@ -92,11 +92,10 @@ def test_leading_monomials():
 def test_block_product_leading_monomial_is_size_vector():
     emb = Embedding.grid(Q, 3, -1)
     for n in (1, 2, 3):
-        for dec in decompositions(n, 3, "good"):
-            factors = [(j, emb.images[t - 1]) for j, part in enumerate(dec.parts) for t in part]
-            f = expand_factors(Q, n, factors)
+        for sizes in compositions(3, n):
+            f = expand_factors(Q, n, _block_factors(sizes, emb))
             for order in (LEX, DEGLEX):
-                assert f.leading_monomial(order) == dec.sizes
+                assert f.leading_monomial(order) == sizes
 
 
 def test_term_order_axioms_random():
