@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import acceptance, geometry, groebner, interpolation, oracle
-from .combinatorics import Embedding, _data_lines, increasing_sequences, parse_embedding
+from .combinatorics import Embedding, _data_lines, count_increasing, increasing_sequences, parse_embedding
 from .field import Field, field_from_string, is_prime, smallest_prime_geq
 from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
 
@@ -225,8 +225,10 @@ def cmd_oracle(args) -> int:
         # the answer does not depend on the order of the points, so they
         # need no sorting (which an infinite field could not do)
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
+        _check_oracle_points(len(pts))
     elif builtin:
         n, q, strict = builtin
+        _check_oracle_points(count_increasing(n, q, strict))
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
     else:
         raise ValueError("pass --points FILE or --builtin jnq:n,q")
@@ -245,6 +247,11 @@ def cmd_oracle(args) -> int:
     payload = {"vanishing": format_polynomial(vp, order), "degree": vp.degree()}
     _emit(args, payload, [f"vanishing polynomial: {payload['vanishing']}"])
     return 0
+
+
+def _check_oracle_points(count: int):
+    if count > oracle.ORACLE_POINT_CAP:
+        raise ValueError(f"{count} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}")
 
 
 def _load_pointset(args, field) -> geometry.PointSet:

@@ -193,15 +193,19 @@ def compositions(total: int, parts: int):
 
 def is_downset(points, n: int, q: int) -> bool:
     """True iff the set is closed downward in I(n,q) under the
-    componentwise order."""
+    componentwise order.
+
+    It suffices that each point's immediate predecessors are in the set:
+    the point with one entry lowered by 1 that is still nondecreasing and
+    >= 1.  Any u <= v in I(n,q) is reached from v by such steps, each
+    lowering the first entry where the two differ."""
     pts = set(points)
     for v in pts:
         if not is_increasing(v, q) or len(v) != n:
             raise ValueError(f"{v} is not a valid nondecreasing sequence over [{q}]")
-    universe = increasing_sequences(n, q)
     for v in pts:
-        for u in universe:
-            if all(a <= b for a, b in zip(u, v)) and u not in pts:
+        for j, a in enumerate(v):
+            if a > (v[j - 1] if j else 1) and v[:j] + (a - 1,) + v[j + 1:] not in pts:
                 return False
     return True
 

@@ -47,7 +47,9 @@ def expand_factors(field, n, factors) -> Polynomial:
 
     The factors in one variable multiply out to a univariate polynomial;
     the whole product is the tensor product of those n polynomials, so
-    no two terms ever meet.
+    no two terms ever meet.  Each distinct coefficient is wrapped in one
+    FieldElement that all its terms share (elements are immutable), so a
+    block polynomial's few values cost few objects.
     """
     fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
     columns = [[one] for _ in range(n)]  # coefficients of each variable's factor, degree 0 first
@@ -65,7 +67,12 @@ def expand_factors(field, n, factors) -> Polynomial:
     # the product of the tops: that leads under every order.  Re-keying
     # its term by the recorded tuple keeps one copy of it per polynomial.
     lm = tuple(len(col) - 1 for col in columns)
-    terms = {m: FieldElement(field, c) for m, c in terms.items()}
+    shared = {}  # payload -> its one element, hashing each payload once
+    for m, c in terms.items():
+        e = shared.get(c)
+        if e is None:
+            e = shared[c] = FieldElement(field, c)
+        terms[m] = e
     terms[lm] = terms.pop(lm)
     return Polynomial._raw(field, n, terms, (None, lm))
 
@@ -172,7 +179,10 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
     outside F; standard monomials are the difference vectors of F.  With
     minimize=True, members whose leading monomial (size vector) is
     divisible by another member's are dropped (the construction is not
-    inter-reduced by default).
+    inter-reduced by default).  The blocks are every monomial of degree
+    <= q outside the standard monomials, which are closed under division,
+    so a block is minimal exactly when each one-step divisor (one
+    nonzero entry lowered by 1) is a standard monomial.
     """
     downset = frozenset(tuple(p) for p in points)
     if not downset:
@@ -182,10 +192,10 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
     _check_embedding(q, embedding)
     blocks = list(compositions(q, n))
     blocks += [difference_vector(g) for g in increasing_sequences(n, q) if g not in downset]
-    if minimize:
-        blocks = [lm for lm in blocks if not any(other != lm and mono_divides(other, lm) for other in blocks)]
-    factored = [_block_factors(sizes, embedding) for sizes in blocks]
     sm = {difference_vector(g) for g in downset}
+    if minimize:
+        blocks = [b for b in blocks if all(b[:j] + (e - 1,) + b[j + 1:] in sm for j, e in enumerate(b) if e)]
+    factored = [_block_factors(sizes, embedding) for sizes in blocks]
     return GroebnerBasis("downset", n, q, embedding, order, factored, sm, downset=downset)
 
 

@@ -11,6 +11,8 @@ import heapq
 from .field import Field, FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder
 
+ORACLE_POINT_CAP = 2000  # points the CLI will scan (1,716 for jnq:7,7)
+
 
 def _scan(pts, order: TermOrder, max_degree: int | None):
     """Buchberger-Moller scan over distinct points, on raw payloads.

@@ -9,7 +9,7 @@ import heapq
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import mul
 
 from .field import Field, FieldElement
 
@@ -29,13 +29,6 @@ class TermOrder:
         if self.kind == "lex":
             return mono
         return (sum(mono), mono)
-
-    def descending_key(self, mono: tuple[int, ...]):
-        """Sort key of the reverse order: smaller key = larger monomial."""
-        neg = tuple(-e for e in mono)
-        if self.kind == "lex":
-            return neg
-        return (-sum(mono), neg)
 
     def __eq__(self, other):
         return isinstance(other, TermOrder) and self.kind == other.kind
@@ -98,10 +91,15 @@ class Polynomial:
 
     `terms` is never changed after construction, so the last leading
     monomial computed is kept in `_lm` as (order kind, monomial); the kind
-    is None when the monomial leads under every order.
+    is None when the monomial leads under every order.  As a divisor of
+    `reduce_by_basis` it keeps its packed form in `_packed`: ((order
+    kind, digit width), packed leading monomial, inverse leading
+    coefficient payload, [(packed tail monomial, payload)]), the last two
+    None until a reduction divides by it.  `__init__` and `_raw` start it
+    empty, so `-g` and `g.scale(c)` are packed afresh.
     """
 
-    __slots__ = ("field", "n", "terms", "_lm")
+    __slots__ = ("field", "n", "terms", "_lm", "_packed")
 
     def __init__(self, field: Field, n: int, terms=None):
         self.field = field
@@ -116,14 +114,14 @@ class Polynomial:
                 if not c.is_zero:
                     clean[m] = c
         self.terms = clean
-        self._lm = None
+        self._lm = self._packed = None
 
     @classmethod
     def _raw(cls, field, n, terms, lm=None) -> "Polynomial":
         """A polynomial on terms that are already clean: width-n monomials
         to nonzero elements of field.  lm is the `_lm` value, if known."""
         out = cls.__new__(cls)
-        out.field, out.n, out.terms, out._lm = field, n, terms, lm
+        out.field, out.n, out.terms, out._lm, out._packed = field, n, terms, lm, None
         return out
 
     @classmethod
@@ -379,6 +377,47 @@ def parse_polynomial(text: str, field: Field, n: int) -> Polynomial:
     return result
 
 
+PACK_WIDTH = 16  # bits per packed exponent digit a reduction starts at
+
+
+class _Overflow(Exception):
+    """A packed monomial reached a digit's guard bit."""
+
+
+def _packer(n: int, w: int, lex: bool):
+    """Pack a width-n exponent tuple into one int: a w-bit digit per
+    exponent, x1 most significant, and a total-degree digit above them
+    (deglex) or below them (lex), so comparing ints is the term order.
+    The top bit of every digit is a guard: a monomial whose degree, and
+    so any exponent, would reach it raises _Overflow."""
+    half = 1 << (w - 1)
+
+    def pack(m):
+        d = sum(m)
+        if d >= half:
+            raise _Overflow
+        p = 0 if lex else d
+        for e in m:
+            p = p << w | e
+        return p << w | d if lex else p
+
+    return pack
+
+
+def _packed_divisor(g: Polynomial, order: TermOrder, w: int, pack, tail: bool = False):
+    """g's `_packed` entry for this order and width.  The inverse and the
+    tail stay None until a reduction first divides by g (tail=True)."""
+    key = (order.kind, w)
+    kept = g._packed
+    if kept is None or kept[0] != key:
+        kept = g._packed = (key, pack(g.leading_monomial(order)), None, None)
+    if tail and kept[3] is None:
+        lm = g.leading_monomial(order)
+        kept = g._packed = (key, kept[1], g.field._inv(g.terms[lm].value),
+                            [(pack(t), c.value) for t, c in g.terms.items() if t != lm])
+    return kept
+
+
 def reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     """Deterministic normal form of f modulo a list of divisors.
 
@@ -387,65 +426,89 @@ def reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     first such in list order.  The remainder contains no monomial
     divisible by any divisor's leading monomial.
 
-    One pass in descending order does this: subtracting a multiple of a
-    divisor only changes monomials below the one it cancels, so the
-    largest working term is always the next monomial to reduce or to
-    move to the remainder.
+    Monomials are packed into ints (see _packer), starting at PACK_WIDTH
+    bits per digit; if an input or a product reaches a guard bit, the
+    whole pass restarts at twice the width.  Each divisor keeps its
+    packed form, so a basis reduced again is not packed again.
     """
     basis = list(basis)
-    lms = []
     for g in basis:
         if g.is_zero:
             raise ValueError("zero polynomial in reduction basis")
         f._check(g)
-        lms.append(g.leading_monomial(order))
+    w = PACK_WIDTH
+    while True:
+        try:
+            return _reduce_packed(f, basis, order, w)
+        except _Overflow:
+            w *= 2
+
+
+def _reduce_packed(f: Polynomial, basis, order: TermOrder, w: int) -> Polynomial:
+    """One reduction pass at w bits per digit.
+
+    One pass in descending order does it: subtracting a multiple of a
+    divisor only changes monomials below the one it cancels, so the
+    largest working term is always the next monomial to reduce or to
+    move to the remainder.  With G the guard bits of every digit, lm
+    divides m exactly when ((m | G) - lm) & G == G, and a sum of two
+    packed monomials counts as an overflow when it sets a bit of G.
+    """
+    n, field = f.n, f.field
+    lex = order.kind == "lex"
+    pack = _packer(n, w, lex)
+    guard = sum(1 << (k * w + w - 1) for k in range(n + 1))
+    digit = (1 << w) - 1
+    dshift = 0 if lex else n * w  # the degree digit is p >> dshift & digit
+    divisors = [_packed_divisor(g, order, w, pack) for g in basis]
     # a leading monomial of the term's own degree divides it only by being
     # equal to it; lower ones are scanned in list order
     first = {}
-    for i, lm in enumerate(lms):
-        first.setdefault(lm, i)
-    distinct = [(i, sum(lm), lm) for lm, i in first.items()]  # in list order
+    for i, kept in enumerate(divisors):
+        first.setdefault(kept[1], i)
+    distinct = [(i, plm >> dshift & digit, plm) for plm, i in first.items()]  # in list order
     below = {}
-    field = f.field
     fsub, fmul, fneg, zero = field._sub, field._mul, field._neg, field.zero.value
-    tails = {}
-    key = order.descending_key
-    work = {m: c.value for m, c in f.terms.items()}
-    heap = [(key(m), m) for m in work]
+    work = {pack(m): c.value for m, c in f.terms.items()}
+    heap = [-p for p in work]
     heapq.heapify(heap)
-    remainder = {}
+    remainder = []
     while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m)
+        p = -heapq.heappop(heap)
+        c = work.pop(p)
         if c == zero:
             continue
-        degree = sum(m)
+        degree = p >> dshift & digit
         lower = below.get(degree)
         if lower is None:
-            lower = below[degree] = [(i, lm) for i, d, lm in distinct if d < degree]
-        use = first.get(m)
-        for i, lm in lower:
+            lower = below[degree] = [(i, plm) for i, d, plm in distinct if d < degree]
+        use = first.get(p)
+        top = p | guard
+        for i, plm in lower:
             if use is not None and i > use:
                 break
-            if mono_divides(lm, m):
+            if (top - plm) & guard == guard:
                 use = i
                 break
         if use is None:
-            remainder[m] = FieldElement(field, c)
+            remainder.append((p, c))
             continue
-        if use not in tails:
-            g, lm = basis[use], lms[use]
-            tails[use] = (field._inv(g.terms[lm].value),
-                          [(t, tc.value) for t, tc in g.terms.items() if t != lm])
-        lc_inv, tail = tails[use]
+        kept = divisors[use]
+        if kept[3] is None:
+            kept = divisors[use] = _packed_divisor(basis[use], order, w, pack, tail=True)
+        _, plm, lc_inv, tail = kept
         factor = fmul(c, lc_inv)
-        shift = tuple(map(sub, m, lms[use]))
-        for tm, tc in tail:
-            mm = tuple(map(add, tm, shift))
+        shift = p - plm
+        for tp, tc in tail:
+            mm = tp + shift
+            if mm & guard:
+                raise _Overflow
             old = work.get(mm)
             if old is None:
                 work[mm] = fneg(fmul(tc, factor))
-                heapq.heappush(heap, (key(mm), mm))
+                heapq.heappush(heap, -mm)
             else:
                 work[mm] = fsub(old, fmul(tc, factor))
-    return Polynomial._raw(field, f.n, remainder)
+    shifts = [(n - 1 - j + lex) * w for j in range(n)]
+    return Polynomial._raw(field, n, {tuple([p >> s & digit for s in shifts]): FieldElement(field, c)
+                                      for p, c in remainder})

@@ -296,6 +296,33 @@ def test_oversized_interp_refused_up_front(capsys, monkeypatch):
     assert code == 2 and "70 sequences" in err
 
 
+def test_oversized_oracle_refused_up_front(capsys, monkeypatch, tmp_path):
+    from incseq import cli
+
+    enumerate_ = cli.increasing_sequences
+    monkeypatch.setattr(cli, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
+    # jnq:8,8 has 6,435 points and sjnq:9,18 has 48,620
+    for op, spec, count in (("sm", "jnq:8,8", 6435), ("vanish", "sjnq:9,18", 48620)):
+        code, out, err = run(capsys, "oracle", op, "--builtin", spec, "--field", "gf:19", "--maxdeg", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: {count} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}\n"
+    # a points file is counted after parsing (repeated lines are one point);
+    # the cap itself is accepted
+    monkeypatch.setattr(cli, "increasing_sequences", enumerate_)
+    monkeypatch.setattr(oracle, "ORACLE_POINT_CAP", 3)
+    points = tmp_path / "points.txt"
+    points.write_text("1,2\n2,3\n1,2\n3,3\n")
+    code, out, _ = run(capsys, "oracle", "sm", "--points", str(points), "--n", "2", "--q", "3",
+                         "--field", "gf:7")
+    assert code == 0 and out == "standard monomials (3): 1 x2 x1\n"
+    points.write_text("1,2\n2,3\n3,3\n4,4\n")
+    code, out, err = run(capsys, "oracle", "sm", "--points", str(points), "--n", "2", "--q", "3",
+                         "--field", "gf:7")
+    assert code == 2 and out == "" and err == "error: 4 points exceed the oracle cap 3\n"
+    code, _, err = run(capsys, "oracle", "sm", "--builtin", "jnq:2,3", "--field", "gf:7")
+    assert code == 2 and err == "error: 6 points exceed the oracle cap 3\n"
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-n", "2", "--max-q", "2", "--format", "json")
     assert code == 0

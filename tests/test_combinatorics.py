@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incseq.combinatorics import (
     Embedding,
@@ -180,6 +182,29 @@ def test_downset_validation():
     assert is_downset(increasing_sequences(2, 3), 2, 3)
     with pytest.raises(ValueError):
         is_downset({(2, 1)}, 2, 3)
+
+
+@st.composite
+def downset_candidates(draw):
+    """(n, q, points): the downward closure of a few random sequences of
+    I(n,q), n <= 3 and q <= 4, with a random part of it dropped, so both
+    downsets and non-downsets come up."""
+    n, q = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    universe = increasing_sequences(n, q)
+    generators = draw(st.lists(st.sampled_from(universe), max_size=3))
+    closure = [u for u in universe if any(all(a <= b for a, b in zip(u, g)) for g in generators)]
+    dropped = draw(st.sets(st.sampled_from(closure))) if closure else set()
+    return n, q, [u for u in closure if u not in dropped]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(downset_candidates())
+def test_is_downset_matches_definition(case):
+    n, q, points = case
+    pts = set(points)
+    closed = all(u in pts for v in pts for u in increasing_sequences(n, q)
+                 if all(a <= b for a, b in zip(u, v)))
+    assert is_downset(points, n, q) == closed
 
 
 def test_downset_difference_vectors_are_division_closed():

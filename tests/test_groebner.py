@@ -315,6 +315,19 @@ def test_downset_basis_matches_oracle(case):
         assert (m in gb.standard_monomials) != any(mono_divides(lm, m) for lm in lms)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(downset_cases())
+def test_minimized_downset_basis_matches_all_pairs_filter(case):
+    spec, order, n, q, embedding, generators = case
+    field = field_from_string(spec)
+    emb, order = parse_embedding(embedding, field, q), parse_order(order)
+    downset = [s for s in increasing_sequences(n, q) if any(mono_divides(s, g) for g in generators)]
+    gb = downset_basis(n, q, downset, emb, order)
+    blocks = [p.leading_monomial(order) for p in gb.polynomials]
+    want = [fs for fs, b in zip(gb.factored, blocks) if not any(o != b and mono_divides(o, b) for o in blocks)]
+    assert list(downset_basis(n, q, downset, emb, order, minimize=True).factored) == want
+
+
 @st.composite
 def strict_cases(draw):
     """(field, order, n, q, embedding): 1 <= n <= 4, n <= q <= 5, embedded

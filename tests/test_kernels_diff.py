@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from incseq import geometry
+from incseq import geometry, poly
 from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import FieldElement, field_from_string
 from incseq.geometry import (
@@ -62,6 +62,7 @@ from incseq.poly import (
     format_polynomial,
     mono_divides,
     monomials_up_to_degree,
+    parse_polynomial,
     reduce_by_basis,
     sort_monomials,
 )
@@ -130,9 +131,10 @@ def reference_expand_factors(field, n, factors):
 
 
 # Copies of `reduce_by_basis` and `is_reduced_basis` as they were before
-# leading monomials were kept on the polynomial.  Two edits only: every
+# leading monomials were kept on the polynomial.  Three edits only: every
 # leading monomial is recomputed by parent_leading_monomial, a max over
-# all terms, and the remainder is built through Polynomial._raw.
+# all terms, the remainder is built through Polynomial._raw, and the
+# reverse-order heap key is a local function.
 
 def parent_leading_monomial(p, order):
     if p.is_zero:
@@ -170,7 +172,11 @@ def parent_reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial
     field = f.field
     fsub, fmul, fneg, zero = field._sub, field._mul, field._neg, field.zero.value
     tails = {}
-    key = order.descending_key
+
+    def key(mono):  # the reverse order: smaller key = larger monomial
+        neg = tuple(-e for e in mono)
+        return neg if order.kind == "lex" else (-sum(mono), neg)
+
     work = {m: c.value for m, c in f.terms.items()}
     heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
@@ -620,6 +626,65 @@ def test_reduce_by_arbitrary_divisors(divs, data):
     field, n, order, divisors = divs
     f = data.draw(polynomials(field, n, 4, max_terms=8))
     _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
+
+
+@KERNELS
+@given(divisor_lists(), st.data())
+def test_reduce_restarts_at_wider_packing(divs, data):
+    # at 2-3 bits per digit most inputs and products overflow, so the
+    # pass restarts, often more than once
+    field, n, order, divisors = divs
+    f = data.draw(polynomials(field, n, 4, max_terms=8))
+    with mock.patch.object(poly, "PACK_WIDTH", data.draw(st.sampled_from([2, 3]))):
+        got = reduce_by_basis(f, divisors, order)
+    _assert_same(got, reference_reduce_by_basis(f, divisors, order))
+
+
+@pytest.mark.parametrize("spec", ["gf:7", "rational"])
+@pytest.mark.parametrize("order", ORDERS)
+def test_reduce_with_exponents_past_the_default_packing(spec, order):
+    # lex reduces x1 to x2^20000, so x1^2 becomes x2^40000 >= 2^15 and
+    # x1^4 becomes x2^80000 >= 2^16, past a 16-bit digit; an input term
+    # can be that large too
+    field = field_from_string(spec)
+    x1, x2, x3 = (Polynomial.variable(field, 3, j) for j in range(3))
+    c = field.element(3)
+    divisors = [x1 - x2 ** 20000, x3 * x3 - x3.scale(c)]
+    for f in (x1 * x1 + x1 * x3 + x3 ** 3, x1 ** 4 + x3, x2 ** 40000 * x1 + x3 ** 2, x1 ** 3 * x3 + x3):
+        _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
+
+
+@pytest.mark.parametrize("divisors,f", [
+    (["x1 - x2^2", "x2*x3 - x1"], "x1^2*x3 + x2^3"),
+    (["x1 + x2", "x2^2 - x3"], "x1^3 + x2*x3^2"),
+    (["x1^2 - x2^3"], "x1^2*x3 + x2^3*x3 + x1^3"),
+])
+def test_reduce_packing_follows_the_order(divisors, f):
+    # the same divisors reduced under one order and then the other: the
+    # packed form kept from the first order does not fit the second
+    field = field_from_string("gf:7")
+    divisors = [parse_polynomial(g, field, 3) for g in divisors]
+    f = parse_polynomial(f, field, 3)
+    for order in (LEX, DEGLEX, LEX):
+        _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
+
+
+@KERNELS
+@given(divisor_lists(), st.data())
+def test_reduce_packing_kept_per_order_and_polynomial(divs, data):
+    # a divisor keeps its packed form; another order, or a scaled or
+    # negated copy of it, must not reuse it
+    field, n, _, divisors = divs
+    f = data.draw(polynomials(field, n, 4, max_terms=8))
+    for order in (LEX, DEGLEX, LEX):
+        _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
+    c = data.draw(elements(field, nonzero=True))
+    for copies in ([g.scale(c) for g in divisors], [-g for g in divisors]):
+        # c*g leaves the same remainders as g, so a copy that kept g's
+        # packed form would not show in them: check that it starts empty
+        assert all(h._packed is None for h in copies)
+        for order in (LEX, DEGLEX):
+            _assert_same(reduce_by_basis(f, copies, order), reference_reduce_by_basis(f, copies, order))
 
 
 @KERNELS
