@@ -218,15 +218,20 @@ def cmd_oracle(args) -> int:
             raise ValueError(f"unknown builtin {kind!r}: expected jnq:n,q or sjnq:n,q")
         args.q = q
         builtin = (n, q, strict)
-    field, emb, order = _resolve(args)
     if args.points:
         if args.n is None:
             raise ValueError("--n is required with --points")
+        if args.field is None and args.q is None:
+            raise ValueError("--field is required with --points")
+        # no embedding is used, so --q only names the default field
+        field = field_from_string(args.field or _default_field_spec(args.q))
+        order = parse_order(args.order)
         # the answer does not depend on the order of the points, so they
         # need no sorting (which an infinite field could not do)
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
         _check_oracle_points(len(pts))
     elif builtin:
+        field, emb, order = _resolve(args)
         n, q, strict = builtin
         _check_oracle_points(count_increasing(n, q, strict))
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
@@ -262,6 +267,17 @@ def _load_pointset(args, field) -> geometry.PointSet:
     return geometry.parse_points(_read(args.infile), field, args.n)
 
 
+def _check_verify_work(kind: str, args):
+    """Refuse a verification whose work estimate (geometry.verify_work)
+    exceeds geometry.VERIFY_WORK_CAP, before the set is read."""
+    if args.n is None:
+        raise ValueError("--n is required")
+    work = geometry.verify_work(kind, args.n, args.q)
+    if work > geometry.VERIFY_WORK_CAP:
+        raise ValueError(f"{kind} verify for n={args.n}, q={args.q} may test {work} points, "
+                         f"above the cap {geometry.VERIFY_WORK_CAP}")
+
+
 def cmd_kakeya(args) -> int:
     if args.kakeya_op == "paper-example":
         K = geometry.optimal_kakeya_f3()
@@ -288,6 +304,7 @@ def cmd_kakeya(args) -> int:
         _emit(args, payload, [f"size: {len(T)} (bound {bound})"] + payload["points"])
         return 0
     # verify
+    _check_verify_work("kakeya", args)
     K = _load_pointset(args, field)
     threshold = args.threshold if args.threshold is not None else args.q
     result = geometry.verify_kakeya(K, emb, threshold)
@@ -306,6 +323,7 @@ def cmd_kakeya(args) -> int:
 
 def cmd_nikodym(args) -> int:
     field, emb, order = _resolve(args, prime_power_field=True)
+    _check_verify_work("nikodym", args)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
     if result.ok:

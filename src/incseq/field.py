@@ -282,6 +282,15 @@ class Field:
         """All field elements exactly once, in canonical order."""
         raise ValueError("cannot enumerate an infinite field")
 
+    _tables = None
+
+    def tables(self) -> "Tables":
+        """The field's index form, built on first use and kept on the field
+        (so once per interned field); ValueError for an infinite field."""
+        if self._tables is None:
+            self._tables = Tables(self)
+        return self._tables
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -291,6 +300,44 @@ class Field:
 
     def __hash__(self):
         return self._hash
+
+
+class Tables:
+    """Index form of a finite field: element i is `elements[i]`, `index`
+    maps a raw payload to its index, and add, mul, neg and inv are tables
+    on indices (inv[zero] is None).  A finite field's element i is the
+    base-p digit string of i, the constant term least significant, so add
+    works digit by digit; mul comes from the field (`_index_mul`)."""
+
+    __slots__ = ("field", "elements", "index", "zero", "one", "add", "mul", "neg", "inv")
+
+    def __init__(self, field: Field):
+        elements = field.elements()
+        p = field.char
+        digits = [[(a + b) % p for b in range(p)] for a in range(p)]
+        add = [[0]]
+        while len(add) < len(elements):  # the table of p^(j+1) elements from that of p^j
+            add = [[d + p * s for s in row for d in low] for row in add for low in digits]
+        self.field = field
+        self.elements = elements
+        self.index = {e.value: i for i, e in enumerate(elements)}
+        self.zero = self.index[field.zero.value]
+        self.one = self.index[field.one.value]
+        self.add = add
+        self.mul = field._index_mul()
+        self.neg = [row.index(self.zero) for row in add]
+        self.inv = [None if i == self.zero else row.index(self.one) for i, row in enumerate(self.mul)]
+
+    def ix(self, p) -> tuple:
+        """The index tuple of a point over this field."""
+        field = self.field
+        if any(x.field is not field and x.field != field for x in p):
+            raise ValueError(f"point {p} is not over {field!r}")
+        return tuple(self.index[x.value] for x in p)
+
+    def el(self, p) -> tuple:
+        """The field-element tuple of an index tuple."""
+        return tuple(self.elements[i] for i in p)
 
 
 class PrimeField(Field):
@@ -331,6 +378,10 @@ class PrimeField(Field):
 
     def elements(self):
         return [FieldElement(self, i) for i in range(self.p)]
+
+    def _index_mul(self):
+        r = range(self.p)
+        return [[a * b % self.p for b in r] for a in r]
 
     def format_element(self, x: FieldElement) -> str:
         return str(x.value)
@@ -437,6 +488,12 @@ class ExtensionField(Field):
 
     def elements(self):
         return [FieldElement(self, self._tuple_from_index(i)) for i in range(self.size)]
+
+    def _index_mul(self):
+        """The mul table on element indices, from the log/exp tables."""
+        exp = [sum(c * self.p**j for j, c in enumerate(t)) for t in self._exp] * 2
+        logs = [self._log[self._tuple_from_index(i)] for i in range(1, self.size)]
+        return [[0] * self.size] + [[0] + [exp[a + b] for b in logs] for a in logs]
 
     def format_element(self, x: FieldElement) -> str:
         return "[" + ",".join(str(c) for c in x.value) + "]"

@@ -7,8 +7,9 @@ elements.  Directions and hyperplane normals are canonicalized so the
 first nonzero coordinate is 1.
 
 The searches run in index form: element i is `field.elements()[i]`, a
-point is a tuple of indices, and field arithmetic is a lookup in q x q
-tables.  Results are converted back to field elements once, on return.
+point is a tuple of indices, and field arithmetic is a lookup in the q x q
+tables of `Field.tables()`, kept on the field and shared with the oracle.
+Results are converted back to field elements once, on return.
 """
 
 import itertools
@@ -16,14 +17,16 @@ import math
 from functools import reduce
 from operator import or_
 
-from .combinatorics import Embedding, _data_lines, _split_top_level, increasing_sequences, is_increasing
-from .field import Field, FieldElement
+from .combinatorics import (Embedding, _data_lines, _split_top_level, count_increasing, increasing_sequences,
+                            is_increasing)
+from .field import Field, FieldElement, FieldSpec, Tables, field_make
 from .oracle import standard_monomials, vanishing_polynomial
 from .poly import DEGLEX, monomials_up_to_degree
 
 COVER_POINT_CAP = 10**4
 COVER_PLANE_CAP = 10**3
 LINE_UNION_CAP = 10**6
+VERIFY_WORK_CAP = 10**7  # points a CLI `kakeya verify` or `nikodym verify` may test
 
 
 class InconsistencyError(RuntimeError):
@@ -93,61 +96,33 @@ def canonical_direction(v):
     return pivot, tuple(x * inv for x in v)
 
 
-class _Tables:
-    """Index form of a finite field: element i is `elements[i]`, index
-    maps a raw payload to its index, and add, mul and inv are tables on
-    indices built from the raw payload arithmetic (inv[zero] is None)."""
+def _canonical(tab: Tables, v):
+    """canonical_direction on an index tuple."""
+    pivot = next((i for i, x in enumerate(v) if x != tab.zero), None)
+    if pivot is None:
+        raise ValueError("zero vector has no direction")
+    row = tab.mul[tab.inv[v[pivot]]]
+    return pivot, tuple(row[x] for x in v)
 
-    __slots__ = ("field", "elements", "index", "zero", "one", "add", "mul", "inv")
 
-    def __init__(self, field: Field):
-        elements = field.elements()
-        index = {e.value: i for i, e in enumerate(elements)}
-        values = list(index)
-        self.field = field
-        self.elements = elements
-        self.index = index
-        self.zero = index[field.zero.value]
-        self.one = index[field.one.value]
-        self.add = [[index[field._add(a, b)] for b in values] for a in values]
-        self.mul = [[index[field._mul(a, b)] for b in values] for a in values]
-        self.inv = [None if i == self.zero else row.index(self.one) for i, row in enumerate(self.mul)]
+def _multiples(tab: Tables, v, ts) -> list:
+    """t*v for each index t in ts."""
+    mul = tab.mul
+    return [tuple(mul[t][x] for x in v) for t in ts]
 
-    def ix(self, p) -> tuple:
-        """The index tuple of a point over this field."""
-        field = self.field
-        if any(x.field is not field and x.field != field for x in p):
-            raise ValueError(f"point {p} is not over {field!r}")
-        return tuple(self.index[x.value] for x in p)
 
-    def el(self, p) -> tuple:
-        """The field-element tuple of an index tuple."""
-        return tuple(self.elements[i] for i in p)
+def _directions(tab: Tables, n: int) -> list:
+    """Every canonical nonzero index direction of F^n: pivot-major, the
+    coordinates after the pivot in element order."""
+    return [(tab.zero,) * pivot + (tab.one,) + tail for pivot in range(n)
+            for tail in itertools.product(range(len(tab.elements)), repeat=n - pivot - 1)]
 
-    def canonical(self, v):
-        """canonical_direction on an index tuple."""
-        pivot = next((i for i, x in enumerate(v) if x != self.zero), None)
-        if pivot is None:
-            raise ValueError("zero vector has no direction")
-        row = self.mul[self.inv[v[pivot]]]
-        return pivot, tuple(row[x] for x in v)
 
-    def multiples(self, v, ts) -> list:
-        """t*v for each index t in ts."""
-        mul = self.mul
-        return [tuple(mul[t][x] for x in v) for t in ts]
-
-    def directions(self, n: int) -> list:
-        """Every canonical nonzero direction of F^n: pivot-major, the
-        coordinates after the pivot in element order."""
-        return [(self.zero,) * pivot + (self.one,) + tail for pivot in range(n)
-                for tail in itertools.product(range(len(self.elements)), repeat=n - pivot - 1)]
-
-    def transversal(self, n: int, pivot: int):
-        """Every index point with coordinate `pivot` zero, in product order."""
-        axes = [range(len(self.elements))] * n
-        axes[pivot] = (self.zero,)
-        return itertools.product(*axes)
+def _transversal(tab: Tables, n: int, pivot: int):
+    """Every index point with coordinate `pivot` zero, in product order."""
+    axes = [range(len(tab.elements))] * n
+    axes[pivot] = (tab.zero,)
+    return itertools.product(*axes)
 
 
 class Line:
@@ -241,7 +216,7 @@ def _require_ambient(field: Field, q: int):
         raise ValueError(f"ambient field must have exactly q={q} elements, got size {field.size}")
 
 
-def _increasing_directions(tab: _Tables, n: int, q: int, emb: Embedding) -> list:
+def _increasing_directions(tab: Tables, n: int, q: int, emb: Embedding) -> list:
     """increasing_directions in index form."""
     images = tab.ix(emb.apply(range(1, q + 1)))
     seen = set()
@@ -250,7 +225,7 @@ def _increasing_directions(tab: _Tables, n: int, q: int, emb: Embedding) -> list
         v = tuple(images[s - 1] for s in seq)
         if all(x == tab.zero for x in v):
             continue
-        _, canon = tab.canonical(v)
+        _, canon = _canonical(tab, v)
         if canon not in seen:
             seen.add(canon)
             out.append(canon)
@@ -260,31 +235,31 @@ def _increasing_directions(tab: _Tables, n: int, q: int, emb: Embedding) -> list
 def increasing_directions(n: int, q: int, emb: Embedding) -> list:
     """Canonical representatives of the nonzero embedded nondecreasing
     directions, in first-occurrence enumeration order."""
-    tab = _Tables(emb.field)
+    tab = emb.field.tables()
     return [tab.el(v) for v in _increasing_directions(tab, n, q, emb)]
 
 
 def all_canonical_directions(field: Field, n: int) -> list:
     """Every canonical nonzero direction of F^n, deterministic order."""
-    tab = _Tables(field)
-    return [tab.el(v) for v in tab.directions(n)]
+    tab = field.tables()
+    return [tab.el(v) for v in _directions(tab, n)]
 
 
 def transversal(field: Field, n: int, pivot: int):
     """All base points with coordinate `pivot` equal to zero: exactly one
     representative per line in a direction with that pivot."""
-    tab = _Tables(field)
-    return [tab.el(b) for b in tab.transversal(n, pivot)]
+    tab = field.tables()
+    return [tab.el(b) for b in _transversal(tab, n, pivot)]
 
 
-def _lines(tab: _Tables, n: int, v):
+def _lines(tab: Tables, n: int, v):
     """(base, points) of every line in the canonical index direction v,
     one per transversal base, in transversal order; points is a list of
     the line's q index points."""
     pivot = v.index(tab.one)
-    steps = tab.multiples(v, range(len(tab.elements)))
+    steps = _multiples(tab, v, range(len(tab.elements)))
     add = tab.add
-    for base in tab.transversal(n, pivot):
+    for base in _transversal(tab, n, pivot):
         rows = [add[b] for b in base]
         yield base, [tuple(r[s] for r, s in zip(rows, step)) for step in steps]
 
@@ -295,10 +270,10 @@ def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
     _require_ambient(field, q)
     if emb.field != field:
         raise ValueError("embedding field differs from the ambient field")
-    tab = _Tables(field)
+    tab = field.tables()
     points = {(tab.zero,) * n}
     for v in _increasing_directions(tab, n, q, emb):
-        points.update(tab.multiples(v, range(q)))
+        points.update(_multiples(tab, v, range(q)))
     return PointSet(field, n, map(tab.el, points))
 
 
@@ -328,7 +303,7 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
     _require_ambient(K.field, q)
     if not 1 <= threshold <= q:
         raise ValueError(f"threshold must be in [1, {q}]")
-    tab = _Tables(K.field)
+    tab = K.field.tables()
     points = set(map(tab.ix, K.points))
     entries = []
     for v in _increasing_directions(tab, K.n, q, emb):
@@ -338,6 +313,17 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
             return KakeyaCertificate(threshold, (), tab.el(v))
         entries.append((tab.el(v), tab.el(found)))
     return KakeyaCertificate(threshold, entries)
+
+
+def verify_work(kind: str, n: int, q: int) -> int:
+    """An upper bound on the points `verify_kakeya` (kind "kakeya") or
+    `verify_nikodym` (kind "nikodym") tests against a set in F^n, |F| = q,
+    counted without enumerating anything.  Kakeya: at most
+    count_increasing(n, q) directions, q^(n-1) lines each, q points a
+    line.  Nikodym: for each of the count_increasing(n, q) embedded
+    points, all (q^n - 1)/(q - 1) canonical directions, q - 1 punctured
+    points each."""
+    return count_increasing(n, q) * (q**n if kind == "kakeya" else q**n - 1)
 
 
 class NikodymCertificate:
@@ -359,11 +345,11 @@ def verify_nikodym(B: PointSet, emb: Embedding):
     the punctured line {z + tv : t != 0} inside B."""
     q = emb.q
     _require_ambient(B.field, q)
-    tab = _Tables(B.field)
+    tab = B.field.tables()
     points = set(map(tab.ix, B.points))
     nonzero_ts = [t for t in range(q) if t != tab.zero]
     # each direction's offsets t*v, computed once for every point
-    directions = [(v, tab.multiples(v, nonzero_ts)) for v in tab.directions(B.n)]
+    directions = [(v, _multiples(tab, v, nonzero_ts)) for v in _directions(tab, B.n)]
     images = tab.ix(emb.apply(range(1, q + 1)))
     entries = []
     for seq in increasing_sequences(B.n, q):
@@ -434,14 +420,14 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
     if poly is None:
         raise InconsistencyError("no vanishing polynomial despite |K| < column count")
     top = poly.homogeneous_component(poly.degree())
-    tab = _Tables(field)
+    tab = field.tables()
     points = set(map(tab.ix, K.points))
     witness = None
     chain_ok = True
     for v in directions_set.sorted_points():
         if all(x.is_zero for x in v):
             continue
-        _, canon = tab.canonical(tab.ix(v))
+        _, canon = _canonical(tab, tab.ix(v))
         rich = any(sum(p in points for p in line) > ell for _, line in _lines(tab, n, canon))
         top_zero = top.evaluate(v).is_zero
         if rich and not top_zero:
@@ -586,8 +572,8 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     count = (size**n - 1) // (size - 1) * size  # canonical directions times offsets
     if count > COVER_PLANE_CAP:
         raise ValueError(f"hyperplane count {count} exceeds the cap {COVER_PLANE_CAP}")
-    tab = _Tables(field)
-    directions = tab.directions(n)
+    tab = field.tables()
+    directions = _directions(tab, n)
     # the plane through p with normal v is number d*size + v.p, v = directions[d]
     add, mul = tab.add, tab.mul
     masks = [0] * count
@@ -653,9 +639,7 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
 def optimal_kakeya_f3() -> PointSet:
     """The known optimal 10-point increasing Kakeya set in F_3^3: six
     plane points plus three lines through (1,1,2)."""
-    from .field import PrimeField
-
-    field = PrimeField(3)
+    field = field_make(FieldSpec.prime(3))
     e = field.element
     base_plane = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 0), (0, 2, 1)]
     points = {tuple(e(c) for c in p) for p in base_plane}
@@ -671,7 +655,7 @@ def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):
     direction (how small constructions are assembled); returns
     (size, PointSet) with the first minimal union in scan order."""
     _require_ambient(field, q)
-    tab = _Tables(field)
+    tab = field.tables()
     directions = _increasing_directions(tab, n, q, emb)
     if q ** ((n - 1) * len(directions)) > LINE_UNION_CAP:
         raise ValueError(f"line-union search space exceeds {LINE_UNION_CAP}")

@@ -12,23 +12,93 @@ from .field import Field, FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder
 
 ORACLE_POINT_CAP = 2000  # points the CLI will scan (1,716 for jnq:7,7)
+INDEX_TABLE_CAP = 256  # largest finite field the scan runs on element indices
+
+
+class _IndexOps:
+    """Scan arithmetic on element indices through the field's cached
+    tables: one table lookup per cell, no call."""
+
+    def __init__(self, field: Field):
+        self.tab = field.tables()
+        self.zero, self.one = self.tab.zero, self.tab.one
+
+    def lift(self, x: FieldElement):
+        return self.tab.index[x.value]
+
+    def payload(self, i):
+        return self.tab.elements[i].value
+
+    def mul(self, a, b):
+        return self.tab.mul[a][b]
+
+    def inv(self, a):
+        return self.tab.inv[a]
+
+    def times(self, u, v):
+        mul = self.tab.mul
+        return [mul[a][b] for a, b in zip(u, v)]
+
+    def scale(self, u, s):
+        ms = self.tab.mul[s]
+        return [ms[x] for x in u]
+
+    def submul(self, u, c, v):
+        """u - c*v, elementwise."""
+        add, mc = self.tab.add, self.tab.mul[self.tab.neg[c]]
+        return [add[a][mc[b]] for a, b in zip(u, v)]
+
+
+class _PayloadOps:
+    """Scan arithmetic on raw payloads through the field's own methods: the
+    only way for Q, and the way for finite fields above INDEX_TABLE_CAP."""
+
+    def __init__(self, field: Field):
+        self.zero, self.one = field.zero.value, field.one.value
+        self.mul, self.inv, self._sub = field._mul, field._inv, field._sub
+
+    def lift(self, x: FieldElement):
+        return x.value
+
+    def payload(self, a):
+        return a
+
+    def times(self, u, v):
+        mul = self.mul
+        return [mul(a, b) for a, b in zip(u, v)]
+
+    def scale(self, u, s):
+        mul = self.mul
+        return [mul(x, s) for x in u]
+
+    def submul(self, u, c, v):
+        """u - c*v, elementwise."""
+        sub, mul = self._sub, self.mul
+        return [sub(a, mul(c, b)) for a, b in zip(u, v)]
 
 
 def _scan(pts, order: TermOrder, max_degree: int | None):
-    """Buchberger-Moller scan over distinct points, on raw payloads.
+    """Buchberger-Moller scan over distinct points.
+
+    Over a finite field of at most INDEX_TABLE_CAP elements the values are
+    element indices and each cell is a lookup in the field's cached index
+    tables (`Field.tables()`); over Q and larger finite fields they are
+    raw payloads under the field's own arithmetic.  The scan is the same.
 
     Candidate monomials come off a heap in ascending term order, and
     only multiples of kept monomials are candidates (a multiple of a
     dependent monomial is a leading monomial too).  A candidate's values
     at the points are its parent's values times one coordinate; they are
     reduced against the kept rows, each normalized to 1 at its pivot and
-    recording the multipliers of the rows subtracted from it.
+    recording the multipliers of the rows subtracted from it.  A row is
+    zero before its pivot (the first nonzero value left), so only its tail
+    from the pivot on is kept and subtracted.
 
     With max_degree None, stops after |pts| independent monomials and
     returns (kept, None).  Otherwise walks degree <= max_degree only and
     stops at the first dependent monomial m, returning (kept, (m, coeffs))
-    where m's values are sum(coeffs[j] * values of kept[j]), or
-    (kept, None) if every candidate is independent.
+    where m's values are sum(coeffs[j] * values of kept[j]) and coeffs
+    are payloads, or (kept, None) if every candidate is independent.
     """
     if not pts[0] or not isinstance(pts[0][0], FieldElement):
         raise ValueError("points must be nonempty tuples of field elements")
@@ -40,35 +110,34 @@ def _scan(pts, order: TermOrder, max_degree: int | None):
         for x in p:
             if not isinstance(x, FieldElement) or (x.field is not field and x.field != field):
                 raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
-    zero = field.zero.value
-    sub, mul = field._sub, field._mul
-    columns = [[p[i].value for p in pts] for i in range(n)]
+    ops = (_IndexOps if field.size is not None and field.size <= INDEX_TABLE_CAP else _PayloadOps)(field)
+    zero = ops.zero
+    columns = [[ops.lift(p[i]) for p in pts] for i in range(n)]
     target = len(pts)
     kept = []
     values = {}  # kept monomial -> its values at the points
-    rows = []  # (pivot, normalized residual, pivot inverse, [(row index, multiplier)])
+    rows = []  # (pivot, normalized residual from the pivot on, pivot inverse, [(row index, multiplier)])
     start = (0,) * n
     heap = [(order.key(start), start, None, 0)] if max_degree is None or max_degree >= 0 else []
     seen = {start}
     while heap and (max_degree is not None or len(kept) < target):
         _, m, parent, i = heapq.heappop(heap)
         assert max_degree is not None or sum(m) <= target, "monomial scan ran past the degree bound"
-        vec = ([field.one.value] * target if parent is None
-               else [mul(a, b) for a, b in zip(values[parent], columns[i])])
-        res = vec
+        vec = [ops.one] * target if parent is None else ops.times(values[parent], columns[i])
+        res = list(vec)
         multipliers = []
-        for j, (pivot, row, _, _) in enumerate(rows):
+        for j, (pivot, tail, _, _) in enumerate(rows):
             c = res[pivot]
             if c != zero:
-                res = [sub(a, mul(c, b)) for a, b in zip(res, row)]
+                res[pivot:] = ops.submul(res[pivot:], c, tail)
                 multipliers.append((j, c))
         pivot = next((k for k, x in enumerate(res) if x != zero), None)
         if pivot is None:
             if max_degree is None:
                 continue
-            return kept, (m, _back_substitute(field, rows, multipliers))
-        s = field._inv(res[pivot])
-        rows.append((pivot, [mul(x, s) for x in res], s, multipliers))
+            return kept, (m, [ops.payload(b) for b in _back_substitute(ops, rows, multipliers)])
+        s = ops.inv(res[pivot])
+        rows.append((pivot, ops.scale(res[pivot:], s), s, multipliers))
         kept.append(m)
         values[m] = vec
         for i in range(n):
@@ -79,7 +148,7 @@ def _scan(pts, order: TermOrder, max_degree: int | None):
     return kept, None
 
 
-def _back_substitute(field: Field, rows, multipliers):
+def _back_substitute(ops, rows, multipliers):
     """Coefficients b_k with sum(c * rows[j] for (j, c) in multipliers)
     equal to sum(b_k * values of kept[k]).
 
@@ -87,8 +156,7 @@ def _back_substitute(field: Field, rows, multipliers):
     multipliers, so from the last row down each row's weight moves onto
     its monomial's values and onto the rows subtracted from it.
     """
-    zero = field.zero.value
-    sub, mul = field._sub, field._mul
+    zero = ops.zero
     weights = [zero] * len(rows)
     for j, c in multipliers:
         weights[j] = c
@@ -96,9 +164,11 @@ def _back_substitute(field: Field, rows, multipliers):
     for k in range(len(rows) - 1, -1, -1):
         if weights[k] != zero:
             _, _, s, below = rows[k]
-            b = coeffs[k] = mul(weights[k], s)
-            for j, c in below:
-                weights[j] = sub(weights[j], mul(b, c))
+            b = coeffs[k] = ops.mul(weights[k], s)
+            if below:
+                js, cs = zip(*below)
+                for j, w in zip(js, ops.submul([weights[j] for j in js], b, cs)):
+                    weights[j] = w
     return coeffs
 
 

@@ -427,16 +427,19 @@ def reduce_by_basis(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     divisible by any divisor's leading monomial.
 
     Monomials are packed into ints (see _packer), starting at PACK_WIDTH
-    bits per digit; if an input or a product reaches a guard bit, the
-    whole pass restarts at twice the width.  Each divisor keeps its
-    packed form, so a basis reduced again is not packed again.
+    bits per digit or at the widest width a divisor kept for this order;
+    if an input or a product reaches a guard bit, the whole pass restarts
+    at twice the width.  Each divisor keeps its packed form, so a basis
+    reduced again is not packed again and starts at the width that fitted.
     """
     basis = list(basis)
+    w = PACK_WIDTH
     for g in basis:
         if g.is_zero:
             raise ValueError("zero polynomial in reduction basis")
         f._check(g)
-    w = PACK_WIDTH
+        if g._packed is not None and g._packed[0][0] == order.kind:
+            w = max(w, g._packed[0][1])
     while True:
         try:
             return _reduce_packed(f, basis, order, w)

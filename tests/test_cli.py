@@ -6,7 +6,7 @@ import pytest
 from incseq import geometry, groebner, interpolation, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
-from incseq.field import field_from_string
+from incseq.field import Field, field_from_string
 from incseq.poly import format_polynomial, mono_to_str, parse_order
 
 
@@ -272,7 +272,7 @@ def test_cover_plane_cap_checked_before_tables(capsys, monkeypatch):
     def refuse(field):
         raise AssertionError("index tables built before the plane cap check")
 
-    monkeypatch.setattr(geometry, "_Tables", refuse)
+    monkeypatch.setattr(Field, "tables", refuse)
     code, out, err = run(capsys, "cover", "search", "--n", "2", "--q", "2", "--field", "gf:2003")
     assert code == 2 and out == ""
     assert err == f"error: hyperplane count 4014012 exceeds the cap {geometry.COVER_PLANE_CAP}\n"
@@ -321,6 +321,45 @@ def test_oversized_oracle_refused_up_front(capsys, monkeypatch, tmp_path):
     assert code == 2 and out == "" and err == "error: 4 points exceed the oracle cap 3\n"
     code, _, err = run(capsys, "oracle", "sm", "--builtin", "jnq:2,3", "--field", "gf:7")
     assert code == 2 and err == "error: 6 points exceed the oracle cap 3\n"
+
+
+def test_oracle_points_need_no_q(capsys, tmp_path):
+    # no embedding is used with --points, so --q only names a default field
+    points = tmp_path / "points.txt"
+    points.write_text("1,2\n2,3\n3,3\n5,0\n")
+    for op in (["sm"], ["vanish", "--maxdeg", "2"]):
+        argv = ["oracle", *op, "--points", str(points), "--n", "2", "--field", "gf:7"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert run(capsys, *argv, "--q", "3") == (0, out, "")
+    code, out, err = run(capsys, "oracle", "sm", "--points", str(points), "--n", "2")
+    assert code == 2 and out == "" and err == "error: --field is required with --points\n"
+
+
+@pytest.mark.parametrize("kind", ["kakeya", "nikodym"])
+def test_oversized_verify_refused_up_front(capsys, monkeypatch, tmp_path, kind):
+    def refuse(*args):
+        pytest.fail("read or verified the set")
+
+    monkeypatch.setattr(geometry, "parse_points", refuse)
+    monkeypatch.setattr(geometry, f"verify_{kind}", refuse)
+    # n = 3, q = 101: 176,851 sequences, each with about 101^3 points to test
+    argv = [kind, "verify", "--n", "3", "--q", "101", "--in", str(tmp_path / "none.txt")]
+    work = geometry.verify_work(kind, 3, 101)
+    assert work > geometry.VERIFY_WORK_CAP
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: {kind} verify for n=3, q=101 may test {work} points, "
+                   f"above the cap {geometry.VERIFY_WORK_CAP}\n")
+    # the cap itself is accepted
+    monkeypatch.undo()
+    star = tmp_path / "star.txt"
+    code, out, _ = run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")
+    star.write_text("\n".join(out.splitlines()[1:]) + "\n")
+    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.verify_work(kind, 2, 5))
+    assert run(capsys, kind, "verify", "--n", "2", "--q", "5", "--in", str(star))[0] == 0
+    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.verify_work(kind, 2, 5) - 1)
+    assert run(capsys, kind, "verify", "--n", "2", "--q", "5", "--in", str(star))[0] == 2
 
 
 def test_verify_all_small(capsys):

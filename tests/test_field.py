@@ -326,3 +326,20 @@ def test_rational_payload_is_int_exactly_when_integral(pair, terms, x):
     _assert_canonical(poly.evaluate([q.element(x)]), want)
     _assert_canonical(poly.evaluate([q.element(a)]),
                       sum((Fraction(c.value) * a ** m[0] for m, c in poly.terms.items()), Fraction(0)))
+
+
+@pytest.mark.parametrize("spec", ["gf:2", "gf:7", "gf:2^2", "gf:2^3", "gf:3^2", "gf:5^2", "gf:2^4"])
+def test_index_tables_match_payload_arithmetic(spec):
+    f = field_from_string(spec)
+    tab = f.tables()
+    values = [e.value for e in f.elements()]
+    assert [e.value for e in tab.elements] == values
+    assert all(tab.index[v] == i for i, v in enumerate(values))
+    assert (tab.elements[tab.zero], tab.elements[tab.one]) == (f.zero, f.one)
+    for i, a in enumerate(values):
+        assert tab.elements[tab.neg[i]].value == f._neg(a)
+        assert tab.inv[i] is None if i == tab.zero else tab.elements[tab.inv[i]].value == f._inv(a)
+        for j, b in enumerate(values):
+            assert tab.elements[tab.add[i][j]].value == f._add(a, b)
+            assert tab.elements[tab.mul[i][j]].value == f._mul(a, b)
+

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from incseq import field as field_module
 from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
 from incseq.geometry import (
@@ -32,6 +33,7 @@ from incseq.geometry import (
     verify_kakeya,
     verify_nikodym,
 )
+from incseq.oracle import standard_monomials, vanishing_polynomial
 from incseq.poly import monomials_up_to_degree
 
 from dense_reference import mono_eval
@@ -392,3 +394,32 @@ def test_hyperplane_canonicalization_and_io():
         Hyperplane.make(_pt(GF3, 0, 0), GF3.zero)
     with pytest.raises(ValueError):
         parse_hyperplanes("1,0", GF3, 2)
+
+
+def test_oracle_and_geometry_share_one_index_form(monkeypatch):
+    monkeypatch.setattr(field_module, "_INTERNED", {})
+    built = []
+    build = field_module.Tables.__init__
+
+    def counting(self, field):
+        built.append(field)
+        build(self, field)
+
+    monkeypatch.setattr(field_module.Tables, "__init__", counting)
+    f = field_from_string("gf:5")
+    emb = Embedding.grid(f, 5, -1)
+    assert built == []
+    T = line_star(2, 5, f, emb)
+    assert verify_kakeya(T, emb, 5).ok and nikodym_bound_check(T, emb).ok
+    assert cover_search(2, 5, f, emb).minimum == 5
+    assert len(standard_monomials(T.sorted_points())) == len(T)
+    assert vanishing_polynomial(T.sorted_points(), 6) is not None  # 28 monomials, 21 points
+    assert built == [f] and field_from_string("gf:5").tables() is f.tables()
+    # the paper example's field is the interned GF(3)
+    assert optimal_kakeya_f3().field is field_from_string("gf:3")
+    # above oracle.INDEX_TABLE_CAP the scan runs on payloads, with no tables
+    big = field_from_string("gf:257")
+    assert standard_monomials([(big.element(1),), (big.element(2),)]) == {(0,), (1,)}
+    assert built == [f]
+    with pytest.raises(ValueError, match="infinite"):
+        field_from_string("rational").tables()

@@ -588,11 +588,11 @@ def divisor_lists(draw):
 
 
 @st.composite
-def point_lists(draw):
+def point_lists(draw, fields=FIELDS):
     """A few random points over one field, some of them repeated.  The
     coordinates come from a small random alphabet, so low-degree
     dependencies often appear before the values reach full rank."""
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(fields))
     n = draw(st.integers(1, 4))
     alphabet = draw(st.lists(elements(field), min_size=2, max_size=5, unique=True))
     size = min(draw(st.integers(1, 12)), len(alphabet) ** n)
@@ -652,6 +652,33 @@ def test_reduce_with_exponents_past_the_default_packing(spec, order):
     divisors = [x1 - x2 ** 20000, x3 * x3 - x3.scale(c)]
     for f in (x1 * x1 + x1 * x3 + x3 ** 3, x1 ** 4 + x3, x2 ** 40000 * x1 + x3 ** 2, x1 ** 3 * x3 + x3):
         _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
+
+
+def test_reduce_starts_at_the_width_a_divisor_kept():
+    # x1^3 reduces to x2^60000 under lex, past a 16-bit digit: the first
+    # call restarts at 32 bits, and the second starts there
+    field = field_from_string("gf:7")
+    x1, x2, x3 = (Polynomial.variable(field, 3, j) for j in range(3))
+    divisors = [x1 - x2 ** 20000 + x3 ** k for k in range(1, 40)]
+    f = x1 ** 3 + x3
+    widths = []
+
+    def counting(f, basis, order, w):
+        widths.append(w)
+        return reduce_packed(f, basis, order, w)
+
+    reduce_packed = poly._reduce_packed
+    with mock.patch.object(poly, "_reduce_packed", counting):
+        first = reduce_by_basis(f, divisors, LEX)
+        assert widths == [16, 32]
+        widths.clear()
+        _assert_same(reduce_by_basis(f, divisors, LEX), first)
+        assert widths == [32]
+        # a width kept for the other order does not carry over
+        widths.clear()
+        reduce_by_basis(f, divisors, DEGLEX)
+        assert widths[0] == poly.PACK_WIDTH
+    _assert_same(first, reference_reduce_by_basis(f, divisors, LEX))
 
 
 @pytest.mark.parametrize("divisors,f", [
@@ -773,8 +800,13 @@ def test_evaluate(field, n, data):
     assert got.field is field
 
 
+# GF(257) is above oracle.INDEX_TABLE_CAP, so its scan runs on payloads
+# as Q's does; the other finite fields run on element indices
+SCAN_FIELDS = FIELDS + [field_from_string("gf:257")]
+
+
 @settings(KERNELS, max_examples=200)
-@given(point_lists(), st.sampled_from(ORDERS), st.integers(0, 4))
+@given(point_lists(SCAN_FIELDS), st.sampled_from(ORDERS), st.integers(0, 4))
 def test_oracle_scan(points, order, max_degree):
     assert standard_monomials(points, order) == reference_standard_monomials(points, order)
     got = vanishing_polynomial(points, max_degree, order)
