@@ -9,21 +9,18 @@ sets, increasing Nikodym sets, and affine hyperplane covers.
 __version__ = "0.1.0"
 
 from .combinatorics import Embedding, parse_embedding
-from .field import FieldSpec, field_from_string, field_make, parse_field_spec
+from .field import field_from_string
 from .poly import DEGLEX, LEX, Polynomial, TermOrder, format_polynomial, parse_polynomial
 
 __all__ = [
     "DEGLEX",
     "Embedding",
-    "FieldSpec",
     "LEX",
     "Polynomial",
     "TermOrder",
     "field_from_string",
-    "field_make",
     "format_polynomial",
     "parse_embedding",
-    "parse_field_spec",
     "parse_polynomial",
     "__version__",
 ]

@@ -227,10 +227,10 @@ def criterion_8() -> CriterionResult:
     one = geometry.cover_search(2, 3, gf3, emb, excluded=[(1, 1)])
     if one.minimum != 2:
         return CriterionResult(8, "covers", False, f"minimum with one exclusion is {one.minimum}, expected 2")
-    coord = [geometry.Hyperplane.make((gf3.one, gf3.zero), gf3.element(t)) for t in range(3)]
+    coord = [geometry.Hyperplane((gf3.one, gf3.zero), gf3.element(t)) for t in range(3)]
     if not geometry.cover_verify(coord, 2, 3, emb).ok:
         return CriterionResult(8, "covers", False, "coordinate cover of size q failed to verify")
-    last = [geometry.Hyperplane.make((gf3.zero, gf3.one), gf3.element(t)) for t in (1, 2)]
+    last = [geometry.Hyperplane((gf3.zero, gf3.one), gf3.element(t)) for t in (1, 2)]
     if not geometry.cover_verify(last, 2, 3, emb, excluded=[(1, 1)]).ok:
         return CriterionResult(8, "covers", False, "size q-1 cover with one exclusion failed to verify")
     planes = geometry.canonical_hyperplanes(gf3, 2)

@@ -112,59 +112,6 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
-class FieldSpec:
-    """Description of a field: prime(p), extension(p, k, modulus), or rational."""
-
-    __slots__ = ("kind", "p", "k", "modulus")
-
-    def __init__(self, kind, p=None, k=1, modulus=None):
-        self.kind = kind
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls("prime", p=p)
-
-    @classmethod
-    def extension(cls, p: int, k: int, modulus=None) -> "FieldSpec":
-        return cls("extension", p=p, k=k, modulus=tuple(modulus) if modulus else None)
-
-    @classmethod
-    def rational(cls) -> "FieldSpec":
-        return cls("rational")
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return (self.kind, self.p, self.k, self.modulus) == (other.kind, other.p, other.k, other.modulus)
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.k, self.modulus))
-
-    def __repr__(self):
-        if self.kind == "prime":
-            return f"FieldSpec.prime({self.p})"
-        if self.kind == "extension":
-            return f"FieldSpec.extension({self.p}, {self.k}, {self.modulus})"
-        return "FieldSpec.rational()"
-
-
-def parse_field_spec(text: str) -> FieldSpec:
-    """Parse `gf:p`, `gf:p^k`, or `rational`."""
-    text = text.strip()
-    if text == "rational":
-        return FieldSpec.rational()
-    if text.startswith("gf:"):
-        body = text[3:]
-        if "^" in body:
-            p_str, k_str = body.split("^", 1)
-            return FieldSpec.extension(int(p_str), int(k_str))
-        return FieldSpec.prime(int(body))
-    raise ValueError(f"bad field spec {text!r}: expected gf:p, gf:p^k, or rational")
-
-
 class FieldElement:
     """Immutable element of a Field; payload is canonical for its kind."""
 
@@ -265,9 +212,10 @@ class FieldElement:
 
 class Field:
     """Field handle: exact arithmetic, canonical element forms, printing.
-    Constructors set `spec` and `_hash = hash(spec)`, read by element hashes."""
+    Constructors set `key`, a tuple naming the field, and `_hash =
+    hash(key)`, read by element hashes; equal keys are equal fields."""
 
-    spec: FieldSpec
+    key: tuple
     char: int
     size: int | None  # None = infinite
 
@@ -296,7 +244,7 @@ class Field:
             return True
         if not isinstance(other, Field):
             return NotImplemented
-        return self.spec == other.spec
+        return self.key == other.key
 
     def __hash__(self):
         return self._hash
@@ -344,8 +292,8 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.spec = FieldSpec.prime(p)
-        self._hash = hash(self.spec)
+        self.key = ("prime", p)
+        self._hash = hash(self.key)
         self.p = p
         self.char = p
         self.size = p
@@ -413,8 +361,8 @@ class ExtensionField(Field):
         modulus = tuple(c % p for c in modulus)
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.spec = FieldSpec.extension(p, k, modulus)
-        self._hash = hash(self.spec)
+        self.key = ("extension", p, k, modulus)
+        self._hash = hash(self.key)
         self.p = p
         self.k = k
         self.modulus = modulus
@@ -518,8 +466,8 @@ class RationalField(Field):
     The two forms of one value are equal, hash equal and print alike."""
 
     def __init__(self):
-        self.spec = FieldSpec.rational()
-        self._hash = hash(self.spec)
+        self.key = ("rational",)
+        self._hash = hash(self.key)
         self.char = 0
         self.size = None
         self.zero = FieldElement(self, 0)
@@ -567,25 +515,22 @@ class RationalField(Field):
         return "QQ"
 
 
-_INTERNED: dict[FieldSpec, Field] = {}
-
-
-def field_make(spec: FieldSpec) -> Field:
-    """The one (immutable, shared) handle of a validated spec's field; an
-    extension spec with or without its default modulus gives the same one."""
-    field = _INTERNED.get(spec)
-    if field is None:
-        if spec.kind == "prime":
-            field = PrimeField(spec.p)
-        elif spec.kind == "extension":
-            field = ExtensionField(spec.p, spec.k, spec.modulus)
-        elif spec.kind == "rational":
-            field = RationalField()
-        else:
-            raise ValueError(f"unknown field kind {spec.kind!r}")
-        field = _INTERNED[spec] = _INTERNED.setdefault(field.spec, field)
-    return field
+_INTERNED: dict = {}  # spec string or field key -> the one shared handle
 
 
 def field_from_string(text: str) -> Field:
-    return field_make(parse_field_spec(text))
+    """The one shared handle of the field `gf:p`, `gf:p^k` (default
+    modulus) or `rational`, interned under the spec string and under the
+    field's key, so two spellings of one field give the same handle."""
+    field = _INTERNED.get(text)
+    if field is None:
+        spec = text.strip()
+        if spec == "rational":
+            field = RationalField()
+        elif spec.startswith("gf:"):
+            p, power, k = spec[3:].partition("^")
+            field = ExtensionField(int(p), int(k)) if power else PrimeField(int(p))
+        else:
+            raise ValueError(f"bad field spec {text!r}: expected gf:p, gf:p^k, or rational")
+        field = _INTERNED[text] = _INTERNED.setdefault(field.key, field)
+    return field

@@ -6,20 +6,23 @@ Point sets live in F^n for a finite field F of exactly q elements
 elements.  Directions and hyperplane normals are canonicalized so the
 first nonzero coordinate is 1.
 
-The searches run in index form: element i is `field.elements()[i]`, a
-point is a tuple of indices, and field arithmetic is a lookup in the q x q
-tables of `Field.tables()`, kept on the field and shared with the oracle.
-Results are converted back to field elements once, on return.
+The searches, verifiers and constructions run in index form: element i
+is `field.elements()[i]`, a point is a tuple of indices, and field
+arithmetic is a lookup in the q x q tables of `Field.tables()`, kept on the
+field and shared with the oracle.  Points are converted to indices once on
+entry and back to field elements once on return.  Only `Hyperplane` and
+`canonical_direction` work on field elements, since `cover_verify` also
+runs over Q.
 """
 
 import itertools
 import math
 from functools import reduce
-from operator import or_
+from operator import getitem, or_
 
 from .combinatorics import (Embedding, _data_lines, _split_top_level, count_increasing, increasing_sequences,
                             is_increasing)
-from .field import Field, FieldElement, FieldSpec, Tables, field_make
+from .field import Field, FieldElement, Tables, field_from_string
 from .oracle import standard_monomials, vanishing_polynomial
 from .poly import DEGLEX, monomials_up_to_degree
 
@@ -61,8 +64,7 @@ class PointSet:
         return iter(self.sorted_points())
 
     def sorted_points(self):
-        index = {e: i for i, e in enumerate(self.field.elements())}
-        return sorted(self.points, key=lambda p: tuple(index[x] for x in p))
+        return sorted(self.points, key=self.field.tables().ix)
 
     def __repr__(self):
         return f"PointSet(n={self.n}, size={len(self.points)})"
@@ -119,44 +121,11 @@ def _directions(tab: Tables, n: int) -> list:
 
 
 def _transversal(tab: Tables, n: int, pivot: int):
-    """Every index point with coordinate `pivot` zero, in product order."""
+    """Every index point with coordinate `pivot` zero, in product order:
+    one base per line in a direction with that pivot."""
     axes = [range(len(tab.elements))] * n
     axes[pivot] = (tab.zero,)
     return itertools.product(*axes)
-
-
-class Line:
-    """The q-point line {base + t*direction}; direction canonical, base
-    normalized to zero in the direction's pivot coordinate."""
-
-    __slots__ = ("field", "base", "direction", "pivot")
-
-    def __init__(self, field: Field, base, direction):
-        pivot, direction = canonical_direction(direction)
-        t = base[pivot]
-        base = tuple(b - t * d for b, d in zip(base, direction))
-        self.field = field
-        self.base = base
-        self.direction = direction
-        self.pivot = pivot
-
-    def points(self) -> frozenset:
-        return frozenset(tuple(b + t * d for b, d in zip(self.base, self.direction))
-                         for t in self.field.elements())
-
-    def punctured(self, at) -> frozenset:
-        return self.points() - {tuple(at)}
-
-    def __eq__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return (self.field, self.base, self.direction) == (other.field, other.base, other.direction)
-
-    def __hash__(self):
-        return hash((self.field, self.base, self.direction))
-
-    def __repr__(self):
-        return f"Line(base={self.base}, direction={self.direction})"
 
 
 class Hyperplane:
@@ -168,10 +137,6 @@ class Hyperplane:
     def __init__(self, normal, offset: FieldElement):
         pivot, self.normal = canonical_direction(normal)
         self.offset = offset / normal[pivot]
-
-    @classmethod
-    def make(cls, normal, offset):
-        return cls(tuple(normal), offset)
 
     def contains(self, point) -> bool:
         total = self.normal[0].field.zero
@@ -207,7 +172,7 @@ def parse_hyperplanes(text: str, field: Field, n: int) -> list[Hyperplane]:
         normal = [field.parse_element(s) for s in _split_top_level(left)]
         if len(normal) != n:
             raise ValueError(f"hyperplane {line!r} has {len(normal)} normal coordinates, expected {n}")
-        planes.append(Hyperplane.make(tuple(normal), field.parse_element(right)))
+        planes.append(Hyperplane(tuple(normal), field.parse_element(right)))
     return planes
 
 
@@ -217,7 +182,8 @@ def _require_ambient(field: Field, q: int):
 
 
 def _increasing_directions(tab: Tables, n: int, q: int, emb: Embedding) -> list:
-    """increasing_directions in index form."""
+    """Canonical representatives of the nonzero embedded nondecreasing
+    directions, in first-occurrence enumeration order."""
     images = tab.ix(emb.apply(range(1, q + 1)))
     seen = set()
     out = []
@@ -232,24 +198,12 @@ def _increasing_directions(tab: Tables, n: int, q: int, emb: Embedding) -> list:
     return out
 
 
-def increasing_directions(n: int, q: int, emb: Embedding) -> list:
-    """Canonical representatives of the nonzero embedded nondecreasing
-    directions, in first-occurrence enumeration order."""
-    tab = emb.field.tables()
-    return [tab.el(v) for v in _increasing_directions(tab, n, q, emb)]
-
-
-def all_canonical_directions(field: Field, n: int) -> list:
-    """Every canonical nonzero direction of F^n, deterministic order."""
-    tab = field.tables()
-    return [tab.el(v) for v in _directions(tab, n)]
-
-
-def transversal(field: Field, n: int, pivot: int):
-    """All base points with coordinate `pivot` equal to zero: exactly one
-    representative per line in a direction with that pivot."""
-    tab = field.tables()
-    return [tab.el(b) for b in _transversal(tab, n, pivot)]
+def _translates(tab: Tables, z, steps) -> list:
+    """z + s for each index offset s in steps: a line's points when steps
+    are every multiple of its direction, a punctured line's when the
+    multiple zero is left out."""
+    rows = [tab.add[a] for a in z]
+    return [tuple(map(getitem, rows, step)) for step in steps]
 
 
 def _lines(tab: Tables, n: int, v):
@@ -258,10 +212,8 @@ def _lines(tab: Tables, n: int, v):
     the line's q index points."""
     pivot = v.index(tab.one)
     steps = _multiples(tab, v, range(len(tab.elements)))
-    add = tab.add
     for base in _transversal(tab, n, pivot):
-        rows = [add[b] for b in base]
-        yield base, [tuple(r[s] for r, s in zip(rows, step)) for step in steps]
+        yield base, _translates(tab, base, steps)
 
 
 def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
@@ -356,7 +308,7 @@ def verify_nikodym(B: PointSet, emb: Embedding):
         z = tuple(images[s - 1] for s in seq)
         rows = [tab.add[a] for a in z]
         found = next((v for v, steps in directions
-                      if all(tuple(r[s] for r, s in zip(rows, step)) in points for step in steps)), None)
+                      if all(tuple(map(getitem, rows, step)) in points for step in steps)), None)
         if found is None:
             return NikodymCertificate((), tab.el(z))
         entries.append((tab.el(z), tab.el(found)))
@@ -477,9 +429,12 @@ def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int):
     poly = vanishing_polynomial(B.sorted_points(), q - 2, field=B.field, n=n)
     if poly is None:
         raise InconsistencyError("no vanishing polynomial despite |B| < column count")
+    tab = B.field.tables()
+    nonzero_ts = [t for t in range(q) if t != tab.zero]
     zeros = []
     for z, v in cert.entries:
-        punctured = Line(B.field, z, v).punctured(z)
+        _, v = _canonical(tab, tab.ix(v))  # rejects a zero direction
+        punctured = [tab.el(p) for p in _translates(tab, tab.ix(z), _multiples(tab, v, nonzero_ts))]
         if not all(p in B.points for p in punctured):
             raise CertificateError(f"certificate line through {z} leaves the set")
         if not all(poly.evaluate(p).is_zero for p in punctured):
@@ -535,8 +490,8 @@ def cover_verify(planes, n: int, q: int, emb: Embedding, excluded=()) -> CoverRe
 
 
 def canonical_hyperplanes(field: Field, n: int) -> list[Hyperplane]:
-    return [Hyperplane.make(v, off) for v in all_canonical_directions(field, n)
-            for off in field.elements()]
+    tab = field.tables()
+    return [Hyperplane(tab.el(v), off) for v in _directions(tab, n) for off in tab.elements]
 
 
 class CoverSearchResult:
@@ -585,7 +540,7 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
             masks[d * size + dot] |= 1 << j
 
     def plane(i):
-        return Hyperplane.make(tab.el(directions[i // size]), tab.elements[i % size])
+        return Hyperplane(tab.el(directions[i // size]), tab.elements[i % size])
 
     if not targets:
         return CoverSearchResult(0, [], bound)
@@ -639,15 +594,14 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
 def optimal_kakeya_f3() -> PointSet:
     """The known optimal 10-point increasing Kakeya set in F_3^3: six
     plane points plus three lines through (1,1,2)."""
-    field = field_make(FieldSpec.prime(3))
-    e = field.element
-    base_plane = [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 0), (0, 2, 1)]
-    points = {tuple(e(c) for c in p) for p in base_plane}
+    field = field_from_string("gf:3")
+    tab = field.tables()  # GF(3)'s element indices are its values
+    points = {(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 2), (0, 2, 0), (0, 2, 1)}
     for anchor, direction in [((0, 0, 1), (1, 1, 1)),
                               ((0, 0, 0), (1, 1, 2)),
                               ((0, 2, 0), (1, 2, 2))]:
-        points |= Line(field, tuple(e(c) for c in anchor), tuple(e(c) for c in direction)).points()
-    return PointSet(field, 3, points)
+        points.update(_translates(tab, anchor, _multiples(tab, direction, range(3))))
+    return PointSet(field, 3, map(tab.el, points))
 
 
 def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):

@@ -9,35 +9,32 @@ from incseq.field import (
     EXTENSION_SIZE_CAP,
     ExtensionField,
     Field,
-    FieldSpec,
     PrimeField,
     RationalField,
     default_modulus,
     field_from_string,
-    field_make,
     is_irreducible,
     is_prime,
-    parse_field_spec,
     smallest_prime_geq,
 )
 from incseq.poly import Polynomial
 
 
 def test_gf3_arithmetic():
-    f = field_make(FieldSpec.prime(3))
+    f = field_from_string("gf:3")
     assert (f.element(1) + f.element(2)).is_zero
     assert f.element(2) * f.element(2) == f.element(1)
     assert (-f.element(1)) == f.element(2)
 
 
 def test_rational_arithmetic():
-    f = field_make(FieldSpec.rational())
+    f = field_from_string("rational")
     assert (f.element(Fraction(1, 2)) + f.element(Fraction(1, 3))).value == Fraction(5, 6)
     assert f.element(Fraction(-3, 4)).inverse().value == Fraction(-4, 3)
 
 
 def test_gf4_generator_square():
-    f = field_make(FieldSpec.extension(2, 2))
+    f = field_from_string("gf:2^2")
     g = f.element((0, 1))
     assert g * g == g + f.one
 
@@ -148,11 +145,11 @@ def test_irreducibility_checker():
 
 
 def test_spec_string_roundtrip():
-    for text in ["gf:3", "gf:2^2", "rational"]:
-        spec = parse_field_spec(text)
-        assert field_make(spec).spec.kind == spec.kind
-    with pytest.raises(ValueError):
-        parse_field_spec("float:64")
+    for text, kind in [("gf:3", "prime"), ("gf:2^2", "extension"), ("rational", "rational")]:
+        assert field_from_string(text).key[0] == kind
+    for bad in ["float:64", "gf:", "gf:3^x"]:
+        with pytest.raises(ValueError):
+            field_from_string(bad)
 
 
 def test_element_formatting():
@@ -187,10 +184,12 @@ def test_zero_inverse_rejected():
 def test_fields_interned_by_spec():
     for text in ["gf:7", "gf:3^2", "rational"]:
         assert field_from_string(text) is field_from_string(text)
+    assert field_from_string(" gf:7 ") is field_from_string("gf:7")
     gf9 = field_from_string("gf:3^2")
-    assert field_make(FieldSpec.extension(3, 2, gf9.modulus)) is gf9
-    assert field_make(FieldSpec.extension(3, 2, (5, 2, 1))) is gf9  # (5, 2, 1) = (2, 2, 1) mod 3
-    override = field_make(FieldSpec.extension(3, 2, (1, 0, 1)))
+    assert ExtensionField(3, 2, gf9.modulus) == gf9
+    reduced = ExtensionField(3, 2, (5, 2, 1))  # (5, 2, 1) = (2, 2, 1) mod 3
+    assert reduced == gf9 and reduced.key == gf9.key == ("extension", 3, 2, (2, 2, 1))
+    override = ExtensionField(3, 2, (1, 0, 1))
     assert override is not gf9 and override != gf9
     assert field_from_string("gf:7") is not field_from_string("gf:5")
 
@@ -198,7 +197,7 @@ def test_fields_interned_by_spec():
 def test_element_hash_reads_the_cached_spec_hash(monkeypatch):
     gf7 = field_from_string("gf:7")
     separate = PrimeField(7)  # built directly, not interned
-    assert separate is not gf7 and separate == gf7
+    assert separate is not gf7 and separate == gf7 and separate.key == gf7.key == ("prime", 7)
     assert hash(separate.element(3)) == hash(gf7.element(3))
     assert {gf7.element(3): "x"}[separate.element(3)] == "x"
     q = field_from_string("rational")
@@ -207,7 +206,6 @@ def test_element_hash_reads_the_cached_spec_hash(monkeypatch):
     def no_hash(self):
         raise AssertionError(f"{type(self).__name__} hashed per element")
 
-    monkeypatch.setattr(FieldSpec, "__hash__", no_hash)
     monkeypatch.setattr(Field, "__hash__", no_hash)
     assert len({gf7.element(v) for v in range(20)}) == 7
 

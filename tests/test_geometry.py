@@ -10,17 +10,22 @@ from incseq.geometry import (
     BoundPass,
     CertificateError,
     Hyperplane,
-    Line,
     NikodymCertificate,
     PointSet,
+    _canonical,
+    _directions,
+    _increasing_directions,
+    _lines,
+    _multiples,
     _nikodym_chain,
-    all_canonical_directions,
+    _transversal,
+    _translates,
+    canonical_direction,
     canonical_hyperplanes,
     cover_search,
     cover_verify,
     format_hyperplane,
     format_points,
-    increasing_directions,
     kakeya_line_union_search,
     kakeya_lower_bound_check,
     line_star,
@@ -29,7 +34,6 @@ from incseq.geometry import (
     optimal_kakeya_f3,
     parse_hyperplanes,
     parse_points,
-    transversal,
     verify_kakeya,
     verify_nikodym,
 )
@@ -53,35 +57,49 @@ def _increasing_pointset(field, n, q, emb):
 
 # ---------------------------------------------------------------- lines
 
+def _line_set(tab, base, v):
+    """The points of the line base + t*v as a set of index tuples."""
+    return frozenset(_translates(tab, base, _multiples(tab, v, range(len(tab.elements)))))
+
+
 @pytest.mark.parametrize("spec", ["gf:2", "gf:3", "gf:2^2", "gf:5", "gf:7", "gf:2^3", "gf:3^2"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_line_cardinality(spec, n):
     field = field_from_string(spec)
-    els = field.elements()
-    base = tuple(els[i % len(els)] for i in range(n))
-    for v in all_canonical_directions(field, n):
-        assert len(Line(field, base, v).points()) == field.size
+    tab = field.tables()
+    for v in _directions(tab, n):
+        _, points = next(_lines(tab, n, v))
+        assert len(set(points)) == field.size
+    # the lines of a direction partition F^n: one direction per pivot
+    space = set(itertools.product(range(field.size), repeat=n))
+    for pivot in range(n):
+        covered = set()
+        for _, points in _lines(tab, n, (tab.zero,) * pivot + (tab.one,) * (n - pivot)):
+            assert len(set(points)) == field.size and covered.isdisjoint(points)
+            covered.update(points)
+        assert covered == space
 
 
 @pytest.mark.parametrize("spec", ["gf:3", "gf:2^2"])
 def test_line_scaling_invariance(spec):
     field = field_from_string(spec)
-    els = field.elements()
-    nonzero = [c for c in els if not c.is_zero]
-    base = (els[0], els[1])
-    for v in all_canonical_directions(field, 2):
-        reference = Line(field, base, v).points()
+    tab = field.tables()
+    nonzero = [c for c in range(field.size) if c != tab.zero]
+    for v in _directions(tab, 2):
+        reference = {frozenset(points) for _, points in _lines(tab, 2, v)}
         for c in nonzero:
-            scaled = tuple(c * x for x in v)
-            assert Line(field, base, scaled).points() == reference
+            scaled = tuple(tab.mul[c][x] for x in v)
+            assert _canonical(tab, scaled) == (v.index(tab.one), v)
+            assert {_line_set(tab, base, scaled) for base, _ in _lines(tab, 2, v)} == reference
 
 
 def test_line_base_shift_invariance():
-    # base shifted along the direction gives the same line object
-    v = _pt(GF3, 1, 1)
-    a = _pt(GF3, 1, 2)
-    shifted = tuple(x + GF3.element(2) * d for x, d in zip(a, v))
-    assert Line(GF3, a, v) == Line(GF3, shifted, v)
+    # every point of a line, taken as its base, gives the same line
+    tab = GF3.tables()
+    for v in _directions(tab, 2):
+        for base, points in _lines(tab, 2, v):
+            assert base in points
+            assert all(_line_set(tab, p, v) == frozenset(points) for p in points)
 
 
 def test_constructed_kakeya_sets_meet_dimension_bound():
@@ -99,21 +117,28 @@ def test_constructed_kakeya_sets_meet_dimension_bound():
 
 def test_zero_direction_rejected():
     with pytest.raises(ValueError):
-        Line(GF3, _pt(GF3, 0, 0), _pt(GF3, 0, 0))
+        canonical_direction(_pt(GF3, 0, 0))
+    with pytest.raises(ValueError):
+        _canonical(GF3.tables(), (0, 0))
 
 
 def test_canonical_direction_count():
-    assert len(all_canonical_directions(GF3, 2)) == 4
-    assert len(all_canonical_directions(GF3, 3)) == 13
+    assert len(_directions(GF3.tables(), 2)) == 4
+    assert len(_directions(GF3.tables(), 3)) == 13
     gf4 = field_from_string("gf:2^2")
-    assert len(all_canonical_directions(gf4, 2)) == 5
+    assert len(_directions(gf4.tables(), 2)) == 5
 
 
 def test_transversal_hits_every_line_once():
+    tab = GF3.tables()
     for pivot in (0, 1):
-        bases = transversal(GF3, 2, pivot)
+        bases = list(_transversal(tab, 2, pivot))
         assert len(bases) == 3
-        assert all(b[pivot].is_zero for b in bases)
+        assert all(b[pivot] == tab.zero for b in bases)
+        for v in _directions(tab, 2):
+            if v.index(tab.one) == pivot:
+                for b in bases:
+                    assert sum(base in _line_set(tab, b, v) for base in bases) == 1
 
 
 # ------------------------------------------------------------ point sets
@@ -140,7 +165,7 @@ def test_pointset_width_checked():
 def test_line_star_small():
     T = line_star(2, 3, GF3, E23)
     assert len(T) == 7
-    assert len(increasing_directions(2, 3, E23)) == 3
+    assert len(_increasing_directions(GF3.tables(), 2, 3, E23)) == 3
     assert len(T) <= line_star_size_bound(2, 3) == 9
 
 
@@ -174,7 +199,8 @@ def test_optimal_f3_example():
     assert verify_kakeya(K, E33, 3).ok
     shared = _pt(GF3, 1, 1, 2)
     for anchor, direction in [((0, 0, 1), (1, 1, 1)), ((0, 0, 0), (1, 1, 2)), ((0, 2, 0), (1, 2, 2))]:
-        assert shared in Line(GF3, _pt(GF3, *anchor), _pt(GF3, *direction)).points()
+        line = {tuple(a + t * d for a, d in zip(_pt(GF3, *anchor), _pt(GF3, *direction))) for t in GF3.elements()}
+        assert shared in line and line <= K.points
 
 
 def test_whole_space_is_kakeya():
@@ -241,7 +267,7 @@ def test_lower_bound_counterexample():
 
 def test_lower_bound_star_condition_checked():
     # a single line through the origin does not dominate degree-1 monomials
-    only_line = PointSet(GF3, 2, Line(GF3, _pt(GF3, 0, 0), _pt(GF3, 1, 0)).points())
+    only_line = PointSet(GF3, 2, [(t, GF3.zero) for t in GF3.elements()])
     K = optimal_kakeya_f3()
     J23 = _increasing_pointset(GF3, 2, 3, E23)
     with pytest.raises(ValueError):
@@ -308,13 +334,17 @@ def test_nikodym_bound_check_requires_certificate():
         nikodym_bound_check(PointSet(GF3, 2, []), E23)
 
 
+def _punctured(z, v):
+    """{z + t*v : t != 0} over GF(3), built on field elements."""
+    return {tuple(a + t * b for a, b in zip(z, v)) for t in GF3.elements() if not t.is_zero}
+
+
 def test_nikodym_chain_mechanics():
     # a fabricated one-entry certificate: the chain extends vanishing
     # from a punctured line to its center and emits the trace
     z = _pt(GF3, 0, 0)
     v = _pt(GF3, 0, 1)
-    punctured = Line(GF3, z, v).punctured(z)
-    B = PointSet(GF3, 2, punctured)
+    B = PointSet(GF3, 2, _punctured(z, v))
     fake = NikodymCertificate([(z, v)])
     trace = _nikodym_chain(B, E23, fake, bound=3)
     assert not trace.ok
@@ -324,18 +354,32 @@ def test_nikodym_chain_mechanics():
     bad = NikodymCertificate([(z, _pt(GF3, 1, 0))])
     with pytest.raises(CertificateError):
         _nikodym_chain(B, E23, bad, bound=3)
+    # so is one with a zero direction, even where its point lies in the set
+    with_z = PointSet(GF3, 2, B.points | {z})
+    with pytest.raises(ValueError, match="no direction"):
+        _nikodym_chain(with_z, E23, NikodymCertificate([(z, _pt(GF3, 0, 0))]), bound=3)
+
+
+def test_nikodym_chain_scaled_direction():
+    # a non-canonical certificate direction names the same punctured line
+    z = _pt(GF3, 0, 0)
+    B = PointSet(GF3, 2, _punctured(z, _pt(GF3, 0, 1)))
+    canonical = _nikodym_chain(B, E23, NikodymCertificate([(z, _pt(GF3, 0, 1))]), bound=3)
+    scaled = _nikodym_chain(B, E23, NikodymCertificate([(z, _pt(GF3, 0, 2))]), bound=3)
+    assert scaled.extended_zeros == canonical.extended_zeros == (z,)
+    assert scaled.poly == canonical.poly
 
 
 # ---------------------------------------------------------------- covers
 
 def test_sharp_cover_of_everything():
-    planes = [Hyperplane.make(_pt(GF3, 1, 0), GF3.element(t)) for t in range(3)]
+    planes = [Hyperplane(_pt(GF3, 1, 0), GF3.element(t)) for t in range(3)]
     result = cover_verify(planes, 2, 3, E23)
     assert result.ok and result.size == 3 and result.bound == 3
 
 
 def test_sharp_cover_with_exclusion():
-    planes = [Hyperplane.make(_pt(GF3, 0, 1), GF3.element(t)) for t in (1, 2)]
+    planes = [Hyperplane(_pt(GF3, 0, 1), GF3.element(t)) for t in (1, 2)]
     result = cover_verify(planes, 2, 3, E23, excluded=[(1, 1)])
     assert result.ok and result.size == 2 and result.bound == 2
     # without the exclusion the origin is uncovered
@@ -382,16 +426,16 @@ def test_search_guards():
 
 
 def test_hyperplane_canonicalization_and_io():
-    h = Hyperplane.make(_pt(GF3, 2, 1), GF3.element(1))
+    h = Hyperplane(_pt(GF3, 2, 1), GF3.element(1))
     assert h.normal == _pt(GF3, 1, 2)
     assert h.offset == GF3.element(2)
     text = format_hyperplane(h)
     assert parse_hyperplanes(text, GF3, 2) == [h]
     q = field_from_string("rational")
-    hq = Hyperplane.make((q.element(-2), q.element(4)), q.element(3))
+    hq = Hyperplane((q.element(-2), q.element(4)), q.element(3))
     assert hq.normal[0] == q.one
     with pytest.raises(ValueError):
-        Hyperplane.make(_pt(GF3, 0, 0), GF3.zero)
+        Hyperplane(_pt(GF3, 0, 0), GF3.zero)
     with pytest.raises(ValueError):
         parse_hyperplanes("1,0", GF3, 2)
 
@@ -415,11 +459,13 @@ def test_oracle_and_geometry_share_one_index_form(monkeypatch):
     assert len(standard_monomials(T.sorted_points())) == len(T)
     assert vanishing_polynomial(T.sorted_points(), 6) is not None  # 28 monomials, 21 points
     assert built == [f] and field_from_string("gf:5").tables() is f.tables()
-    # the paper example's field is the interned GF(3)
-    assert optimal_kakeya_f3().field is field_from_string("gf:3")
+    # the paper example is built on the interned GF(3)'s tables, once
+    gf3 = field_from_string("gf:3")
+    assert optimal_kakeya_f3().field is gf3 and optimal_kakeya_f3().field is gf3
+    assert built == [f, gf3]
     # above oracle.INDEX_TABLE_CAP the scan runs on payloads, with no tables
     big = field_from_string("gf:257")
     assert standard_monomials([(big.element(1),), (big.element(2),)]) == {(0,), (1,)}
-    assert built == [f]
+    assert built == [f, gf3]
     with pytest.raises(ValueError, match="infinite"):
         field_from_string("rational").tables()

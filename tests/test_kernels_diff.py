@@ -34,7 +34,6 @@ from incseq.geometry import (
     InconsistencyError,
     KakeyaBoundCounterexample,
     KakeyaCertificate,
-    Line,
     NikodymCertificate,
     PointSet,
     _require_ambient,
@@ -352,10 +351,9 @@ def reference_line_star(n, q, field, emb):
     _require_ambient(field, q)
     if emb.field != field:
         raise ValueError("embedding field differs from the ambient field")
-    origin = (field.zero,) * n
-    points = {origin}
+    points = {(field.zero,) * n}
     for v in reference_increasing_directions(n, q, emb):
-        points |= Line(field, origin, v).points()
+        points |= {tuple(t * d for d in v) for t in field.elements()}
     return PointSet(field, n, points)
 
 
@@ -458,7 +456,7 @@ def reference_cover_targets(n, q, emb, excluded):
 
 
 def reference_canonical_hyperplanes(field, n):
-    return [Hyperplane.make(v, off) for v in reference_all_canonical_directions(field, n)
+    return [Hyperplane(v, off) for v in reference_all_canonical_directions(field, n)
             for off in field.elements()]
 
 
