@@ -209,15 +209,15 @@ def cmd_nonvanish(args) -> int:
 def cmd_oracle(args) -> int:
     builtin = None
     if args.builtin:
-        kind, spec = args.builtin.split(":", 1)
-        n, q = (int(v) for v in spec.split(","))
+        kind, _, spec = args.builtin.partition(":")
+        parts = [v.strip() for v in spec.split(",")]
+        if kind not in ("jnq", "sjnq") or len(parts) != 2 or not all(v.isdecimal() for v in parts):
+            raise ValueError(f"bad builtin {args.builtin!r}: expected jnq:n,q or sjnq:n,q")
+        n, q = map(int, parts)
         if args.q is not None and q != args.q:
             raise ValueError("--q disagrees with the builtin spec")
-        strict = {"jnq": False, "sjnq": True}.get(kind)
-        if strict is None:
-            raise ValueError(f"unknown builtin {kind!r}: expected jnq:n,q or sjnq:n,q")
         args.q = q
-        builtin = (n, q, strict)
+        builtin = (n, q, kind == "sjnq")
     if args.points:
         if args.n is None:
             raise ValueError("--n is required with --points")
@@ -297,8 +297,11 @@ def cmd_kakeya(args) -> int:
     if args.kakeya_op == "build-t":
         if args.n is None:
             raise ValueError("--n is required")
-        T = geometry.line_star(args.n, args.q, field, emb)
         bound = geometry.line_star_size_bound(args.n, args.q)
+        if bound > geometry.VERIFY_WORK_CAP:
+            raise ValueError(f"the line star for n={args.n}, q={args.q} may hold {bound} points, "
+                             f"above the cap {geometry.VERIFY_WORK_CAP}")
+        T = geometry.line_star(args.n, args.q, field, emb)
         payload = {"n": args.n, "q": args.q, "size": len(T), "size_bound": bound,
                    "points": geometry.format_points(T).splitlines()}
         _emit(args, payload, [f"size: {len(T)} (bound {bound})"] + payload["points"])

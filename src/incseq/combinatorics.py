@@ -131,13 +131,9 @@ def _split_top_level(text: str) -> list[str]:
 
 def increasing_sequences(n: int, q: int, strict: bool = False) -> list[tuple[int, ...]]:
     """All (strictly) nondecreasing length-n sequences over [q], lex order."""
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be >= 1")
-    if strict:
-        return list(combinations(range(1, q + 1), n))
-    if count_increasing(n, q) > ENUMERATION_CAP:
+    if count_increasing(n, q, strict) > ENUMERATION_CAP:
         raise ValueError(f"refusing to enumerate more than {ENUMERATION_CAP} sequences")
-    return list(combinations_with_replacement(range(1, q + 1), n))
+    return list((combinations if strict else combinations_with_replacement)(range(1, q + 1), n))
 
 
 def count_increasing(n: int, q: int, strict: bool = False) -> int:

@@ -3,11 +3,18 @@
 Three kinds behind one interface: prime fields GF(p), small extension
 fields GF(p^k) with table-based arithmetic, and arbitrary-precision
 rationals.  All arithmetic is exact; elements are immutable.
+
+A finite field's payload is its element index: the int i in range(q)
+with `elements()[i].value == i`.  For GF(p) that is the residue; for
+GF(p^k) it is the int whose base-p digits are the element's
+coefficients, constant term least significant.
 """
 
 from fractions import Fraction
+from operator import mul
 
 EXTENSION_SIZE_CAP = 1 << 16
+TABLE_SIZE_CAP = 1 << 10  # largest finite field given q x q tables (`Field.tables()`)
 
 # Built-in moduli (Conway polynomials), coefficients from the constant
 # term up, monic.
@@ -77,6 +84,11 @@ def _polymul_mod(a: list[int], b: list[int], m: tuple[int, ...], p: int) -> list
     return _polymod(prod, m, p)
 
 
+def _digits(n: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of n, least significant first."""
+    return [n // p**j % p for j in range(k)]
+
+
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Exhaustive divisor test: no monic factor of degree 1..k//2."""
     k = len(modulus) - 1
@@ -84,13 +96,7 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
         return False
     for d in range(1, k // 2 + 1):
         for enc in range(p**d):
-            div = []
-            e = enc
-            for _ in range(d):
-                div.append(e % p)
-                e //= p
-            div.append(1)
-            if not _polymod(list(modulus), tuple(div), p):
+            if not _polymod(list(modulus), tuple(_digits(enc, p, d) + [1]), p):
                 return False
     return True
 
@@ -100,13 +106,8 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     if (p, k) in _BUILTIN_MODULI:
         return _BUILTIN_MODULI[(p, k)]
     for enc in range(p**k):
-        coeffs = []
-        e = enc
-        for _ in range(k):
-            coeffs.append(e % p)
-            e //= p
-        coeffs.reverse()  # scan high-degree coefficients as most significant
-        cand = tuple(coeffs) + (1,)
+        # scan high-degree coefficients as most significant
+        cand = tuple(reversed(_digits(enc, p, k))) + (1,)
         if is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible polynomial of degree {k} over GF({p})")
@@ -233,8 +234,9 @@ class Field:
     _tables = None
 
     def tables(self) -> "Tables":
-        """The field's index form, built on first use and kept on the field
-        (so once per interned field); ValueError for an infinite field."""
+        """The field's q x q tables, built on first use and kept on the
+        field (so once per interned field); ValueError for an infinite
+        field or one of more than TABLE_SIZE_CAP elements."""
         if self._tables is None:
             self._tables = Tables(self)
         return self._tables
@@ -251,37 +253,32 @@ class Field:
 
 
 class Tables:
-    """Index form of a finite field: element i is `elements[i]`, `index`
-    maps a raw payload to its index, and add, mul, neg and inv are tables
-    on indices (inv[zero] is None).  A finite field's element i is the
-    base-p digit string of i, the constant term least significant, so add
-    works digit by digit; mul comes from the field (`_index_mul`)."""
+    """A finite field's add, mul, neg and inv tabulated on its payloads,
+    which are its element indices range(q) (inv[0] is None); element i
+    is `elements[i]`."""
 
-    __slots__ = ("field", "elements", "index", "zero", "one", "add", "mul", "neg", "inv")
+    __slots__ = ("field", "elements", "zero", "one", "add", "mul", "neg", "inv")
 
     def __init__(self, field: Field):
-        elements = field.elements()
-        p = field.char
-        digits = [[(a + b) % p for b in range(p)] for a in range(p)]
-        add = [[0]]
-        while len(add) < len(elements):  # the table of p^(j+1) elements from that of p^j
-            add = [[d + p * s for s in row for d in low] for row in add for low in digits]
+        if field.size is not None and field.size > TABLE_SIZE_CAP:
+            raise ValueError(f"{field!r} has {field.size} elements, above the cap "
+                             f"{TABLE_SIZE_CAP} for q x q tables")
         self.field = field
-        self.elements = elements
-        self.index = {e.value: i for i, e in enumerate(elements)}
-        self.zero = self.index[field.zero.value]
-        self.one = self.index[field.one.value]
-        self.add = add
-        self.mul = field._index_mul()
-        self.neg = [row.index(self.zero) for row in add]
-        self.inv = [None if i == self.zero else row.index(self.one) for i, row in enumerate(self.mul)]
+        self.elements = field.elements()  # ValueError for an infinite field
+        self.zero, self.one = field.zero.value, field.one.value
+        r = range(len(self.elements))
+        fadd, fmul = field._add, field._mul
+        self.add = [[fadd(a, b) for b in r] for a in r]
+        self.mul = [[fmul(a, b) for b in r] for a in r]
+        self.neg = [field._neg(a) for a in r]
+        self.inv = [None] + [field._inv(a) for a in r[1:]]
 
     def ix(self, p) -> tuple:
         """The index tuple of a point over this field."""
         field = self.field
         if any(x.field is not field and x.field != field for x in p):
             raise ValueError(f"point {p} is not over {field!r}")
-        return tuple(self.index[x.value] for x in p)
+        return tuple(x.value for x in p)
 
     def el(self, p) -> tuple:
         """The field-element tuple of an index tuple."""
@@ -327,10 +324,6 @@ class PrimeField(Field):
     def elements(self):
         return [FieldElement(self, i) for i in range(self.p)]
 
-    def _index_mul(self):
-        r = range(self.p)
-        return [[a * b % self.p for b in r] for a in r]
-
     def format_element(self, x: FieldElement) -> str:
         return str(x.value)
 
@@ -342,10 +335,13 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """GF(p^k) via log/exp tables over a multiplicative generator.
+    """GF(p^k) by Zech logarithms over a multiplicative generator g.
 
-    Elements are coefficient tuples of length k over GF(p), constant
-    term first; the modulus is monic irreducible of degree k.
+    The modulus is monic irreducible of degree k.  A nonzero payload x (an
+    element index, see the module docstring) is g^log[x], and exp[i] = g^i.
+    x + y = g^(log x + zech[log y - log x]), where zech[n] = log(1 + g^n),
+    None where 1 + g^n = 0.  exp and zech are doubled, so a sum or
+    difference of two logs needs no reduction.
     """
 
     def __init__(self, p: int, k: int, modulus=None):
@@ -368,40 +364,32 @@ class ExtensionField(Field):
         self.modulus = modulus
         self.char = p
         self.size = p**k
-        self.zero = FieldElement(self, (0,) * k)
-        one = (1,) + (0,) * (k - 1)
-        self.one = FieldElement(self, one)
+        self.zero = FieldElement(self, 0)
+        self.one = FieldElement(self, 1)
         self._build_tables()
-
-    def _pad(self, coeffs) -> tuple[int, ...]:
-        coeffs = list(coeffs)[: self.k]
-        return tuple((coeffs + [0] * self.k)[: self.k])
 
     def _build_tables(self):
         p, size = self.p, self.size
-        one = self.one.value
-        for enc in range(1, size):
-            cand = self._tuple_from_index(enc)
-            powers = []  # g^1, g^2, ..., ending with g^ord = 1
-            x = one
+        place = [p**j for j in range(self.k)]
+        for enc in range(2, size):
+            g = _digits(enc, p, self.k)
+            exp, x = [1], [1]  # g^0, g^1, ... as payloads; x is the last power's coefficients
             while True:
-                x = self._pad(_polymul_mod(list(x), list(cand), self.modulus, p))
-                powers.append(x)
-                if x == one:
+                x = _polymul_mod(x, g, self.modulus, p)
+                if x == [1]:
                     break
-            if len(powers) == size - 1:
-                self._exp = [one] + powers[:-1]  # exp[i] = g^i, i = 0..size-2
+                exp.append(sum(map(mul, x, place)))
+            if len(exp) == size - 1:
                 break
         else:
             raise ValueError("no multiplicative generator found (modulus not irreducible?)")
-        self._log = {t: i for i, t in enumerate(self._exp)}
-
-    def _tuple_from_index(self, idx: int) -> tuple[int, ...]:
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return tuple(coeffs)
+        log = [None] * size
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._exp, self._log = exp * 2, log
+        self._neg_one = (size - 1) // 2 if p > 2 else 0  # log(-1)
+        # 1 + g^n adds 1 to the constant digit of g^n, mod p
+        self._zech = [log[x + 1 if x % p != p - 1 else x + 1 - p] for x in exp] * 2
 
     def _canon(self, value):
         if isinstance(value, FieldElement):
@@ -409,42 +397,47 @@ class ExtensionField(Field):
                 raise ValueError("element from a different field")
             return value.value
         if isinstance(value, (int, float, Fraction)):
-            return self._pad([_exact_int(value, self) % self.p])
+            return _exact_int(value, self) % self.p
         value = tuple(value)
         if len(value) != self.k:
             raise ValueError(f"{value!r} has {len(value)} coefficients, {self!r} needs {self.k}")
-        return tuple(_exact_int(c, self) % self.p for c in value)
+        return sum(_exact_int(c, self) % self.p * self.p**j for j, c in enumerate(value))
 
     def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        if not b:
+            return a
+        lb = self._log[b] + self._neg_one  # log(-b)
+        if not a:
+            return self._exp[lb]
+        la = self._log[a]
+        z = self._zech[lb - la]
+        return 0 if z is None else self._exp[la + z]
 
     def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._exp[self._log[a] + self._neg_one] if a else 0
 
     def _mul(self, a, b):
-        if not any(a) or not any(b):
-            return self.zero.value
-        return self._exp[(self._log[a] + self._log[b]) % (self.size - 1)]
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def _inv(self, a):
-        if not any(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.size - 1)]
+        return self._exp[self.size - 1 - self._log[a]]
 
     def elements(self):
-        return [FieldElement(self, self._tuple_from_index(i)) for i in range(self.size)]
-
-    def _index_mul(self):
-        """The mul table on element indices, from the log/exp tables."""
-        exp = [sum(c * self.p**j for j, c in enumerate(t)) for t in self._exp] * 2
-        logs = [self._log[self._tuple_from_index(i)] for i in range(1, self.size)]
-        return [[0] * self.size] + [[0] + [exp[a + b] for b in logs] for a in logs]
+        return [FieldElement(self, i) for i in range(self.size)]
 
     def format_element(self, x: FieldElement) -> str:
-        return "[" + ",".join(str(c) for c in x.value) + "]"
+        return "[" + ",".join(map(str, _digits(x.value, self.p, self.k))) + "]"
 
     def parse_element(self, s: str) -> FieldElement:
         s = s.strip()

@@ -6,11 +6,12 @@ Point sets live in F^n for a finite field F of exactly q elements
 elements.  Directions and hyperplane normals are canonicalized so the
 first nonzero coordinate is 1.
 
-The searches, verifiers and constructions run in index form: element i
-is `field.elements()[i]`, a point is a tuple of indices, and field
-arithmetic is a lookup in the q x q tables of `Field.tables()`, kept on the
-field and shared with the oracle.  Points are converted to indices once on
-entry and back to field elements once on return.  Only `Hyperplane` and
+The searches, verifiers and constructions run in index form: a finite
+field's payloads are its element indices (element i is
+`field.elements()[i]`), a point is a tuple of them, and field arithmetic
+is a lookup in the q x q tables of `Field.tables()`, kept on the field and
+shared with the oracle.  Points are unwrapped to payloads once on entry
+and wrapped back into field elements once on return.  Only `Hyperplane` and
 `canonical_direction` work on field elements, since `cover_verify` also
 runs over Q.
 """
@@ -29,7 +30,7 @@ from .poly import DEGLEX, monomials_up_to_degree
 COVER_POINT_CAP = 10**4
 COVER_PLANE_CAP = 10**3
 LINE_UNION_CAP = 10**6
-VERIFY_WORK_CAP = 10**7  # points a CLI `kakeya verify` or `nikodym verify` may test
+VERIFY_WORK_CAP = 10**7  # points a CLI `kakeya verify` or `nikodym verify` may test, or `build-t` build
 
 
 class InconsistencyError(RuntimeError):

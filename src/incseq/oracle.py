@@ -12,22 +12,16 @@ from .field import Field, FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder
 
 ORACLE_POINT_CAP = 2000  # points the CLI will scan (1,716 for jnq:7,7)
-INDEX_TABLE_CAP = 256  # largest finite field the scan runs on element indices
+INDEX_TABLE_CAP = 256  # largest finite field the scan runs on table lookups
 
 
 class _IndexOps:
-    """Scan arithmetic on element indices through the field's cached
-    tables: one table lookup per cell, no call."""
+    """Scan arithmetic through the field's cached tables, on payloads that
+    are element indices: one table lookup per cell, no call."""
 
     def __init__(self, field: Field):
         self.tab = field.tables()
         self.zero, self.one = self.tab.zero, self.tab.one
-
-    def lift(self, x: FieldElement):
-        return self.tab.index[x.value]
-
-    def payload(self, i):
-        return self.tab.elements[i].value
 
     def mul(self, a, b):
         return self.tab.mul[a][b]
@@ -50,18 +44,12 @@ class _IndexOps:
 
 
 class _PayloadOps:
-    """Scan arithmetic on raw payloads through the field's own methods: the
-    only way for Q, and the way for finite fields above INDEX_TABLE_CAP."""
+    """Scan arithmetic through the field's own methods: the only way for
+    Q, and the way for finite fields above INDEX_TABLE_CAP."""
 
     def __init__(self, field: Field):
         self.zero, self.one = field.zero.value, field.one.value
         self.mul, self.inv, self._sub = field._mul, field._inv, field._sub
-
-    def lift(self, x: FieldElement):
-        return x.value
-
-    def payload(self, a):
-        return a
 
     def times(self, u, v):
         mul = self.mul
@@ -80,10 +68,11 @@ class _PayloadOps:
 def _scan(pts, order: TermOrder, max_degree: int | None):
     """Buchberger-Moller scan over distinct points.
 
-    Over a finite field of at most INDEX_TABLE_CAP elements the values are
-    element indices and each cell is a lookup in the field's cached index
-    tables (`Field.tables()`); over Q and larger finite fields they are
-    raw payloads under the field's own arithmetic.  The scan is the same.
+    The values are payloads (for a finite field, element indices).  Over a
+    finite field of at most INDEX_TABLE_CAP elements each cell is a lookup
+    in the field's cached tables (`Field.tables()`); over Q and larger
+    finite fields it is a call of the field's own arithmetic.  The scan is
+    the same.
 
     Candidate monomials come off a heap in ascending term order, and
     only multiples of kept monomials are candidates (a multiple of a
@@ -112,7 +101,7 @@ def _scan(pts, order: TermOrder, max_degree: int | None):
                 raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
     ops = (_IndexOps if field.size is not None and field.size <= INDEX_TABLE_CAP else _PayloadOps)(field)
     zero = ops.zero
-    columns = [[ops.lift(p[i]) for p in pts] for i in range(n)]
+    columns = [[p[i].value for p in pts] for i in range(n)]
     target = len(pts)
     kept = []
     values = {}  # kept monomial -> its values at the points
@@ -135,7 +124,7 @@ def _scan(pts, order: TermOrder, max_degree: int | None):
         if pivot is None:
             if max_degree is None:
                 continue
-            return kept, (m, [ops.payload(b) for b in _back_substitute(ops, rows, multipliers)])
+            return kept, (m, _back_substitute(ops, rows, multipliers))
         s = ops.inv(res[pivot])
         rows.append((pivot, ops.scale(res[pivot:], s), s, multipliers))
         kept.append(m)

@@ -362,6 +362,66 @@ def test_oversized_verify_refused_up_front(capsys, monkeypatch, tmp_path, kind):
     assert run(capsys, kind, "verify", "--n", "2", "--q", "5", "--in", str(star))[0] == 2
 
 
+def test_oversized_line_star_refused_up_front(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "line_star", lambda *a: pytest.fail("built the line star"))
+    bound = geometry.line_star_size_bound(3, 101)
+    assert bound == 17675101 > geometry.VERIFY_WORK_CAP
+    code, out, err = run(capsys, "kakeya", "build-t", "--n", "3", "--q", "101")
+    assert code == 2 and out == ""
+    assert err == (f"error: the line star for n=3, q=101 may hold {bound} points, "
+                   f"above the cap {geometry.VERIFY_WORK_CAP}\n")
+    # the cap itself is accepted
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5))
+    assert run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")[0] == 0
+    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5) - 1)
+    assert run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")[0] == 2
+
+
+def test_oversized_tables_refused_before_building(capsys, monkeypatch, tmp_path):
+    from incseq import field as field_module
+
+    # n = 1, q = 3001 passes the verify cap (9,006,001 points) but would
+    # need 3001 x 3001 tables; refused before any row is built
+    assert geometry.verify_work("kakeya", 1, 3001) <= geometry.VERIFY_WORK_CAP
+    monkeypatch.setattr(field_module.PrimeField, "elements", lambda *a: pytest.fail("tabulated"))
+    points = tmp_path / "points.txt"
+    points.write_text("0\n")
+    code, out, err = run(capsys, "kakeya", "verify", "--n", "1", "--q", "3001", "--in", str(points))
+    assert code == 2 and out == ""
+    assert err == f"error: GF(3001) has 3001 elements, above the cap {field_module.TABLE_SIZE_CAP} for q x q tables\n"
+    # the cap itself is accepted
+    monkeypatch.undo()
+    monkeypatch.setattr(field_module, "_INTERNED", {})
+    monkeypatch.setattr(field_module, "TABLE_SIZE_CAP", 5)
+    assert run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")[0] == 0
+    monkeypatch.setattr(field_module, "_INTERNED", {})
+    monkeypatch.setattr(field_module, "TABLE_SIZE_CAP", 4)
+    code, _, err = run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")
+    assert code == 2 and err == "error: GF(5) has 5 elements, above the cap 4 for q x q tables\n"
+
+
+@pytest.mark.parametrize("kind,q,count", [("full", 10, 55), ("strict", 10, 45)])
+def test_enumeration_cap_covers_both_kinds(capsys, monkeypatch, kind, q, count):
+    from incseq import combinatorics
+
+    assert combinatorics.count_increasing(2, q, kind == "strict") == count
+    argv = ["nonvanish", "--kind", kind, "--n", "2", "--q", str(q), "--field", "gf:11", "--poly", "x1"]
+    monkeypatch.setattr(combinatorics, "ENUMERATION_CAP", count - 1)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: refusing to enumerate more than {count - 1} sequences\n"
+    monkeypatch.setattr(combinatorics, "ENUMERATION_CAP", count)
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["jnq", "jnq:3", "jnq:a,b", "jnq:2,3,4", "jnq:2,-3", "kjnq:2,3"])
+def test_oracle_builtin_misuse_names_the_form(capsys, spec):
+    code, out, err = run(capsys, "oracle", "sm", "--builtin", spec)
+    assert code == 2 and out == ""
+    assert err == f"error: bad builtin {spec!r}: expected jnq:n,q or sjnq:n,q\n"
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-n", "2", "--max-q", "2", "--format", "json")
     assert code == 0
@@ -634,6 +694,83 @@ def test_oracle_bytes_pinned(tmp_path, capsys, source, op, order, field, fmt):
     code, out, _ = run(capsys, *oracle_argv(source, op, order, field, fmt, tmp_path / "points.txt"))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_PINS[(source, op, order, field, fmt)]
+
+
+# SHA-256 of `gb`, `interp --point` and `oracle sm|vanish` stdout over two
+# more extension fields: GF(2^3), where -1 = 1, and GF(5^2), an odd
+# characteristic other than 3.  n = 3, q = 5 on a list embedding (neither
+# field has a grid of 5 points) and, for `oracle --points`, on twelve
+# points taken from every element with one repeated.  Pinned from the
+# implementation whose GF(p^k) payloads were coefficient tuples.
+EXTENSION_EMBEDDINGS = {
+    "gf:2^3": "list:[0,1,0],[1,1,0],[0,0,0],[1,0,1],[0,1,1]",
+    "gf:5^2": "list:[2,1],[0,3],[4,4],[1,0],[3,2]",
+}
+EXTENSION_PINS = {
+    ("gb-downset", "gf:2^3", "json"): "943371a2883be0e6aaeb39aaa050ac32f4fa435b168f790fcfce78950f6df740",
+    ("gb-downset", "gf:2^3", "text"): "89844d98a991a7aa7b433b748a17eb553e7bc5d908c63ea4b59e7d981cee3927",
+    ("gb-downset", "gf:5^2", "json"): "f1fb2cc774cea24ea4e1df34e76259c6b4075b81062467776704ce128f70c9eb",
+    ("gb-downset", "gf:5^2", "text"): "36c72789d533ed4b041933de899e794085a497ec133e08324543b0f74e0f21f2",
+    ("gb-full", "gf:2^3", "json"): "6c500bf140e45daba7ea5828ceea88ebcdc9c78ddbd594b8d26b99d46389980b",
+    ("gb-full", "gf:2^3", "text"): "0f0519638ed5f9d34a04d0e7ff5fe0702e2c59f550e6d07042729f682aaa1303",
+    ("gb-full", "gf:5^2", "json"): "a266af3c75c573c994fa3998bcb46e87f89c69f20383b593965ae8414985c603",
+    ("gb-full", "gf:5^2", "text"): "0648f34c5e4e867444fab8a86446531b592b1ebc00f55438ab862f129dd07300",
+    ("gb-strict", "gf:2^3", "json"): "4dbd2aa4d47262d89a6ec3a28790c9ca26f11c5598cea8d7229a5ffc6ab2abcb",
+    ("gb-strict", "gf:2^3", "text"): "2e8a3d385337167405d7f02f892ba2c9484eab7d3676f952ff50103399706a83",
+    ("gb-strict", "gf:5^2", "json"): "3f6205be3000ee3929f85623acf1760c2104239197f830a0aef249ecb8000bc3",
+    ("gb-strict", "gf:5^2", "text"): "a6c257f92b3434957cbf9c8dda2c6266cea0d1ea7e8993751ebc95cbf8f4135d",
+    ("interp", "gf:2^3", "json"): "437840b586dafb4f7ac9e0d0211ca5eb675def4fa0ccafb9e6ddab94d5dfac1a",
+    ("interp", "gf:2^3", "text"): "1347cd4ee1ef5a3ce73dd8f9ef03da993bed79de752418eab959e6fc55b8742e",
+    ("interp", "gf:5^2", "json"): "77fca2bbef0ed224562a9427e34d566eba8474b50c728a869a0e23fa2ac2b24d",
+    ("interp", "gf:5^2", "text"): "18d9e6d40241967b0d18e4d3c62194052a91fa97e0686402b63b3aa56d8464c3",
+    ("jnq-sm", "gf:2^3", "json"): "b6af88394aff2fe403e117e24953a391dc5cf45190fce991ec9bcfdaf2252223",
+    ("jnq-sm", "gf:2^3", "text"): "77eb8c1617b01f4361700430c823d4afcaf83fec6e793f3555756eb75014389e",
+    ("jnq-sm", "gf:5^2", "json"): "b6af88394aff2fe403e117e24953a391dc5cf45190fce991ec9bcfdaf2252223",
+    ("jnq-sm", "gf:5^2", "text"): "77eb8c1617b01f4361700430c823d4afcaf83fec6e793f3555756eb75014389e",
+    ("jnq-vanish", "gf:2^3", "json"): "10091ac4c358a80b99bb6516d50531071e5e08161588880b46e1458604f841ac",
+    ("jnq-vanish", "gf:2^3", "text"): "d87c8250340f4fec8885b14a869f6be31925f0a9e39ff3281260098fc5567171",
+    ("jnq-vanish", "gf:5^2", "json"): "0be93141eaab849d134a38ff02a02c41a09f2b6dab4164614471a08f864119d9",
+    ("jnq-vanish", "gf:5^2", "text"): "b6df3fd2eb09779455c52ae8d148003b9e49af6656cf6ee7383cff626f230cb1",
+    ("points-sm", "gf:2^3", "json"): "c3cca43e351076fc8921e915435dd292c06e566ce14fa690b8a6251eca57b9e8",
+    ("points-sm", "gf:2^3", "text"): "a47ca4d57e1479de196a2e9ef1b2a1eac4e1fb45846b70729712b6153fd1bd89",
+    ("points-sm", "gf:5^2", "json"): "c3cca43e351076fc8921e915435dd292c06e566ce14fa690b8a6251eca57b9e8",
+    ("points-sm", "gf:5^2", "text"): "a47ca4d57e1479de196a2e9ef1b2a1eac4e1fb45846b70729712b6153fd1bd89",
+    ("points-vanish", "gf:2^3", "json"): "bb8ae63b425bc1674d68855f4cd2cc76aab004e7ca1d5babaddfa81a3e28c368",
+    ("points-vanish", "gf:2^3", "text"): "86de0b96d5a1c15192c43b200987daff916335445598ec3f58faa2c422e17a33",
+    ("points-vanish", "gf:5^2", "json"): "31112576ec02a6d3b5e5586eeb36024a25b750bc00009aacf7e9df2cb7c11b6b",
+    ("points-vanish", "gf:5^2", "text"): "4b04c1d0c45570f3fe77ed37a8d5ee46f50670e2e8b56625305f52c2b1010da1",
+}
+
+
+def extension_argv(case, field, fmt, tmp_path):
+    common = ["--n", "3", "--q", "5", "--field", field, "--embedding", EXTENSION_EMBEDDINGS[field],
+              "--format", fmt]
+    command, _, op = case.partition("-")
+    if command == "gb":
+        downset = tmp_path / "downset.txt"
+        downset.write_text("\n".join(GB_DOWNSET) + "\n")
+        return ["gb", "--kind", op, "--downset-file", str(downset)] + common
+    if command == "interp":
+        return ["interp", "--point", "2,2,3", "--factored"] + common
+    if command == "jnq":
+        source = ["--builtin", "jnq:3,5"]
+    else:
+        p, k = (int(v) for v in field[3:].split("^"))
+        vals = ["[" + ",".join(str(i // p**j % p) for j in range(k)) + "]" for i in range(p**k)]
+        rows = [(vals[j % len(vals)], vals[(j * j + 1) % len(vals)], vals[(j // 3 + 2 * j) % len(vals)])
+                for j in range(12)]
+        points = tmp_path / "points.txt"
+        points.write_text("\n".join(",".join(r) for r in rows + rows[4:5]) + "\n")
+        source = ["--points", str(points)]
+    maxdeg = ["--maxdeg", "5" if command == "jnq" else "3"] if op == "vanish" else []
+    return ["oracle", op] + source + common + maxdeg
+
+
+@pytest.mark.parametrize("case,field,fmt", sorted(EXTENSION_PINS))
+def test_extension_field_bytes_pinned(tmp_path, capsys, case, field, fmt):
+    code, out, _ = run(capsys, *extension_argv(case, field, fmt, tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXTENSION_PINS[(case, field, fmt)]
 
 
 # SHA-256 of the exit code and stdout of `incseq kakeya`, `nikodym` and

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -332,7 +333,7 @@ def test_index_tables_match_payload_arithmetic(spec):
     tab = f.tables()
     values = [e.value for e in f.elements()]
     assert [e.value for e in tab.elements] == values
-    assert all(tab.index[v] == i for i, v in enumerate(values))
+    assert values == list(range(f.size))
     assert (tab.elements[tab.zero], tab.elements[tab.one]) == (f.zero, f.one)
     for i, a in enumerate(values):
         assert tab.elements[tab.neg[i]].value == f._neg(a)
@@ -341,3 +342,42 @@ def test_index_tables_match_payload_arithmetic(spec):
             assert tab.elements[tab.add[i][j]].value == f._add(a, b)
             assert tab.elements[tab.mul[i][j]].value == f._mul(a, b)
 
+
+def _vector_mul(a, b, p, modulus):
+    """Schoolbook product of two coefficient vectors (constant term first),
+    reduced by the monic modulus: y^k = -(m_0 + m_1 y + ... + m_(k-1) y^(k-1))."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        top, prod[d] = prod[d], 0
+        for i in range(k):
+            prod[d - k + i] -= top * modulus[i]
+    return tuple(c % p for c in prod[:k])
+
+
+@pytest.mark.parametrize("spec", ["gf:2^2", "gf:2^3", "gf:2^4", "gf:3^2", "gf:3^3", "gf:5^2", "gf:7^2"])
+def test_extension_arithmetic_matches_coefficient_vectors(spec):
+    f = field_from_string(spec)
+    p, k = f.p, f.k
+    vectors = list(itertools.product(range(p), repeat=k))
+    payloads = {v: f.element(v).value for v in vectors}
+    one = payloads[(1,) + (0,) * (k - 1)]
+    # the payload is the element's index: the base-p number of its coefficients
+    assert all(payloads[v] == sum(c * p**j for j, c in enumerate(v)) for v in vectors)
+    assert [e.value for e in f.elements()] == list(range(p**k))
+    for v, a in payloads.items():
+        text = "[" + ",".join(map(str, v)) + "]"
+        assert f.format_element(f.element(v)) == text and f.parse_element(text).value == a
+        assert f._neg(a) == payloads[tuple(-c % p for c in v)]
+        products = {w: payloads[_vector_mul(v, w, p, f.modulus)] for w in vectors}
+        if a:
+            assert f._inv(a) == next(payloads[w] for w, prod in products.items() if prod == one)
+        for w, b in payloads.items():
+            assert f._add(a, b) == payloads[tuple((x + y) % p for x, y in zip(v, w))]
+            assert f._sub(a, b) == payloads[tuple((x - y) % p for x, y in zip(v, w))]
+            assert f._mul(a, b) == products[w]
+    for c in (-2 * p - 1, -1, 0, 1, p, p + 2, 10**6 + 3):
+        assert f.element(c).value == payloads[(c % p,) + (0,) * (k - 1)]

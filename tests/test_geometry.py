@@ -463,7 +463,7 @@ def test_oracle_and_geometry_share_one_index_form(monkeypatch):
     gf3 = field_from_string("gf:3")
     assert optimal_kakeya_f3().field is gf3 and optimal_kakeya_f3().field is gf3
     assert built == [f, gf3]
-    # above oracle.INDEX_TABLE_CAP the scan runs on payloads, with no tables
+    # above oracle.INDEX_TABLE_CAP the scan calls the field's arithmetic, with no tables
     big = field_from_string("gf:257")
     assert standard_monomials([(big.element(1),), (big.element(2),)]) == {(0,), (1,)}
     assert built == [f, gf3]

@@ -798,9 +798,10 @@ def test_evaluate(field, n, data):
     assert got.field is field
 
 
-# GF(257) is above oracle.INDEX_TABLE_CAP, so its scan runs on payloads
-# as Q's does; the other finite fields run on element indices
-SCAN_FIELDS = FIELDS + [field_from_string("gf:257")]
+# GF(257) and GF(2^9) are above oracle.INDEX_TABLE_CAP, so their scans
+# call the field's arithmetic as Q's does (GF(2^9)'s through its Zech
+# logarithms); the other finite fields look up its tables
+SCAN_FIELDS = FIELDS + [field_from_string("gf:257"), field_from_string("gf:2^9")]
 
 
 @settings(KERNELS, max_examples=200)
