@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 
 from . import acceptance, geometry, groebner, interpolation, oracle
 from .combinatorics import Embedding, _data_lines, count_increasing, increasing_sequences, parse_embedding
@@ -45,14 +46,17 @@ def _default_embedding_spec(field: Field, q: int) -> str:
     return "list:" + ",".join(field.format_element(e) for e in images)
 
 
-def _resolve(args, prime_power_field: bool = False):
-    """Field + embedding + order from the global flags, with defaults."""
+def _resolve(args, prime_power_field: bool = False, need_n: bool = True):
+    """Field + embedding + order from the global flags, with defaults;
+    --n is required too unless need_n is False."""
     if args.q is None:
         raise ValueError("--q is required")
     field_spec = args.field or _default_field_spec(args.q, prime_power_field)
     field = field_from_string(field_spec)
     embedding_spec = args.embedding or _default_embedding_spec(field, args.q)
     emb = parse_embedding(embedding_spec, field, args.q)
+    if need_n and args.n is None:
+        raise ValueError("--n is required")
     return field, emb, parse_order(args.order)
 
 
@@ -95,8 +99,6 @@ def _basis_for(args, field, emb, order):
 
 def cmd_gb(args) -> int:
     field, emb, order = _resolve(args)
-    if args.n is None:
-        raise ValueError("--n is required")
     gb = _basis_for(args, field, emb, order)
     basis_strs = [format_polynomial(p, order) for p in gb.polynomials]
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
@@ -121,8 +123,6 @@ def cmd_gb(args) -> int:
 
 def cmd_sm(args) -> int:
     field, emb, order = _resolve(args)
-    if args.n is None:
-        raise ValueError("--n is required")
     gb = _basis_for(args, field, emb, order)
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
     payload = {"kind": gb.kind, "n": gb.n, "q": gb.q, "order": order.kind,
@@ -150,8 +150,6 @@ def cmd_hilbert(args) -> int:
 
 def cmd_interp(args) -> int:
     field, emb, order = _resolve(args)
-    if args.n is None:
-        raise ValueError("--n is required")
     if (args.point is None) == (args.values is None):
         raise ValueError("pass exactly one of --point or --values")
     if args.point is not None:
@@ -193,8 +191,6 @@ def cmd_interp(args) -> int:
 
 def cmd_nonvanish(args) -> int:
     field, emb, order = _resolve(args)
-    if args.n is None:
-        raise ValueError("--n is required")
     f = parse_polynomial(args.poly, field, args.n)
     witness = groebner.nonvanishing_point(f, args.kind, args.n, args.q, emb)
     if witness is None:
@@ -231,7 +227,7 @@ def cmd_oracle(args) -> int:
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
         _check_oracle_points(len(pts))
     elif builtin:
-        field, emb, order = _resolve(args)
+        field, emb, order = _resolve(args, need_n=False)
         n, q, strict = builtin
         _check_oracle_points(count_increasing(n, q, strict))
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
@@ -260,8 +256,6 @@ def _check_oracle_points(count: int):
 
 
 def _load_pointset(args, field) -> geometry.PointSet:
-    if args.n is None:
-        raise ValueError("--n is required")
     if args.infile is None:
         raise ValueError("--in is required")
     return geometry.parse_points(_read(args.infile), field, args.n)
@@ -270,8 +264,6 @@ def _load_pointset(args, field) -> geometry.PointSet:
 def _check_verify_work(kind: str, args):
     """Refuse a verification whose work estimate (geometry.verify_work)
     exceeds geometry.VERIFY_WORK_CAP, before the set is read."""
-    if args.n is None:
-        raise ValueError("--n is required")
     work = geometry.verify_work(kind, args.n, args.q)
     if work > geometry.VERIFY_WORK_CAP:
         raise ValueError(f"{kind} verify for n={args.n}, q={args.q} may test {work} points, "
@@ -295,8 +287,6 @@ def cmd_kakeya(args) -> int:
         return 0
     field, emb, order = _resolve(args, prime_power_field=True)
     if args.kakeya_op == "build-t":
-        if args.n is None:
-            raise ValueError("--n is required")
         bound = geometry.line_star_size_bound(args.n, args.q)
         if bound > geometry.VERIFY_WORK_CAP:
             raise ValueError(f"the line star for n={args.n}, q={args.q} may hold {bound} points, "
@@ -344,8 +334,6 @@ def cmd_nikodym(args) -> int:
 
 def cmd_cover(args) -> int:
     field, emb, order = _resolve(args)
-    if args.n is None:
-        raise ValueError("--n is required")
     excluded = [tuple(int(v) for v in item.split(",")) for item in (args.exclude or [])]
     if args.cover_op == "search":
         result = geometry.cover_search(args.n, args.q, field, emb, excluded)
@@ -381,11 +369,16 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  A subcommand takes only the global flags it
+    uses: hilbert has no --field or --embedding and verify-all none of
+    --n, --q, --field, --embedding, so argparse refuses them (exit 2)."""
+    size = argparse.ArgumentParser(add_help=False)
+    size.add_argument("--n", type=int, default=None, help="number of variables / sequence length")
+    size.add_argument("--q", type=int, default=None, help="alphabet size: sequences take values in 1..q")
+    placed = argparse.ArgumentParser(add_help=False)
+    placed.add_argument("--field", default=None, help="gf:p, gf:p^k, or rational (default: gf of the smallest prime >= q)")
+    placed.add_argument("--embedding", default=None, help="grid:<a> or list:<e1>,... (default grid:-1, images 0..q-1)")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="number of variables / sequence length")
-    common.add_argument("--q", type=int, default=None, help="alphabet size: sequences take values in 1..q")
-    common.add_argument("--field", default=None, help="gf:p, gf:p^k, or rational (default: gf of the smallest prime >= q)")
-    common.add_argument("--embedding", default=None, help="grid:<a> or list:<e1>,... (default grid:-1, images 0..q-1)")
     common.add_argument("--order", default="deglex", choices=["lex", "deglex"])
     common.add_argument("--format", default="text", choices=["text", "json"])
     common.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
@@ -395,53 +388,53 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "Groebner bases, interpolation, and Kakeya/Nikodym/cover verifiers.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gb", parents=[common], help="construct a closed-form Groebner basis")
+    p = sub.add_parser("gb", parents=[size, placed, common], help="construct a closed-form Groebner basis")
     p.add_argument("--kind", default="full", choices=["full", "strict", "downset"])
     p.add_argument("--downset-file", default=None, help="one sequence per line, comma-separated entries")
     p.add_argument("--minimize", action="store_true", help="drop downset-basis members with divisible leading monomials")
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("sm", parents=[common], help="standard monomials only")
+    p = sub.add_parser("sm", parents=[size, placed, common], help="standard monomials only")
     p.add_argument("--kind", default="full", choices=["full", "strict", "downset"])
     p.add_argument("--downset-file", default=None)
     p.set_defaults(func=cmd_sm)
 
-    p = sub.add_parser("hilbert", parents=[common], help="Hilbert function values")
+    p = sub.add_parser("hilbert", parents=[size, common], help="Hilbert function values")
     p.add_argument("--kind", default="full", choices=["full", "strict"])
     p.add_argument("--s", type=int, default=None, help="single argument s (default: the whole valid range)")
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("interp", parents=[common], help="indicator polynomials and interpolation")
+    p = sub.add_parser("interp", parents=[size, placed, common], help="indicator polynomials and interpolation")
     p.add_argument("--point", default=None, help="distinguished sequence, e.g. 1,2,2,4,4")
     p.add_argument("--factored", action="store_true", help="also emit the grid factored form")
     p.add_argument("--values", default=None, help="CSV file: sequence entries..., value")
     p.set_defaults(func=cmd_interp)
 
-    p = sub.add_parser("nonvanish", parents=[common], help="nonvanishing witness below the degree bound")
+    p = sub.add_parser("nonvanish", parents=[size, placed, common], help="nonvanishing witness below the degree bound")
     p.add_argument("--poly", required=True, help="polynomial string, e.g. 'x1 - x2'")
     p.add_argument("--kind", default="full", choices=["full", "strict"])
     p.set_defaults(func=cmd_nonvanish)
 
-    p = sub.add_parser("oracle", parents=[common], help="evaluation-matrix ground truth")
+    p = sub.add_parser("oracle", parents=[size, placed, common], help="evaluation-matrix ground truth")
     p.add_argument("oracle_op", choices=["sm", "vanish"])
     p.add_argument("--points", default=None, help="point file: one point per line, comma-separated elements")
     p.add_argument("--builtin", default=None, help="jnq:n,q or sjnq:n,q")
     p.add_argument("--maxdeg", type=int, default=None, help="degree cap for vanish")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("kakeya", parents=[common], help="increasing Kakeya sets")
+    p = sub.add_parser("kakeya", parents=[size, placed, common], help="increasing Kakeya sets")
     p.add_argument("kakeya_op", choices=["build-t", "paper-example", "verify"])
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.add_argument("--threshold", type=int, default=None, help="line-intersection threshold (default q)")
     p.add_argument("--verify", action="store_true", help="verify the built-in example")
     p.set_defaults(func=cmd_kakeya)
 
-    p = sub.add_parser("nikodym", parents=[common], help="increasing Nikodym sets")
+    p = sub.add_parser("nikodym", parents=[size, placed, common], help="increasing Nikodym sets")
     p.add_argument("nikodym_op", choices=["verify"])
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.set_defaults(func=cmd_nikodym)
 
-    p = sub.add_parser("cover", parents=[common], help="affine hyperplane covers")
+    p = sub.add_parser("cover", parents=[size, placed, common], help="affine hyperplane covers")
     p.add_argument("cover_op", choices=["verify", "search"])
     p.add_argument("--planes", default=None, help="hyperplane file: <n1>,...,<nn>;<offset> per line")
     p.add_argument("--exclude", action="append", default=None, help="excluded sequence, e.g. 1,1 (repeatable)")
@@ -455,9 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args leaves it as it was, and building
+# one takes longer than most commands
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

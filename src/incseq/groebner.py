@@ -43,38 +43,54 @@ def _block_factors(sizes, emb: Embedding, skip: int = 0):
 
 
 def expand_factors(field, n, factors) -> Polynomial:
-    """Expand a product of linear factors (x_j - t); empty product is 1.
-
-    The factors in one variable multiply out to a univariate polynomial;
-    the whole product is the tensor product of those n polynomials, so
-    no two terms ever meet.  Each distinct coefficient is wrapped in one
-    FieldElement that all its terms share (elements are immutable), so a
-    block polynomial's few values cost few objects.
-    """
-    fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
-    columns = [[one] for _ in range(n)]  # coefficients of each variable's factor, degree 0 first
+    """Expand a product of linear factors (x_j - t); empty product is 1."""
+    checked = []
     for j, t in factors:
         if not 0 <= j < n:
             raise ValueError(f"variable position {j} out of range for n={n}")
-        t = field._canon(t)
-        col = columns[j]
-        columns[j] = [fsub(a, fmul(t, b)) for a, b in zip([zero] + col, col + [zero])]
-    terms = {(): one}
-    for col in columns:
-        col = [(k, a) for k, a in enumerate(col) if a != zero]
-        terms = {m + (k,): fmul(c, a) for m, c in terms.items() for k, a in col}
-    # each variable's factors multiply out monic, so every term divides
-    # the product of the tops: that leads under every order.  Re-keying
-    # its term by the recorded tuple keeps one copy of it per polynomial.
-    lm = tuple(len(col) - 1 for col in columns)
+        checked.append((j, field.element(t)))
+    return _expand_all(field, n, [checked])[0]
+
+
+def _expand_all(field, n, factor_lists) -> list[Polynomial]:
+    """expand_factors for each list of factors (x_j - t), 0 <= j < n and t
+    an element of field.  A product is the tensor product of its n
+    univariate columns, so no two terms ever meet.  A column depends only
+    on its roots, so each distinct one is expanded once for all the lists
+    (a closed-form basis has at most q(q+1)/2 + 1), and each distinct
+    payload is wrapped in one FieldElement that its terms share."""
+    fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
+    columns = {}  # roots -> [(degree, payload)] of the nonzero coefficients
     shared = {}  # payload -> its one element, hashing each payload once
-    for m, c in terms.items():
-        e = shared.get(c)
-        if e is None:
-            e = shared[c] = FieldElement(field, c)
-        terms[m] = e
-    terms[lm] = terms.pop(lm)
-    return Polynomial._raw(field, n, terms, (None, lm))
+    out = []
+    for factors in factor_lists:
+        roots = [[] for _ in range(n)]
+        for j, t in factors:
+            roots[j].append(t.value)
+        cols = []
+        for r in map(tuple, roots):
+            col = columns.get(r)
+            if col is None:
+                c = [one]  # degree 0 first
+                for t in r:
+                    c = [fsub(a, fmul(t, b)) for a, b in zip([zero] + c, c + [zero])]
+                col = columns[r] = [(k, a) for k, a in enumerate(c) if a != zero]
+            cols.append(col)
+        terms = {(k,): a for k, a in cols[0]} if n else {(): one}
+        for col in cols[1:]:
+            terms = {m + (k,): fmul(c, a) for m, c in terms.items() for k, a in col}
+        # each variable's factors multiply out monic, so every term divides
+        # the product of the tops: that leads under every order.  Re-keying
+        # its term by the recorded tuple keeps one copy of it per polynomial.
+        lm = tuple(map(len, roots))
+        for m, c in terms.items():
+            e = shared.get(c)
+            if e is None:
+                e = shared[c] = FieldElement(field, c)
+            terms[m] = e
+        terms[lm] = terms.pop(lm)
+        out.append(Polynomial._raw(field, n, terms, (None, lm)))
+    return out
 
 
 class GroebnerBasis:
@@ -99,8 +115,7 @@ class GroebnerBasis:
 
     @cached_property
     def polynomials(self) -> tuple[Polynomial, ...]:
-        field = self.embedding.field
-        return tuple(expand_factors(field, self.n, fs) for fs in self.factored)
+        return tuple(_expand_all(self.embedding.field, self.n, self.factored))
 
     @cached_property
     def points(self) -> tuple:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from incseq import geometry, groebner, interpolation, oracle
+from incseq import cli, geometry, groebner, interpolation, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import Field, field_from_string
@@ -965,3 +965,55 @@ def test_missing_input_file_exit_2(capsys, argv, flag):
     code, out, err = run(capsys, *argv, "--n", "2", "--q", "3")
     assert code == 2 and out == ""
     assert f"{flag} is required" in err
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reused_across_calls(capsys, monkeypatch):
+    calls = [
+        ["gb", "--n", "2", "--q", "3", "--order", "revlex"],  # argparse usage error
+        ["cover", "search", "--n", "2", "--q", "3", "--exclude", "1,1", "--exclude", "2,2"],
+        ["cover", "search", "--n", "2", "--q", "3", "--exclude", "1,2"],
+        ["gb", "--n", "2", "--q", "3", "--field", "rational", "--format", "json"],
+    ]
+    assert cli._parser() is cli._parser()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = [_outcome(capsys, argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+    assert "invalid choice: 'revlex'" in reused[0][2]
+    monkeypatch.undo()
+    # the `append` action starts each call from its default (None), so
+    # exclusions do not pile up in the shared parser
+    for excluded in (["1,1", "2,2"], ["1,2"], []):
+        argv = ["cover", "search", "--n", "2", "--q", "3"]
+        for s in excluded:
+            argv += ["--exclude", s]
+        assert cli._parser().parse_args(argv).exclude == (excluded or None)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["hilbert", "--n", "2", "--q", "3", "--field", "nonsense"], "--field"),
+    (["hilbert", "--n", "2", "--q", "3", "--embedding", "grid:0"], "--embedding"),
+    (["verify-all", "--n", "9", "--max-n", "1", "--max-q", "2"], "--n"),
+    (["verify-all", "--q", "9", "--max-n", "1", "--max-q", "2"], "--q"),
+    (["verify-all", "--field", "gf:3", "--max-n", "1", "--max-q", "2"], "--field"),
+    (["verify-all", "--embedding", "grid:0", "--max-n", "1", "--max-q", "2"], "--embedding"),
+])
+def test_unused_global_flag_refused(capsys, argv, flag):
+    code, out, err = _outcome(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} " in err
+    # without the flag the same command runs
+    i = argv.index(flag)
+    code, out, _ = _outcome(capsys, argv[:i] + argv[i + 2:])
+    assert code == 0 and out

@@ -60,6 +60,7 @@ from incseq.poly import (
     TermOrder,
     format_polynomial,
     mono_divides,
+    mono_to_str,
     monomials_up_to_degree,
     parse_polynomial,
     reduce_by_basis,
@@ -127,6 +128,45 @@ def reference_expand_factors(field, n, factors):
     for j, t in factors:
         result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
     return result
+
+
+# Copies of `mono_to_str` and `format_polynomial` as they were before the
+# monomial text was cached and coefficients were formatted on payloads,
+# verbatim but for the names.
+
+def parent_mono_to_str(m: tuple[int, ...]) -> str:
+    """`x1^2*x3` style, variables 1-indexed; the empty monomial is `1`."""
+    parts = []
+    for i, e in enumerate(m):
+        if e == 1:
+            parts.append(f"x{i + 1}")
+        elif e > 1:
+            parts.append(f"x{i + 1}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def parent_format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:
+    """Term grammar: terms joined by ` + `/` - `, descending in the order."""
+    if f.is_zero:
+        return "0"
+    rational = f.field.char == 0
+    pieces = []
+    for m in sort_monomials(f.terms, order, reverse=True):
+        c = f.terms[m]
+        negative = rational and c.value < 0
+        mag = -c if negative else c
+        mono = parent_mono_to_str(m)
+        if mono == "1":
+            body = f.field.format_element(mag)
+        elif mag == f.field.one:
+            body = mono
+        else:
+            body = f"{f.field.format_element(mag)}*{mono}"
+        if not pieces:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f" - {body}" if negative else f" + {body}")
+    return "".join(pieces)
 
 
 # Copies of `reduce_by_basis` and `is_reduced_basis` as they were before
@@ -756,6 +796,94 @@ def test_expand_factors(field, n, data):
 
 
 LM_FIELDS = [field_from_string(s) for s in ("gf:7", "gf:3^2", "rational")]
+
+
+@st.composite
+def vanishing_bases(draw):
+    """A full, strict, downset or minimized downset basis over GF(7),
+    GF(3^2) or Q whose images hold 0 and a pair a, -a (as far as q
+    allows), so some expanded coefficients vanish: a factor x_j - 0 has
+    no constant term, and (x_j - a)(x_j + a) in one block no x_j term."""
+    field = draw(st.sampled_from(LM_FIELDS))
+    kind = draw(st.sampled_from(["full", "strict", "downset", "minimize"]))
+    q = draw(st.integers(1, 5))
+    n = draw(st.integers(1, min(3, q) if kind == "strict" else 3))
+    a = draw(elements(field, nonzero=True))
+    head = [field.zero, a, -a]
+    if field.size is None:
+        rest = [field.element(v) for v in (1, 2, 3, 4, 5, 6)]
+    else:
+        rest = field.elements()
+    rest = [x for x in rest if x not in head]
+    images = draw(st.permutations(head[:q] + rest[:max(q - 3, 0)]))
+    emb = Embedding.from_elements(field, images)
+    order = draw(st.sampled_from(ORDERS))
+    if kind == "full":
+        return full_basis(n, q, emb, order)
+    if kind == "strict":
+        return strict_basis(n, q, emb, order)
+    return downset_basis(n, q, draw(downsets(n, q)), emb, order, minimize=kind == "minimize")
+
+
+@KERNELS
+@given(vanishing_bases())
+def test_basis_expansion_shares_columns(gb):
+    field, n = gb.embedding.field, gb.n
+    polys = gb.polynomials
+    assert len(polys) == len(gb.factored)
+    for p, factors in zip(polys, gb.factored):
+        alone = expand_factors(field, n, factors)
+        want = reference_expand_factors(field, n, factors)
+        assert p.terms == alone.terms == want.terms
+        assert p._lm == alone._lm
+        for order in ORDERS:
+            lm = max(want.terms, key=order.key)
+            assert p.leading_monomial(order) == alone.leading_monomial(order) == lm
+            assert format_polynomial(p, order) == parent_format_polynomial(want, order)
+    assert gb.leading_monomials == tuple(max(p.terms, key=gb.order.key) for p in polys)
+    # one element object per distinct payload across the whole basis
+    coefficients = [c for p in polys for c in p.terms.values()]
+    assert len({id(c) for c in coefficients}) == len({c.value for c in coefficients})
+
+
+@st.composite
+def formatted_polynomials(draw):
+    """Polynomials with coefficients +-1 among the rest (over Q negative,
+    integral and non-integral ones), constant-only ones and zero."""
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    coefficients = st.one_of(st.sampled_from([field.one, -field.one]), elements(field, nonzero=True))
+    shape = draw(st.sampled_from(["terms", "constant", "zero"]))
+    if shape == "zero":
+        return Polynomial.zero(field, n)
+    if shape == "constant":
+        return Polynomial(field, n, {(0,) * n: draw(coefficients)})
+    monomials = st.tuples(*[st.integers(0, 3)] * n)
+    return Polynomial(field, n, draw(st.dictionaries(monomials, coefficients, min_size=1, max_size=8)))
+
+
+@settings(KERNELS, max_examples=200)
+@given(formatted_polynomials())
+def test_format_polynomial(f):
+    for order in ORDERS:
+        assert format_polynomial(f, order) == parent_format_polynomial(f, order)
+    assert str(f) == parent_format_polynomial(f)
+    for m in f.terms:
+        assert mono_to_str(m) == parent_mono_to_str(m)
+
+
+def test_monomial_text_after_eviction():
+    bound = mono_to_str.cache_info().maxsize
+    probes = [(0, 0, 0), (2, 0, 1), (1,), (0, 5, 1)]
+    first = [mono_to_str(m) for m in probes]
+    for m in itertools.islice(itertools.product(range(12), repeat=4), bound + 1):
+        mono_to_str(m)  # other monomials, past the bound
+    filled = mono_to_str.cache_info()
+    assert filled.currsize == bound
+    again = [mono_to_str(tuple(list(m))) for m in probes]  # equal tuples, not the same objects
+    assert mono_to_str.cache_info().misses == filled.misses + len(probes)  # all were evicted
+    assert again == first == [parent_mono_to_str(m) for m in probes]
+    mono_to_str.cache_clear()
 
 
 @st.composite
