@@ -210,8 +210,9 @@ def cmd_oracle(args) -> int:
         if kind not in ("jnq", "sjnq") or len(parts) != 2 or not all(v.isdecimal() for v in parts):
             raise ValueError(f"bad builtin {args.builtin!r}: expected jnq:n,q or sjnq:n,q")
         n, q = map(int, parts)
-        if args.q is not None and q != args.q:
-            raise ValueError("--q disagrees with the builtin spec")
+        for flag, given, spec in (("--q", args.q, q), ("--n", args.n, n)):
+            if given is not None and given != spec:
+                raise ValueError(f"{flag} disagrees with the builtin spec")
         args.q = q
         builtin = (n, q, kind == "sjnq")
     if args.points:
@@ -359,8 +360,8 @@ def cmd_cover(args) -> int:
 def cmd_verify_all(args) -> int:
     results = acceptance.run_all(args.max_n, args.max_q, args.seed)
     if args.format == "json":
-        payload = [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
-                   for r in results]
+        payload = [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail,
+                    "elapsed_s": r.elapsed, "budget_s": r.budget} for r in results]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for r in results:
@@ -369,9 +370,9 @@ def cmd_verify_all(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser.  A subcommand takes only the global flags it
-    uses: hilbert has no --field or --embedding and verify-all none of
-    --n, --q, --field, --embedding, so argparse refuses them (exit 2)."""
+    """The CLI's parser.  A subcommand takes only the global flags it uses
+    and argparse refuses the others (exit 2): hilbert has no --field or
+    --embedding, verify-all and kakeya paper-example no --n --q --field --embedding."""
     size = argparse.ArgumentParser(add_help=False)
     size.add_argument("--n", type=int, default=None, help="number of variables / sequence length")
     size.add_argument("--q", type=int, default=None, help="alphabet size: sequences take values in 1..q")
@@ -422,12 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, default=None, help="degree cap for vanish")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("kakeya", parents=[size, placed, common], help="increasing Kakeya sets")
-    p.add_argument("kakeya_op", choices=["build-t", "paper-example", "verify"])
+    p = sub.add_parser("kakeya", help="increasing Kakeya sets")
+    p.set_defaults(func=cmd_kakeya)
+    ops = p.add_subparsers(dest="kakeya_op", required=True)
+    ops.add_parser("build-t", parents=[size, placed, common], help="the line star T(n, q)")
+    p = ops.add_parser("paper-example", parents=[common], help="the 10-point set in F_3^3")
+    p.add_argument("--verify", action="store_true", help="verify the built-in example")
+    p = ops.add_parser("verify", parents=[size, placed, common], help="certify a point file")
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.add_argument("--threshold", type=int, default=None, help="line-intersection threshold (default q)")
-    p.add_argument("--verify", action="store_true", help="verify the built-in example")
-    p.set_defaults(func=cmd_kakeya)
 
     p = sub.add_parser("nikodym", parents=[size, placed, common], help="increasing Nikodym sets")
     p.add_argument("nikodym_op", choices=["verify"])

@@ -154,26 +154,24 @@ class Interpolator:
         """Grid recipe: (x_1 - i(t)) below the first entry, (x_n - i(t))
         above the last, and (x_j - x_{j-1} - c) for c = 0..gap-1 at each
         positive gap; scaled by the inverse of the product's value at the
-        distinguished point."""
-        field, n, q = self.field, self.n, self.q
+        distinguished point, taken factor by factor on its payloads."""
+        field, n, q, images, nodes = self.field, self.n, self.q, self.embedding.images, self._nodes
+        fsub, fmul = field._sub, field._mul
+        x = [nodes[s - 1] for s in seq]  # the distinguished point's payloads
         var = lambda j: Polynomial.variable(field, n, j)
         const = lambda v: Polynomial.constant(field, n, v)
-        factors = []
-        for t in range(1, seq[0]):
-            factors.append(var(0) - const(self.embedding.images[t - 1]))
-        for t in range(seq[-1] + 1, q + 1):
-            factors.append(var(n - 1) - const(self.embedding.images[t - 1]))
+        factors, value = [], field.one.value
+        for j, ts in ((0, range(1, seq[0])), (n - 1, range(seq[-1] + 1, q + 1))):
+            for t in ts:
+                factors.append(var(j) - const(images[t - 1]))
+                value = fmul(value, fsub(x[j], nodes[t - 1]))
         for j in range(1, n):
-            gap = seq[j] - seq[j - 1]
-            for c in range(gap):
-                factors.append(var(j) - var(j - 1) - const(field.from_int(c)))
-        point = self.embedding.apply(seq)
-        value = field.one
-        for f in factors:
-            value = value * f.evaluate(point)
+            for c in map(field.from_int, range(seq[j] - seq[j - 1])):
+                factors.append(var(j) - var(j - 1) - const(c))
+                value = fmul(value, fsub(fsub(x[j], x[j - 1]), c.value))
         if len(factors) != q - 1:
             raise RuntimeError("grid recipe must produce exactly q-1 factors")  # unreachable
-        return FactoredForm(n, value.inverse(), factors)
+        return FactoredForm(n, FieldElement(field, field._inv(value)), factors)
 
     def interpolate(self, values) -> Polynomial:
         """The unique polynomial of degree <= q-1 matching a full value

@@ -9,8 +9,8 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import lcm
-from operator import mul
+from math import lcm, prod
+from operator import getitem, mul
 
 from .field import Field, FieldElement
 
@@ -99,11 +99,14 @@ class Polynomial:
     `reduce_by_basis` it keeps its packed form in `_packed`: ((order
     kind, digit width), packed leading monomial, inverse leading
     coefficient payload, [(packed tail monomial, payload)]), the last two
-    None until a reduction divides by it.  `__init__` and `_raw` start it
-    empty, so `-g` and `g.scale(c)` are packed afresh.
+    None until a reduction divides by it.  `evaluate` keeps in `_plan`
+    what it needs that does not depend on the point, built on its first
+    call: top exponents and coefficient payloads, over Q scaled to ints by
+    their lcm (_evaluation_plan).  `__init__` and `_raw` start both empty,
+    so `-g`, `g.scale(c)` and every other derived polynomial start afresh.
     """
 
-    __slots__ = ("field", "n", "terms", "_lm", "_packed")
+    __slots__ = ("field", "n", "terms", "_lm", "_packed", "_plan")
 
     def __init__(self, field: Field, n: int, terms=None):
         self.field = field
@@ -118,14 +121,14 @@ class Polynomial:
                 if not c.is_zero:
                     clean[m] = c
         self.terms = clean
-        self._lm = self._packed = None
+        self._lm = self._packed = self._plan = None
 
     @classmethod
     def _raw(cls, field, n, terms, lm=None) -> "Polynomial":
         """A polynomial on terms that are already clean: width-n monomials
         to nonzero elements of field.  lm is the `_lm` value, if known."""
         out = cls.__new__(cls)
-        out.field, out.n, out.terms, out._lm, out._packed = field, n, terms, lm, None
+        out.field, out.n, out.terms, out._lm, out._packed, out._plan = field, n, terms, lm, None, None
         return out
 
     @classmethod
@@ -241,19 +244,29 @@ class Polynomial:
                 raise ValueError(f"coordinate {x!r} is not an element of {field!r}")
         if not self.terms:
             return field.zero
+        if self._plan is None:
+            self._plan = _evaluation_plan(self.terms, field.char == 0)
+        tops, monos, coeffs, gaps, L, d = self._plan
         if field.char == 0:
-            return FieldElement(field, _rational_value(self.terms, point))
-        fadd, fmul = field._add, field._mul
+            # f(x) = sum(c * D^gap * prod(X_j^m_j)) / (L * D^d) for X_j = x_j*D, D the lcm of x's denominators
+            D = lcm(*(x.value.denominator for x in point))
+            powers = [list(accumulate(repeat(x.value.numerator * (D // x.value.denominator), top), mul, initial=1))
+                      for x, top in zip(point, tops)]
+            scale = list(accumulate(repeat(D, d), mul, initial=1))  # scale[k] = D^k
+            total = sum(c * scale[g] * prod(map(getitem, powers, m)) for c, g, m in zip(coeffs, gaps, monos))
+            whole, rest = divmod(total, den := L * scale[d])
+            return FieldElement(field, Fraction(total, den) if rest else whole)
+        fmul = field._mul
         # powers[j][e] = x_j^e up to the largest exponent of x_j in a term
-        powers = [list(accumulate(repeat(x.value, top), fmul, initial=field.one.value))
-                  for x, top in zip(point, map(max, zip(*self.terms)))]
-        total = field.zero.value
-        for m, c in self.terms.items():
-            v = c.value
+        powers = [list(accumulate(repeat(x.value, top), fmul, initial=1)) for x, top in zip(point, tops)]
+        if field.size == field.char:  # GF(p), reduced once; a GF(p^k) payload does not multiply as an int
+            return FieldElement(field, sum(c * prod(map(getitem, powers, m)) for c, m in zip(coeffs, monos)) % field.char)
+        total = 0
+        for c, m in zip(coeffs, monos):
             for row, e in zip(powers, m):
                 if e:
-                    v = fmul(v, row[e])
-            total = fadd(total, v)
+                    c = fmul(c, row[e])
+            total = field._add(total, c)
         return FieldElement(field, total)
 
     def leading_monomial(self, order: TermOrder) -> tuple[int, ...]:
@@ -285,33 +298,19 @@ class Polynomial:
     __str__ = __repr__
 
 
-def _rational_value(terms, point):
-    """A nonzero polynomial's value over Q in Python ints, as the canonical
-    payload: an int when the value is integral, else a Fraction in lowest
-    terms (normalized once).
-
-    With L the lcm of the coefficient denominators, D that of the
-    coordinates, d the total degree and X_j = x_j*D, the value is
-    sum((c_m*L) * D^(d-|m|) * prod(X_j^m_j)) / (L * D^d).
-    """
-    L = lcm(*(c.value.denominator for c in terms.values()))
-    D = lcm(*(x.value.denominator for x in point))
-    # powers[j][e] = X_j^e up to the largest exponent of x_j in a term
-    powers = [list(accumulate(repeat(x.value.numerator * (D // x.value.denominator), top), mul,
-                              initial=1))
-              for x, top in zip(point, map(max, zip(*terms)))]
-    d = max(map(sum, terms))
-    scale = list(accumulate(repeat(D, d), mul, initial=1))  # scale[k] = D^k
-    total = 0
-    for m, c in terms.items():
-        v = c.value.numerator * (L // c.value.denominator) * scale[d - sum(m)]
-        for row, e in zip(powers, m):
-            if e:
-                v *= row[e]
-        total += v
-    den = L * scale[d]
-    whole, rest = divmod(total, den)
-    return Fraction(total, den) if rest else whole
+def _evaluation_plan(terms, rational: bool):
+    """A nonzero polynomial's `_plan`, as parallel lists (a few objects, not
+    one per term): (tops, monos, coeffs, gaps, L, d), tops[j] the top
+    exponent of x_j and coeffs[i] the payload of monos[i]'s coefficient.
+    Over Q, coeffs[i] is that coefficient times L, the lcm of the
+    denominators, d is the total degree and gaps[i] = d - |monos[i]|."""
+    monos, payloads = list(terms), [c.value for c in terms.values()]
+    tops = list(map(max, zip(*monos)))
+    if not rational:
+        return tops, monos, payloads, None, 1, 0
+    L = lcm(*(c.denominator for c in payloads))
+    d = max(map(sum, monos))
+    return tops, monos, [c.numerator * (L // c.denominator) for c in payloads], [d - sum(m) for m in monos], L, d
 
 
 def format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:

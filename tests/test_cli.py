@@ -422,12 +422,36 @@ def test_oracle_builtin_misuse_names_the_form(capsys, spec):
     assert err == f"error: bad builtin {spec!r}: expected jnq:n,q or sjnq:n,q\n"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "9"], "--n disagrees with the builtin spec"),
+    (["--q", "4"], "--q disagrees with the builtin spec"),
+    (["--n", "9", "--q", "4"], "--q disagrees with the builtin spec"),
+])
+def test_oracle_builtin_disagreeing_size_refused(capsys, flags, message):
+    code, out, err = run(capsys, "oracle", "sm", "--builtin", "jnq:2,3", *flags)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+    # sizes that agree with the builtin change nothing
+    assert (run(capsys, "oracle", "sm", "--builtin", "jnq:2,3", "--n", "2", "--q", "3")
+            == run(capsys, "oracle", "sm", "--builtin", "jnq:2,3"))
+
+
 def test_verify_all_small(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-n", "2", "--max-q", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert len(payload) == 9
     assert all(item["passed"] for item in payload)
+    # criteria 1, 4 and 8 have budgets; the fields hold the times their details print
+    budgets = {1: 5.0, 4: 30.0, 8: 10.0}
+    for item in payload:
+        assert set(item) == {"index", "name", "passed", "detail", "elapsed_s", "budget_s"}
+        assert item["budget_s"] == budgets.get(item["index"])
+        if item["budget_s"] is None:
+            assert item["elapsed_s"] is None
+        else:
+            digits = 1 if item["index"] == 4 else 2
+            assert 0 <= item["elapsed_s"] < item["budget_s"]
+            assert f"{item['elapsed_s']:.{digits}f}s (budget {item['budget_s']:g}s)" in item["detail"]
 
 
 # SHA-256 of `incseq gb` stdout for full, strict, downset-file and
@@ -1008,6 +1032,12 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
     (["verify-all", "--q", "9", "--max-n", "1", "--max-q", "2"], "--q"),
     (["verify-all", "--field", "gf:3", "--max-n", "1", "--max-q", "2"], "--field"),
     (["verify-all", "--embedding", "grid:0", "--max-n", "1", "--max-q", "2"], "--embedding"),
+    (["kakeya", "paper-example", "--n", "7"], "--n"),
+    (["kakeya", "paper-example", "--q", "2"], "--q"),
+    (["kakeya", "paper-example", "--field", "nonsense"], "--field"),
+    (["kakeya", "paper-example", "--embedding", "grid:0"], "--embedding"),
+    (["kakeya", "build-t", "--n", "2", "--q", "3", "--threshold", "2"], "--threshold"),
+    (["kakeya", "build-t", "--n", "2", "--q", "3", "--in", "points.txt"], "--in"),
 ])
 def test_unused_global_flag_refused(capsys, argv, flag):
     code, out, err = _outcome(capsys, argv)

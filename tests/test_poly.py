@@ -267,3 +267,64 @@ def test_rational_evaluate_matches_fraction_sum(case):
         f.evaluate(point[:-1] + [gf5.one])
     with pytest.raises(ValueError):
         f.evaluate(point[:-1] + [1])
+
+
+# -- evaluation from a kept plan, against a term-by-term reference ------------
+
+PLAN_FIELDS = ["rational", "gf:7", "gf:101", "gf:2^3", "gf:3^2"]
+
+
+def _values(field):
+    if field.char == 0:
+        return RATIONALS.map(field.element)
+    return st.integers(0, field.size - 1).map(field.elements().__getitem__)
+
+
+def _reference_value(f, point):
+    """sum of c * x_1^e_1 * ... * x_n^e_n in element arithmetic, one
+    multiplication per unit of exponent."""
+    total = f.field.zero
+    for m, c in f.terms.items():
+        for x, e in zip(point, m):
+            for _ in range(e):
+                c = c * x
+        total = total + c
+    return total
+
+
+def _assert_evaluates(f, points):
+    for point in points:
+        got, want = f.evaluate(point), _reference_value(f, point)
+        assert got.field is f.field and got == want
+        assert type(got.value) is type(want.value)  # the canonical payload: int when integral over Q
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(PLAN_FIELDS), st.integers(1, 4), st.data())
+def test_planned_evaluate_matches_reference(spec, n, data):
+    field = field_from_string(spec)
+    values = _values(field)
+    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * n), values, min_size=1, max_size=10))
+    f = Polynomial(field, n, terms)
+    # successive points, with a zero point and (over Q) one of distinct negative fractions
+    points = data.draw(st.lists(st.tuples(*[values] * n), min_size=5, max_size=7))
+    points.append((field.zero,) * n)
+    if field.char == 0:
+        points.append(tuple(field.element(Fraction(-(j + 1), j + 2)) for j in range(n)))
+    _assert_evaluates(f, points)
+    assert f._plan is not None or f.is_zero
+    # derived polynomials start without a plan, though f has one
+    c = data.draw(values.filter(lambda x: not x.is_zero))
+    derived = [-f, f.scale(c), f.homogeneous_component(max(f.degree(), 0)), f.homogeneous_component(0),
+               Polynomial.zero(field, n), Polynomial.constant(field, n, c)]
+    for g in derived:
+        assert g._plan is None
+        _assert_evaluates(g, points)
+    _assert_evaluates(f, points[:2])  # f's plan is unchanged by its derived polynomials
+    # the width and field checks run on every call, plan or not
+    foreign = field_from_string("gf:5")
+    for g in [f] + derived:
+        with pytest.raises(ValueError, match="point width"):
+            g.evaluate(points[0] + (field.zero,))
+        with pytest.raises(ValueError, match="is not an element of"):
+            g.evaluate(points[0][:-1] + (foreign.one,))
