@@ -3,6 +3,7 @@ CriterionResult, shared by the `verify-all` CLI subcommand and the test
 suite.  All checks are exact; the timed ones also enforce their stated
 wall-clock budgets."""
 
+import itertools
 import math
 import random
 import time
@@ -109,9 +110,9 @@ def criterion_3(max_n: int = 5, max_q: int = 5) -> CriterionResult:
                 plans.append(("strict", groebner.strict_basis(n, q, emb), q - n))
             for kind, gb, smax in plans:
                 for s in range(smax + 1):
-                    hv = groebner.hilbert_value(kind, n, q, s)
+                    value, closed_form = groebner.hilbert_value(kind, n, q, s)
                     by_count = sum(1 for m in gb.standard_monomials if sum(m) <= s)
-                    if not (hv.closed_form and hv.value == math.comb(n + s, s) == by_count):
+                    if not (closed_form and value == math.comb(n + s, s) == by_count):
                         return CriterionResult(3, "hilbert", False, f"mismatch at kind={kind} n={n} q={q} s={s}")
                     checked += 1
     return CriterionResult(3, "hilbert", True, f"{checked} (kind,n,q,s) values equal binom(n+s,s) exactly")
@@ -175,15 +176,14 @@ def criterion_6() -> CriterionResult:
     """Increasing Kakeya sets: the optimal 10-point set in F_3^3, the
     size-6 line-union optimum in F_3^2, and the line-star instances."""
     gf3 = field_from_string("gf:3")
-    e33 = Embedding.grid(gf3, 3, -1)
+    grid3 = Embedding.grid(gf3, 3, -1)
     K = geometry.optimal_kakeya_f3()
     if len(K) != 10 or len(K) != math.comb(5, 3):
         return CriterionResult(6, "kakeya", False, f"|K| = {len(K)}, expected 10 = C(5,3)")
-    if not geometry.verify_kakeya(K, e33, 3).ok:
+    if not geometry.verify_kakeya(K, grid3, 3).ok:
         return CriterionResult(6, "kakeya", False, "10-point set failed threshold-3 verification")
-    e23 = Embedding.grid(gf3, 3, -1)
-    size, witness = geometry.kakeya_line_union_search(2, 3, gf3, e23)
-    if size != math.comb(4, 2) or not geometry.verify_kakeya(witness, e23, 3).ok:
+    size, witness = geometry.kakeya_line_union_search(2, 3, gf3, grid3)
+    if size != math.comb(4, 2) or not geometry.verify_kakeya(witness, grid3, 3).ok:
         return CriterionResult(6, "kakeya", False, f"line-union minimum {size}, expected 6")
     checked = []
     for n, q, fieldspec in [(2, 3, "gf:3"), (3, 3, "gf:3"), (2, 4, "gf:2^2")]:
@@ -234,8 +234,6 @@ def criterion_8() -> CriterionResult:
         return CriterionResult(8, "covers", False, "size q-1 cover with one exclusion failed to verify")
     planes = geometry.canonical_hyperplanes(gf3, 2)
     points = [emb.apply(s) for s in increasing_sequences(2, 3)]
-    import itertools
-
     for h1, h2 in itertools.combinations(planes, 2):
         if all(h1.contains(p) or h2.contains(p) for p in points):
             return CriterionResult(8, "covers", False, f"two planes cover everything: {h1}, {h2}")
@@ -268,7 +266,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
         f = Polynomial.zero(field, n)
         for _ in range(rng.randint(1, 5)):
             mono = tuple(rng.randint(0, q) for _ in range(n))
-            coeff = field.from_int(rng.randint(-6, 6))
+            coeff = field.element(rng.randint(-6, 6))
             f = f + Polynomial(field, n, {mono: coeff}) if not coeff.is_zero else f
         return f
 
@@ -282,7 +280,7 @@ def criterion_9(seed: int = 0) -> CriterionResult:
         rg = reduce_by_basis(g, basis, DEGLEX)
         if reduce_by_basis(rf, basis, DEGLEX) != rf:
             return CriterionResult(9, "properties", False, f"reduction not idempotent over {field}")
-        a, b = field.from_int(rng.randint(-5, 5)), field.from_int(rng.randint(-5, 5))
+        a, b = field.element(rng.randint(-5, 5)), field.element(rng.randint(-5, 5))
         combo = reduce_by_basis(f.scale(a) + g.scale(b), basis, DEGLEX)
         if combo != rf.scale(a) + rg.scale(b):
             return CriterionResult(9, "properties", False, f"reduction not linear over {field}")

@@ -139,8 +139,8 @@ def cmd_hilbert(args) -> int:
     svals = [args.s] if args.s is not None else list(range(max(smax, 0) + 1))
     values = []
     for s in svals:
-        hv = groebner.hilbert_value(args.kind, args.n, args.q, s)
-        values.append({"s": s, "value": hv.value, "closed_form": hv.closed_form})
+        value, closed_form = groebner.hilbert_value(args.kind, args.n, args.q, s)
+        values.append({"s": s, "value": value, "closed_form": closed_form})
     payload = {"kind": args.kind, "n": args.n, "q": args.q, "values": values}
     lines = [f"h({v['s']}) = {v['value']}" + ("" if v["closed_form"] else "  (saturated)")
              for v in values]
@@ -221,6 +221,8 @@ def cmd_oracle(args) -> int:
         if args.field is None and args.q is None:
             raise ValueError("--field is required with --points")
         # no embedding is used, so --q only names the default field
+        if args.embedding is not None:
+            raise ValueError("--embedding is not used with --points")
         field = field_from_string(args.field or _default_field_spec(args.q))
         order = parse_order(args.order)
         # the answer does not depend on the order of the points, so they
@@ -372,7 +374,8 @@ def cmd_verify_all(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser.  A subcommand takes only the global flags it uses
     and argparse refuses the others (exit 2): hilbert has no --field or
-    --embedding, verify-all and kakeya paper-example no --n --q --field --embedding."""
+    --embedding, verify-all and kakeya paper-example no --n --q --field
+    --embedding, and only cover verify has --planes."""
     size = argparse.ArgumentParser(add_help=False)
     size.add_argument("--n", type=int, default=None, help="number of variables / sequence length")
     size.add_argument("--q", type=int, default=None, help="alphabet size: sequences take values in 1..q")
@@ -438,11 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.set_defaults(func=cmd_nikodym)
 
-    p = sub.add_parser("cover", parents=[size, placed, common], help="affine hyperplane covers")
-    p.add_argument("cover_op", choices=["verify", "search"])
-    p.add_argument("--planes", default=None, help="hyperplane file: <n1>,...,<nn>;<offset> per line")
-    p.add_argument("--exclude", action="append", default=None, help="excluded sequence, e.g. 1,1 (repeatable)")
+    p = sub.add_parser("cover", help="affine hyperplane covers")
     p.set_defaults(func=cmd_cover)
+    ops = p.add_subparsers(dest="cover_op", required=True)
+    excluding = argparse.ArgumentParser(add_help=False)
+    excluding.add_argument("--exclude", action="append", default=None,
+                           help="excluded sequence, e.g. 1,1 (repeatable)")
+    p = ops.add_parser("verify", parents=[size, placed, common, excluding], help="check a hyperplane file")
+    p.add_argument("--planes", default=None, help="hyperplane file: <n1>,...,<nn>;<offset> per line")
+    ops.add_parser("search", parents=[size, placed, common, excluding], help="a minimum cover, by exhaustive search")
 
     p = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
     p.add_argument("--max-n", type=int, default=4)

@@ -46,7 +46,7 @@ class Embedding:
         if field.char != 0 and field.char < q:
             raise ValueError(f"grid embedding needs characteristic 0 or >= q={q}, got {field.char}")
         a = field.element(offset)
-        return cls(field, [a + field.from_int(j) for j in range(1, q + 1)])
+        return cls(field, [a + field.element(j) for j in range(1, q + 1)])
 
     @classmethod
     def from_elements(cls, field: Field, elements) -> "Embedding":
@@ -77,11 +77,6 @@ class Embedding:
 
     def __hash__(self):
         return hash((self.field, self.images))
-
-    def __repr__(self):
-        if self.is_grid:
-            return f"Embedding.grid(q={self.q}, offset={self.grid_offset})"
-        return f"Embedding({list(self.images)})"
 
 
 def _check_embedding(q: int, embedding: Embedding):
@@ -147,11 +142,6 @@ def is_increasing(seq, q: int, strict: bool = False) -> bool:
         return False
     pairs = zip(seq, seq[1:])
     return all(a < b for a, b in pairs) if strict else all(a <= b for a, b in pairs)
-
-
-def embedded_points(n: int, q: int, emb: Embedding, strict: bool = False):
-    """The embedded image of the (strictly) increasing sequences."""
-    return [emb.apply(s) for s in increasing_sequences(n, q, strict)]
 
 
 def difference_vector(seq) -> tuple[int, ...]:

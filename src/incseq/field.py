@@ -145,12 +145,6 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.field, self.field._sub(self.value, o.value))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._sub(o.value, self.value))
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -165,26 +159,8 @@ class FieldElement:
             return NotImplemented
         return FieldElement(self.field, self.field._mul(self.value, self.field._inv(o.value)))
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul(o.value, self.field._inv(self.value)))
-
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.value))
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.field, self.field._inv(self.value))
@@ -222,10 +198,6 @@ class Field:
 
     def element(self, value) -> FieldElement:
         return FieldElement(self, self._canon(value))
-
-    def from_int(self, m: int) -> FieldElement:
-        """The image of the integer m, i.e. m copies of 1."""
-        return self.element(m)
 
     def elements(self) -> list[FieldElement]:
         """All field elements exactly once, in canonical order."""

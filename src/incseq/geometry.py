@@ -58,17 +58,8 @@ class PointSet:
     def __len__(self):
         return len(self.points)
 
-    def __contains__(self, p):
-        return p in self.points
-
-    def __iter__(self):
-        return iter(self.sorted_points())
-
     def sorted_points(self):
         return sorted(self.points, key=self.field.tables().ix)
-
-    def __repr__(self):
-        return f"PointSet(n={self.n}, size={len(self.points)})"
 
 
 def parse_points(text: str, field: Field, n: int) -> PointSet:
@@ -325,9 +316,6 @@ class BoundPass:
             raise InconsistencyError(f"size {size} below the proved bound {bound}")
         self.size = size
         self.bound = bound
-
-    def __repr__(self):
-        return f"BoundPass(size={self.size}, bound={self.bound})"
 
 
 class KakeyaBoundCounterexample:

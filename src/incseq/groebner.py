@@ -16,7 +16,6 @@ from .combinatorics import (
     _check_embedding,
     compositions,
     difference_vector,
-    embedded_points,
     increasing_sequences,
     is_downset,
     is_increasing,
@@ -42,23 +41,14 @@ def _block_factors(sizes, emb: Embedding, skip: int = 0):
     return tuple(factors)
 
 
-def expand_factors(field, n, factors) -> Polynomial:
-    """Expand a product of linear factors (x_j - t); empty product is 1."""
-    checked = []
-    for j, t in factors:
-        if not 0 <= j < n:
-            raise ValueError(f"variable position {j} out of range for n={n}")
-        checked.append((j, field.element(t)))
-    return _expand_all(field, n, [checked])[0]
-
-
 def _expand_all(field, n, factor_lists) -> list[Polynomial]:
-    """expand_factors for each list of factors (x_j - t), 0 <= j < n and t
-    an element of field.  A product is the tensor product of its n
-    univariate columns, so no two terms ever meet.  A column depends only
-    on its roots, so each distinct one is expanded once for all the lists
-    (a closed-form basis has at most q(q+1)/2 + 1), and each distinct
-    payload is wrapped in one FieldElement that its terms share."""
+    """The product of each list of factors (x_j - t), 0 <= j < n and t an
+    element of field; an empty product is 1.  A product is the tensor
+    product of its n univariate columns, so no two terms ever meet.  A
+    column depends only on its roots, so each distinct one is expanded
+    once for all the lists (a closed-form basis has at most q(q+1)/2 + 1),
+    and each distinct payload is wrapped in one FieldElement that its
+    terms share."""
     fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
     columns = {}  # roots -> [(degree, payload)] of the nonzero coefficients
     shared = {}  # payload -> its one element, hashing each payload once
@@ -120,15 +110,11 @@ class GroebnerBasis:
     @cached_property
     def points(self) -> tuple:
         """The embedded point set the basis polynomials vanish on."""
-        if self.kind == "full":
-            return tuple(embedded_points(self.n, self.q, self.embedding))
-        if self.kind == "strict":
-            return tuple(embedded_points(self.n, self.q, self.embedding, strict=True))
-        return tuple(self.embedding.apply(s) for s in sorted(self.downset))
-
-    @property
-    def leading_monomials(self) -> tuple:
-        return tuple(p.leading_monomial(self.order) for p in self.polynomials)
+        if self.kind == "downset":
+            seqs = sorted(self.downset)
+        else:
+            seqs = increasing_sequences(self.n, self.q, self.kind == "strict")
+        return tuple(map(self.embedding.apply, seqs))
 
     def is_reduced(self) -> bool:
         return is_reduced_basis(self.polynomials, self.order)
@@ -252,38 +238,16 @@ def degree_bound(kind: str, n: int, q: int) -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-class HilbertValue:
-    """Dimension of the degree-<= s polynomial functions on the point set.
-
-    closed_form is False when s lies beyond the range where the binomial
-    formula applies; value is then the saturating standard-monomial count.
-    """
-
-    __slots__ = ("value", "closed_form")
-
-    def __init__(self, value: int, closed_form: bool):
-        self.value = value
-        self.closed_form = closed_form
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other
-        if isinstance(other, HilbertValue):
-            return (self.value, self.closed_form) == (other.value, other.closed_form)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"HilbertValue({self.value}, closed_form={self.closed_form})"
-
-
-def hilbert_value(kind: str, n: int, q: int, s: int) -> HilbertValue:
-    """binom(n+s, s) within range; the saturated deglex standard-monomial
-    count (flagged) beyond it."""
+def hilbert_value(kind: str, n: int, q: int, s: int) -> tuple[int, bool]:
+    """(value, closed_form): the dimension of the degree-<= s polynomial
+    functions on the point set, binom(n+s, s) with closed_form True within
+    the degree bound, and beyond it the saturated standard-monomial count
+    with closed_form False."""
     if s < 0:
         raise ValueError("s must be >= 0")
     smax = degree_bound(kind, n, q)
     eff = min(s, smax)
-    return HilbertValue(math.comb(n + eff, eff), s <= smax)
+    return math.comb(n + eff, eff), s <= smax
 
 
 def nonvanishing_point(f: Polynomial, kind: str, n: int, q: int, embedding: Embedding):

@@ -41,9 +41,6 @@ class FactoredForm:
             result = result * f
         return result.scale(self.scalar)
 
-    def __repr__(self):
-        return f"FactoredForm({self.scalar}, {len(self.factors)} factors)"
-
 
 class IndicatorPolynomial:
     """The unique degree-(q-1) polynomial that is 1 at one embedded
@@ -166,7 +163,7 @@ class Interpolator:
                 factors.append(var(j) - const(images[t - 1]))
                 value = fmul(value, fsub(x[j], nodes[t - 1]))
         for j in range(1, n):
-            for c in map(field.from_int, range(seq[j] - seq[j - 1])):
+            for c in map(field.element, range(seq[j] - seq[j - 1])):
                 factors.append(var(j) - var(j - 1) - const(c))
                 value = fmul(value, fsub(fsub(x[j], x[j - 1]), c.value))
         if len(factors) != q - 1:

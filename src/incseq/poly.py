@@ -31,12 +31,6 @@ class TermOrder:
             return mono
         return (sum(mono), mono)
 
-    def __eq__(self, other):
-        return isinstance(other, TermOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
     def __repr__(self):
         return self.kind
 
@@ -46,7 +40,11 @@ DEGLEX = TermOrder("deglex")
 
 
 def parse_order(text: str) -> TermOrder:
-    return TermOrder(text.strip())
+    """LEX or DEGLEX itself, so orders compare by identity."""
+    order = {"lex": LEX, "deglex": DEGLEX}.get(text.strip())
+    if order is None:
+        raise ValueError(f"unknown term order {text.strip()!r}")
+    return order
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,10 +82,6 @@ def monomials_up_to_degree(n: int, d: int) -> list[tuple[int, ...]]:
 
     rec([], d, n)
     return result
-
-
-def sort_monomials(monos, order: TermOrder, reverse: bool = False):
-    return sorted(monos, key=order.key, reverse=reverse)
 
 
 class Polynomial:
@@ -207,28 +201,11 @@ class Polynomial:
                     terms[m] = s
         return Polynomial._raw(self.field, self.n, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, c) -> "Polynomial":
         c = self.field.element(c)
         if c.is_zero:
             return Polynomial.zero(self.field, self.n)
         return Polynomial._raw(self.field, self.n, {m: t * c for m, t in self.terms.items()}, self._lm)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -279,21 +256,11 @@ class Polynomial:
         self._lm = (order.kind, lm)
         return lm
 
-    def leading_coefficient(self, order: TermOrder) -> FieldElement:
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        lc = self.leading_coefficient(order)
-        return self.scale(lc.inverse())
-
     def homogeneous_component(self, d: int) -> "Polynomial":
         return Polynomial(self.field, self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
-    def to_str(self, order: TermOrder = DEGLEX) -> str:
-        return format_polynomial(self, order)
-
     def __repr__(self):
-        return self.to_str()
+        return format_polynomial(self)
 
     __str__ = __repr__
 

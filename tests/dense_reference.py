@@ -5,14 +5,14 @@ They share no code with the raw-payload kernels in `incseq` and are
 slow on purpose: tests compare the kernels' results with these.
 """
 
-from incseq.poly import DEGLEX, TermOrder, sort_monomials
+from incseq.poly import DEGLEX, TermOrder
 
 
 def mono_eval(m: tuple[int, ...], point):
     result = point[0].field.one
     for x, e in zip(point, m):
-        if e:
-            result = result * x**e
+        for _ in range(e):
+            result = result * x
     return result
 
 
@@ -30,7 +30,7 @@ class EvaluationMatrix:
 
 def evaluation_matrix(points, monomials, order: TermOrder = DEGLEX) -> EvaluationMatrix:
     points = list(points)
-    columns = sort_monomials(monomials, order)
+    columns = sorted(monomials, key=order.key)
     rows = [[mono_eval(m, p) for m in columns] for p in points]
     return EvaluationMatrix(tuple(points), tuple(columns), rows)
 

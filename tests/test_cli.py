@@ -336,6 +336,18 @@ def test_oracle_points_need_no_q(capsys, tmp_path):
     assert code == 2 and out == "" and err == "error: --field is required with --points\n"
 
 
+@pytest.mark.parametrize("op", [["sm"], ["vanish", "--maxdeg", "2"]])
+def test_oracle_points_refuse_embedding(capsys, tmp_path, op):
+    # a point file is used as given, so an embedding would be ignored
+    points = tmp_path / "points.txt"
+    points.write_text("1,2\n2,3\n")
+    argv = ["oracle", *op, "--points", str(points), "--n", "2", "--q", "3", "--field", "gf:7"]
+    for spec in ("garbage", "grid:0"):
+        code, out, err = run(capsys, *argv, "--embedding", spec)
+        assert code == 2 and out == "" and err == "error: --embedding is not used with --points\n"
+    assert run(capsys, *argv)[0] == 0
+
+
 @pytest.mark.parametrize("kind", ["kakeya", "nikodym"])
 def test_oversized_verify_refused_up_front(capsys, monkeypatch, tmp_path, kind):
     def refuse(*args):
@@ -705,11 +717,12 @@ def oracle_points_text(field):
 
 def oracle_argv(source, op, order, field, fmt, points_file):
     flag, spec, maxdeg = ORACLE_SOURCES[source]
+    placed = ["--embedding", GB_EMBEDDINGS[field]]
     if spec is None:
         points_file.write_text(oracle_points_text(field))
-        spec = str(points_file)
-    argv = ["oracle", op, flag, spec, "--n", "3", "--q", "5", "--field", field,
-            "--embedding", GB_EMBEDDINGS[field], "--order", order, "--format", fmt]
+        spec, placed = str(points_file), []  # a point file takes no embedding
+    argv = ["oracle", op, flag, spec, "--n", "3", "--q", "5", "--field", field, *placed,
+            "--order", order, "--format", fmt]
     return argv + ["--maxdeg", str(maxdeg)] if op == "vanish" else argv
 
 
@@ -767,17 +780,17 @@ EXTENSION_PINS = {
 
 
 def extension_argv(case, field, fmt, tmp_path):
-    common = ["--n", "3", "--q", "5", "--field", field, "--embedding", EXTENSION_EMBEDDINGS[field],
-              "--format", fmt]
+    common = ["--n", "3", "--q", "5", "--field", field, "--format", fmt]
+    placed = common + ["--embedding", EXTENSION_EMBEDDINGS[field]]
     command, _, op = case.partition("-")
     if command == "gb":
         downset = tmp_path / "downset.txt"
         downset.write_text("\n".join(GB_DOWNSET) + "\n")
-        return ["gb", "--kind", op, "--downset-file", str(downset)] + common
+        return ["gb", "--kind", op, "--downset-file", str(downset)] + placed
     if command == "interp":
-        return ["interp", "--point", "2,2,3", "--factored"] + common
+        return ["interp", "--point", "2,2,3", "--factored"] + placed
     if command == "jnq":
-        source = ["--builtin", "jnq:3,5"]
+        source = ["--builtin", "jnq:3,5"] + placed
     else:
         p, k = (int(v) for v in field[3:].split("^"))
         vals = ["[" + ",".join(str(i // p**j % p) for j in range(k)) + "]" for i in range(p**k)]
@@ -785,9 +798,9 @@ def extension_argv(case, field, fmt, tmp_path):
                 for j in range(12)]
         points = tmp_path / "points.txt"
         points.write_text("\n".join(",".join(r) for r in rows + rows[4:5]) + "\n")
-        source = ["--points", str(points)]
+        source = ["--points", str(points)] + common  # a point file takes no embedding
     maxdeg = ["--maxdeg", "5" if command == "jnq" else "3"] if op == "vanish" else []
-    return ["oracle", op] + source + common + maxdeg
+    return ["oracle", op] + source + maxdeg
 
 
 @pytest.mark.parametrize("case,field,fmt", sorted(EXTENSION_PINS))
@@ -1038,6 +1051,7 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
     (["kakeya", "paper-example", "--embedding", "grid:0"], "--embedding"),
     (["kakeya", "build-t", "--n", "2", "--q", "3", "--threshold", "2"], "--threshold"),
     (["kakeya", "build-t", "--n", "2", "--q", "3", "--in", "points.txt"], "--in"),
+    (["cover", "search", "--n", "2", "--q", "3", "--planes", "planes.txt"], "--planes"),
 ])
 def test_unused_global_flag_refused(capsys, argv, flag):
     code, out, err = _outcome(capsys, argv)

@@ -313,7 +313,6 @@ def test_rational_payload_is_int_exactly_when_integral(pair, terms, x):
     _assert_canonical(ea * eb, a * fb)
     _assert_canonical(-ea, -a)
     _assert_canonical(ea * 2, a * 2)
-    _assert_canonical(1 - ea, 1 - a)
     if fb:
         _assert_canonical(eb.inverse(), 1 / fb)
         _assert_canonical(ea / eb, a / fb)

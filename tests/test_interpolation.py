@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, difference_vector, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import _block_factors, expand_factors, full_basis
+from incseq.groebner import _block_factors, _expand_all, full_basis
 from incseq.interpolation import Interpolator, get_interpolator, indicator, interpolate
 from incseq.poly import DEGLEX, Polynomial, format_polynomial, monomials_up_to_degree, reduce_by_basis
 
@@ -254,6 +254,6 @@ def test_interval_products_are_triangular(spec, kind, data):
     n, q, emb = data.draw(contexts(spec, kind))
     seqs = increasing_sequences(n, q)
     for g in seqs:
-        p = expand_factors(emb.field, n, _block_factors(difference_vector(g), emb))
+        p = _expand_all(emb.field, n, [_block_factors(difference_vector(g), emb)])[0]
         for h in seqs:
             assert p.evaluate(emb.apply(h)).is_zero != all(a <= b for a, b in zip(g, h))

@@ -46,8 +46,8 @@ from incseq.geometry import (
     verify_nikodym,
 )
 from incseq.groebner import (
+    _expand_all,
     downset_basis,
-    expand_factors,
     full_basis,
     is_reduced_basis,
     strict_basis,
@@ -64,7 +64,6 @@ from incseq.poly import (
     monomials_up_to_degree,
     parse_polynomial,
     reduce_by_basis,
-    sort_monomials,
 )
 
 from dense_reference import mono_eval, row_echelon
@@ -123,7 +122,7 @@ def reference_is_reduced_basis(polys, order):
     return True
 
 
-def reference_expand_factors(field, n, factors):
+def reference_expand(field, n, factors):
     result = Polynomial.one(field, n)
     for j, t in factors:
         result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
@@ -132,7 +131,7 @@ def reference_expand_factors(field, n, factors):
 
 # Copies of `mono_to_str` and `format_polynomial` as they were before the
 # monomial text was cached and coefficients were formatted on payloads,
-# verbatim but for the names.
+# verbatim but for the names and a plain `sorted` on the term order's key.
 
 def parent_mono_to_str(m: tuple[int, ...]) -> str:
     """`x1^2*x3` style, variables 1-indexed; the empty monomial is `1`."""
@@ -151,7 +150,7 @@ def parent_format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:
         return "0"
     rational = f.field.char == 0
     pieces = []
-    for m in sort_monomials(f.terms, order, reverse=True):
+    for m in sorted(f.terms, key=order.key, reverse=True):
         c = f.terms[m]
         negative = rational and c.value < 0
         mag = -c if negative else c
@@ -336,7 +335,7 @@ def reference_vanishing_polynomial(points, max_degree, order):
     pts = list(dict.fromkeys(points))
     n = len(pts[0])
     field = pts[0][0].field
-    columns = sort_monomials(monomials_up_to_degree(n, max_degree), order)
+    columns = sorted(monomials_up_to_degree(n, max_degree), key=order.key)
     rows = [[mono_eval(m, p) for m in columns] for p in pts]
     echelon, pivots = row_echelon(rows, field)
     pivot_set = set(pivots)
@@ -348,7 +347,8 @@ def reference_vanishing_polynomial(points, max_degree, order):
     for r, c in enumerate(pivots):
         if c < free:
             kernel[c] = -echelon[r][free]
-    return Polynomial(field, n, dict(zip(columns, kernel))).monic(order)
+    f = Polynomial(field, n, dict(zip(columns, kernel)))
+    return f.scale(f.terms[f.leading_monomial(order)].inverse())
 
 
 # The geometry references: the `FieldElement` implementations that the
@@ -685,10 +685,12 @@ def test_reduce_with_exponents_past_the_default_packing(spec, order):
     # x1^4 becomes x2^80000 >= 2^16, past a 16-bit digit; an input term
     # can be that large too
     field = field_from_string(spec)
-    x1, x2, x3 = (Polynomial.variable(field, 3, j) for j in range(3))
+    x1, x3 = Polynomial.variable(field, 3, 0), Polynomial.variable(field, 3, 2)
+    mono = lambda *e: Polynomial(field, 3, {e: field.one})
     c = field.element(3)
-    divisors = [x1 - x2 ** 20000, x3 * x3 - x3.scale(c)]
-    for f in (x1 * x1 + x1 * x3 + x3 ** 3, x1 ** 4 + x3, x2 ** 40000 * x1 + x3 ** 2, x1 ** 3 * x3 + x3):
+    divisors = [x1 - mono(0, 20000, 0), x3 * x3 - x3.scale(c)]
+    for f in (x1 * x1 + x1 * x3 + mono(0, 0, 3), mono(4, 0, 0) + x3, mono(1, 40000, 0) + mono(0, 0, 2),
+              mono(3, 0, 1) + x3):
         _assert_same(reduce_by_basis(f, divisors, order), reference_reduce_by_basis(f, divisors, order))
 
 
@@ -696,9 +698,10 @@ def test_reduce_starts_at_the_width_a_divisor_kept():
     # x1^3 reduces to x2^60000 under lex, past a 16-bit digit: the first
     # call restarts at 32 bits, and the second starts there
     field = field_from_string("gf:7")
-    x1, x2, x3 = (Polynomial.variable(field, 3, j) for j in range(3))
-    divisors = [x1 - x2 ** 20000 + x3 ** k for k in range(1, 40)]
-    f = x1 ** 3 + x3
+    x1, x3 = Polynomial.variable(field, 3, 0), Polynomial.variable(field, 3, 2)
+    mono = lambda *e: Polynomial(field, 3, {e: field.one})
+    divisors = [x1 - mono(0, 20000, 0) + mono(0, 0, k) for k in range(1, 40)]
+    f = mono(3, 0, 0) + x3
     widths = []
 
     def counting(f, basis, order, w):
@@ -783,16 +786,16 @@ def test_is_reduced_on_closed_form_bases(gb, data):
 @given(divisor_lists())
 def test_is_reduced_on_arbitrary_lists(divs):
     _, _, order, divisors = divs
-    monic = [g.monic(order) for g in divisors]
+    monic = [g.scale(g.terms[g.leading_monomial(order)].inverse()) for g in divisors]
     for polys in (divisors, monic, monic[:1], monic[1:]):
         assert is_reduced_basis(polys, order) == reference_is_reduced_basis(polys, order)
 
 
 @KERNELS
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
-def test_expand_factors(field, n, data):
+def test_expand_all(field, n, data):
     factors = data.draw(st.lists(st.tuples(st.integers(0, n - 1), elements(field)), max_size=6))
-    _assert_same(expand_factors(field, n, factors), reference_expand_factors(field, n, factors))
+    _assert_same(_expand_all(field, n, [factors])[0], reference_expand(field, n, factors))
 
 
 LM_FIELDS = [field_from_string(s) for s in ("gf:7", "gf:3^2", "rational")]
@@ -832,15 +835,14 @@ def test_basis_expansion_shares_columns(gb):
     polys = gb.polynomials
     assert len(polys) == len(gb.factored)
     for p, factors in zip(polys, gb.factored):
-        alone = expand_factors(field, n, factors)
-        want = reference_expand_factors(field, n, factors)
+        alone = _expand_all(field, n, [factors])[0]
+        want = reference_expand(field, n, factors)
         assert p.terms == alone.terms == want.terms
         assert p._lm == alone._lm
         for order in ORDERS:
             lm = max(want.terms, key=order.key)
             assert p.leading_monomial(order) == alone.leading_monomial(order) == lm
             assert format_polynomial(p, order) == parent_format_polynomial(want, order)
-    assert gb.leading_monomials == tuple(max(p.terms, key=gb.order.key) for p in polys)
     # one element object per distinct payload across the whole basis
     coefficients = [c for p in polys for c in p.terms.values()]
     assert len({id(c) for c in coefficients}) == len({c.value for c in coefficients})
@@ -898,7 +900,7 @@ def factor_lists(draw, field, n):
 @KERNELS
 @given(st.sampled_from(LM_FIELDS), st.integers(1, 4), st.data())
 def test_recorded_leading_monomials(field, n, data):
-    products = [expand_factors(field, n, data.draw(factor_lists(field, n)))
+    products = [_expand_all(field, n, [data.draw(factor_lists(field, n))])[0]
                 for _ in range(data.draw(st.integers(1, 4)))]
     others = data.draw(st.lists(polynomials(field, n, 3, max_terms=5, nonzero=True), max_size=2))
     scale = data.draw(elements(field, nonzero=True))
@@ -911,7 +913,7 @@ def test_recorded_leading_monomials(field, n, data):
     divisors = data.draw(st.permutations(products + others))
     for order in ORDERS:
         _assert_same(reduce_by_basis(f, divisors, order), parent_reduce_by_basis(f, divisors, order))
-        monic = [g.monic(order) for g in divisors]
+        monic = [g.scale(g.terms[g.leading_monomial(order)].inverse()) for g in divisors]
         for polys in (divisors, products, monic, monic[:1]):
             assert is_reduced_basis(polys, order) == parent_is_reduced_basis(polys, order)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, compositions, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import _block_factors, expand_factors, full_basis
+from incseq.groebner import _block_factors, _expand_all, full_basis
 from incseq.interpolation import get_interpolator
 from incseq.poly import (
     DEGLEX,
@@ -19,7 +19,6 @@ from incseq.poly import (
     parse_order,
     parse_polynomial,
     reduce_by_basis,
-    sort_monomials,
 )
 
 from dense_reference import mono_eval
@@ -34,15 +33,15 @@ def _vars(field, n):
 def test_ring_arithmetic():
     x1, _ = _vars(Q, 2)
     one = Polynomial.one(Q, 2)
-    assert (x1 + one) * (x1 - one) == x1**2 - one
-    f = x1**2 - one.scale(3)
+    assert (x1 + one) * (x1 - one) == x1 * x1 - one
+    f = x1 * x1 - one.scale(3)
     assert (f + (-f)).is_zero
 
 
 def test_char2_frobenius():
     gf2 = field_from_string("gf:2")
     x1, x2 = _vars(gf2, 2)
-    assert (x1 + x2) ** 2 == x1**2 + x2**2
+    assert (x1 + x2) * (x1 + x2) == x1 * x1 + x2 * x2
 
 
 def test_mismatched_operands_rejected():
@@ -82,7 +81,7 @@ def test_eval_worked_product_on_grid():
 
 def test_leading_monomials():
     x1, x2 = _vars(Q, 2)
-    f = x1 + x2**2
+    f = x1 + x2 * x2
     assert f.leading_monomial(LEX) == (1, 0)
     assert f.leading_monomial(DEGLEX) == (0, 2)
     with pytest.raises(ValueError):
@@ -93,7 +92,7 @@ def test_block_product_leading_monomial_is_size_vector():
     emb = Embedding.grid(Q, 3, -1)
     for n in (1, 2, 3):
         for sizes in compositions(3, n):
-            f = expand_factors(Q, n, _block_factors(sizes, emb))
+            f = _expand_all(Q, n, [_block_factors(sizes, emb)])[0]
             for order in (LEX, DEGLEX):
                 assert f.leading_monomial(order) == sizes
 
@@ -112,21 +111,24 @@ def test_term_order_axioms_random():
 
 
 def test_order_parse():
-    assert parse_order("lex") == LEX and parse_order("deglex") == DEGLEX
-    with pytest.raises(ValueError):
-        parse_order("grevlex")
+    # the module objects themselves: orders compare by identity
+    assert parse_order("lex") is LEX and parse_order(" deglex ") is DEGLEX
+    for name in ("grevlex", "Lex", ""):
+        with pytest.raises(ValueError, match="unknown term order"):
+            parse_order(name)
 
 
 def test_reduce_power_lands_in_standard_monomials():
     emb = Embedding.grid(Q, 3, -1)
     basis = full_basis(2, 3, emb).polynomials
     x1, _ = _vars(Q, 2)
-    r = reduce_by_basis(x1**3, basis, DEGLEX)
+    cube = x1 * x1 * x1
+    r = reduce_by_basis(cube, basis, DEGLEX)
     assert not r.is_zero and r.degree() <= 2
     # remainder agrees with x1^3 as a function on the points
     for seq in increasing_sequences(2, 3):
         p = emb.apply(seq)
-        assert r.evaluate(p) == (x1**3).evaluate(p)
+        assert r.evaluate(p) == cube.evaluate(p)
 
 
 def test_reduce_normal_form_fixed():
@@ -154,7 +156,7 @@ def _random_poly(rng, field, n, maxdeg):
     f = Polynomial.zero(field, n)
     for _ in range(rng.randint(0, 6)):
         mono = tuple(rng.randint(0, maxdeg) for _ in range(n))
-        f = f + Polynomial(field, n, {mono: field.from_int(rng.randint(-9, 9))})
+        f = f + Polynomial(field, n, {mono: field.element(rng.randint(-9, 9))})
     return f
 
 
@@ -169,7 +171,7 @@ def test_reduction_idempotent_and_linear(spec):
         g = _random_poly(rng, field, 2, 4)
         rf, rg = reduce_by_basis(f, basis, DEGLEX), reduce_by_basis(g, basis, DEGLEX)
         assert reduce_by_basis(rf, basis, DEGLEX) == rf
-        a, b = field.from_int(rng.randint(-4, 4)), field.from_int(rng.randint(-4, 4))
+        a, b = field.element(rng.randint(-4, 4)), field.element(rng.randint(-4, 4))
         assert reduce_by_basis(f.scale(a) + g.scale(b), basis, DEGLEX) == rf.scale(a) + rg.scale(b)
 
 
@@ -188,7 +190,7 @@ def test_eval_is_ring_homomorphism(spec):
 
 def test_format_examples():
     x1, x2, x3 = _vars(Q, 3)
-    f = x1**2 * x2 - x3.scale(2) + Polynomial.one(Q, 3)
+    f = x1 * x1 * x2 - x3.scale(2) + Polynomial.one(Q, 3)
     assert format_polynomial(f, DEGLEX) == "x1^2*x2 - 2*x3 + 1"
     assert format_polynomial(Polynomial.zero(Q, 3)) == "0"
     assert format_polynomial(-x1) == "-x1"
@@ -216,9 +218,8 @@ def test_parse_rejects_garbage():
 def test_monomial_enumeration_sorted():
     monos = monomials_up_to_degree(2, 2)
     assert len(monos) == 6
-    ordered = sort_monomials(monos, DEGLEX)
+    ordered = sorted(monos, key=DEGLEX.key)
     assert ordered[0] == (0, 0) and sum(ordered[-1]) == 2
-    assert ordered == sorted(monos, key=DEGLEX.key)
 
 
 def test_coefficients_must_belong_to_the_field():
