@@ -203,6 +203,8 @@ def cmd_nonvanish(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.points and args.builtin:
+        raise ValueError("pass --points FILE or --builtin jnq:n,q, not both")
     builtin = None
     if args.builtin:
         kind, _, spec = args.builtin.partition(":")

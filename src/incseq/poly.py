@@ -7,10 +7,10 @@ multi-divisor normal-form reduction.
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, repeat
-from math import lcm, prod
-from operator import getitem, mul
+from functools import lru_cache, reduce
+from itertools import accumulate, count, pairwise, repeat
+from math import lcm
+from operator import itemgetter, mul
 
 from .field import Field, FieldElement
 
@@ -95,9 +95,12 @@ class Polynomial:
     coefficient payload, [(packed tail monomial, payload)]), the last two
     None until a reduction divides by it.  `evaluate` keeps in `_plan`
     what it needs that does not depend on the point, built on its first
-    call: top exponents and coefficient payloads, over Q scaled to ints by
-    their lcm (_evaluation_plan).  `__init__` and `_raw` start both empty,
-    so `-g`, `g.scale(c)` and every other derived polynomial start afresh.
+    call: the distinct prefixes of the monomials, each a shorter prefix
+    times a power of one variable, so a value costs one multiplication
+    per prefix, and each term's prefix and coefficient payload, over Q
+    scaled to ints by their lcm and grouped by degree (_evaluation_plan).
+    `__init__` and `_raw` start both empty, so `-g`, `g.scale(c)` and
+    every other derived polynomial start afresh.
     """
 
     __slots__ = ("field", "n", "terms", "_lm", "_packed", "_plan")
@@ -223,28 +226,34 @@ class Polynomial:
             return field.zero
         if self._plan is None:
             self._plan = _evaluation_plan(self.terms, field.char == 0)
-        tops, monos, coeffs, gaps, L, d = self._plan
-        if field.char == 0:
-            # f(x) = sum(c * D^gap * prod(X_j^m_j)) / (L * D^d) for X_j = x_j*D, D the lcm of x's denominators
+        steps, ix, coeffs, groups, L = self._plan
+        ext = 0 < field.char != field.size  # GF(p^k): a payload does not multiply as an int
+        fmul = field._mul if field.char else mul  # so a finite field's power rows stay reduced
+        if field.char == 0:  # x_j = X_j / D with X_j an int, D the lcm of the denominators
             D = lcm(*(x.value.denominator for x in point))
-            powers = [list(accumulate(repeat(x.value.numerator * (D // x.value.denominator), top), mul, initial=1))
-                      for x, top in zip(point, tops)]
-            scale = list(accumulate(repeat(D, d), mul, initial=1))  # scale[k] = D^k
-            total = sum(c * scale[g] * prod(map(getitem, powers, m)) for c, g, m in zip(coeffs, gaps, monos))
-            whole, rest = divmod(total, den := L * scale[d])
+            xs = [x.value.numerator * (D // x.value.denominator) for x in point]
+        else:
+            xs = [x.value for x in point]
+        v = [1]  # v[i] = the i-th prefix's value; v[0] is the empty prefix
+        for j, top, entries in steps:
+            row = list(accumulate(repeat(xs[j], top), fmul, initial=1))
+            if ext:
+                v += [fmul(v[p], row[k]) if p else row[k] for p, k in entries]
+            else:
+                v += [v[p] * row[k] for p, k in entries]
+        if field.char == 0:
+            if D == 1:
+                total, den = sum(map(mul, coeffs, map(v.__getitem__, ix))), L
+            else:  # a term of degree e is c * X^m / D^e, so sum by degree, by Horner in D
+                total = 0
+                for cs, gix in groups:
+                    total = total * D + sum(map(mul, cs, map(v.__getitem__, gix)))
+                den = L * D ** (len(groups) - 1)
+            whole, rest = divmod(total, den)
             return FieldElement(field, Fraction(total, den) if rest else whole)
-        fmul = field._mul
-        # powers[j][e] = x_j^e up to the largest exponent of x_j in a term
-        powers = [list(accumulate(repeat(x.value, top), fmul, initial=1)) for x, top in zip(point, tops)]
-        if field.size == field.char:  # GF(p), reduced once; a GF(p^k) payload does not multiply as an int
-            return FieldElement(field, sum(c * prod(map(getitem, powers, m)) for c, m in zip(coeffs, monos)) % field.char)
-        total = 0
-        for c, m in zip(coeffs, monos):
-            for row, e in zip(powers, m):
-                if e:
-                    c = fmul(c, row[e])
-            total = field._add(total, c)
-        return FieldElement(field, total)
+        if not ext:  # GF(p), reduced once
+            return FieldElement(field, sum(map(mul, coeffs, map(v.__getitem__, ix))) % field.char)
+        return FieldElement(field, reduce(field._add, map(fmul, coeffs, map(v.__getitem__, ix))))
 
     def leading_monomial(self, order: TermOrder) -> tuple[int, ...]:
         known = self._lm
@@ -266,18 +275,33 @@ class Polynomial:
 
 
 def _evaluation_plan(terms, rational: bool):
-    """A nonzero polynomial's `_plan`, as parallel lists (a few objects, not
-    one per term): (tops, monos, coeffs, gaps, L, d), tops[j] the top
-    exponent of x_j and coeffs[i] the payload of monos[i]'s coefficient.
-    Over Q, coeffs[i] is that coefficient times L, the lcm of the
-    denominators, d is the total degree and gaps[i] = d - |monos[i]|."""
-    monos, payloads = list(terms), [c.value for c in terms.values()]
-    tops = list(map(max, zip(*monos)))
+    """A nonzero polynomial's `_plan`: (steps, ix, coeffs, groups, L).
+
+    A prefix of m is (m_1..m_j, 0..0) with m_j > 0; prefix 0 is the empty
+    one, and the others are numbered by the variable they end at, after
+    their parents (the same prefix with m_j cleared).  steps has (j, top,
+    [(parent, m_j)]) for each x_j that occurs in a term, in order, with
+    top its largest exponent.  Term i is prefix ix[i] times the payload
+    coeffs[i].  Over Q the terms go by degree, coeffs are scaled to ints
+    by L, the lcm of their denominators, and groups[e] = (coeffs, ix) of
+    the terms of degree e."""
+    monos = sorted(terms, key=sum) if rational else list(terms)
+    ix, steps, size = [0] * len(monos), [], 1
+    for j, column in enumerate(zip(*monos)):
+        if top := max(column):
+            keys = list(zip(ix, column))  # (parent, m_j) of each term's prefix ending at x_j
+            new = dict(zip(dict.fromkeys(filter(itemgetter(1), keys)), count(size)))
+            ix = list(map(new.get, keys, ix))  # a term without x_j keeps its prefix
+            steps.append((j, top, list(new)))
+            size += len(new)
+    payloads = [terms[m].value for m in monos]
     if not rational:
-        return tops, monos, payloads, None, 1, 0
+        return steps, ix, payloads, None, 1
     L = lcm(*(c.denominator for c in payloads))
-    d = max(map(sum, monos))
-    return tops, monos, [c.numerator * (L // c.denominator) for c in payloads], [d - sum(m) for m in monos], L, d
+    coeffs = [c.numerator * (L // c.denominator) for c in payloads]
+    degrees = list(map(sum, monos))
+    cuts = list(accumulate(map(degrees.count, range(degrees[-1] + 1)), initial=0))
+    return steps, ix, coeffs, [(coeffs[a:b], ix[a:b]) for a, b in pairwise(cuts)], L
 
 
 def format_polynomial(f: Polynomial, order: TermOrder = DEGLEX) -> str:

@@ -7,7 +7,7 @@ from incseq import cli, geometry, groebner, interpolation, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import Field, field_from_string
-from incseq.poly import format_polynomial, mono_to_str, parse_order
+from incseq.poly import format_polynomial, mono_to_str, monomials_up_to_degree, parse_order
 
 
 def run(capsys, *argv):
@@ -345,6 +345,18 @@ def test_oracle_points_refuse_embedding(capsys, tmp_path, op):
     for spec in ("garbage", "grid:0"):
         code, out, err = run(capsys, *argv, "--embedding", spec)
         assert code == 2 and out == "" and err == "error: --embedding is not used with --points\n"
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("op", [["sm"], ["vanish", "--maxdeg", "2"]])
+def test_oracle_points_refuse_builtin(capsys, tmp_path, op):
+    # both name the point set, so one of them would be ignored
+    points = tmp_path / "points.txt"
+    points.write_text("1,2\n2,3\n")
+    argv = ["oracle", *op, "--points", str(points), "--n", "2", "--field", "gf:7"]
+    for spec in ("jnq:2,3", "sjnq:2,3", "garbage"):
+        code, out, err = run(capsys, *argv, "--builtin", spec)
+        assert code == 2 and out == "" and err == "error: pass --points FILE or --builtin jnq:n,q, not both\n"
     assert run(capsys, *argv)[0] == 0
 
 
@@ -978,6 +990,79 @@ def test_cover_search_bytes_pinned(capsys, n, q, field, excluded, fmt):
     code, out, _ = run(capsys, *argv)
     digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
     assert digest == COVER_SEARCH_PINS[(n, q, field, excluded, fmt)]
+
+
+# SHA-256 of the exit code and stdout of `incseq nonvanish`, whose `value`
+# is an evaluation at the witness.  The dense polynomial has every
+# monomial in n = 3 up to the strict degree bound that has x1 or x2, so
+# it vanishes on the points (0, 0, t) that come first.  The sparse one in
+# n = 4 is c*x1*x4*(x1 - x2): the prefixes x1^2 and x1*x2 of its
+# monomials are not terms, and it vanishes while x1 = x2, so the scan
+# walks before it stops.  The rational embedding has distinct
+# denominators and a zero.  Pinned from the evaluation before the prefix
+# plan.
+NONVANISH_FIELDS = {  # field: (q, embedding, sparse polynomial)
+    "gf:7": (7, None, "3*x1^2*x4 + 4*x1*x2*x4"),
+    "gf:2^3": (8, None, "[0,1,1]*x1^2*x4 + [0,1,1]*x1*x2*x4"),
+    "gf:3^2": (9, None, "[2,1]*x1^2*x4 + [1,2]*x1*x2*x4"),
+    "rational": (7, "list:0,1/2,-2/3,3/4,5,-7/6,2", "-5/3*x1^2*x4 + 5/3*x1*x2*x4"),
+}
+NONVANISH_PINS = {
+    ("gf:7", "full", "dense", "text"): "a0492dcb4639bf151e2c0838517714c5a5451857dd470ddd6478916d92c9afcf",
+    ("gf:7", "full", "dense", "json"): "5236446a3fa4df74d98f84ce8cd22a35cfaa2bfdd57bbe04dc5e6a5558770fbe",
+    ("gf:7", "full", "sparse", "text"): "26ac3268821aa5cecd4424587eaf21bba45eaa8c76da53139c27dc32980f6946",
+    ("gf:7", "full", "sparse", "json"): "5e1a949b8e4365191b1b832f375a85f1b1e533a0c304dad5b991f3f3e0e0222b",
+    ("gf:7", "strict", "dense", "text"): "ca31181faaefff61ba0413eb719c05e7321f8849b2a64ff1226108c1cb249c56",
+    ("gf:7", "strict", "dense", "json"): "0ab63d7feffc7568513356c95aae1d4f469f8d346bbcaaed02b91d41b68b3ff5",
+    ("gf:7", "strict", "sparse", "text"): "6d26111ee7f92f08a1aa7f69f4dbc7236d8e8a3eb5551f64e9b5505135bb6789",
+    ("gf:7", "strict", "sparse", "json"): "2a92b7364cd795255ab471835521abab89543527bcd266f52f6435f642539c0f",
+    ("gf:2^3", "full", "dense", "text"): "4f4f5609f5856dd99f6aef2822738048de5868915bf1f703a53ccf8798aac748",
+    ("gf:2^3", "full", "dense", "json"): "60ccf70c5ed4f29c6ef44ca107a56356e6299e74b27b256efdf2a6c6124dc232",
+    ("gf:2^3", "full", "sparse", "text"): "b0640b090a16f9864fdcf1a37e0a9e59aed0aaca8c97521302db4edeb4d335b0",
+    ("gf:2^3", "full", "sparse", "json"): "3f731dc8bf042c2c6976e9ee567bf0dcc1d059099048e4c8abcdb1d099914380",
+    ("gf:2^3", "strict", "dense", "text"): "785aff3ee50a3cfa8673d1bd69f5ca4e4e35111dca1edfc0ab3f9a4757cfc1e5",
+    ("gf:2^3", "strict", "dense", "json"): "5d304fb505d28e994a8a299af9d529344b7b0b763572a8511839cdf18efa0b46",
+    ("gf:2^3", "strict", "sparse", "text"): "5e494f1193b8beaf5a98e1c4a080f8bfef85fcce317d6db5a70b626b37c8dab3",
+    ("gf:2^3", "strict", "sparse", "json"): "5dfde955138e6f99816af983dc555b37b1bc8cbf3da297838093a52438fdebc5",
+    ("gf:3^2", "full", "dense", "text"): "89318891084406740f9fd66900e9a07a01dc6d23551ef5610d4b19ef8bb24854",
+    ("gf:3^2", "full", "dense", "json"): "ef383a52d0f7cd6fd83ec706c321bdbafdbf6c6ee2c19553fbf593376c8f1aab",
+    ("gf:3^2", "full", "sparse", "text"): "89ce124b8247dc3312bf063fe886b01767bd0cbce595fccd940e7e7c06c63fd2",
+    ("gf:3^2", "full", "sparse", "json"): "6015b0a6133f567d0b2bdc2cde03e5243c45d40d8da8df989ad9fbf831284dea",
+    ("gf:3^2", "strict", "dense", "text"): "89318891084406740f9fd66900e9a07a01dc6d23551ef5610d4b19ef8bb24854",
+    ("gf:3^2", "strict", "dense", "json"): "ef383a52d0f7cd6fd83ec706c321bdbafdbf6c6ee2c19553fbf593376c8f1aab",
+    ("gf:3^2", "strict", "sparse", "text"): "a98746e567c7849f69eb827b15a9b25b3106b461e786c2781dac7eed0eb3657c",
+    ("gf:3^2", "strict", "sparse", "json"): "4b3052943466d5c8cba069cec8db01ebcca2f89e1af1d26cd05595bf2ba6e064",
+    ("rational", "full", "dense", "text"): "08bc21ee06e4d50a656c4b4a3f8be63f909f8f3a484a228cbf93237b188514f8",
+    ("rational", "full", "dense", "json"): "01858f278f2af2baf84b59d5d3204cbeb7e92c7ea34afc823d7f6cc5f7a2e416",
+    ("rational", "full", "sparse", "text"): "9f3bc93bf81211fbeb7f8056001b94730ea686ce07346b142f76e01ed5effaef",
+    ("rational", "full", "sparse", "json"): "930cf80cb35859bd8e880b65303409956a96231cb10b78b475475ddc837fd254",
+    ("rational", "strict", "dense", "text"): "2839d6a8fec4eeed13328fdcb90845ca291eac9628a91fd9055c6c76eb1a405c",
+    ("rational", "strict", "dense", "json"): "1fbb423fde8b7ad9dd5b0994856bfff0813f564d227314cfb734ee893cb94960",
+    ("rational", "strict", "sparse", "text"): "803173570b3c76a078eca894a7ff48a843c5bea4f121c1973874bf852cb6b14c",
+    ("rational", "strict", "sparse", "json"): "e6f4a47c382539b9d70b80baec2afb3bcb59508bbb482a7544a4f3b1ea57389e",
+}
+
+
+def nonvanish_argv(field_spec, kind, shape, fmt):
+    q, embedding, sparse = NONVANISH_FIELDS[field_spec]
+    n = 4 if shape == "sparse" else 3
+    text = sparse
+    if shape == "dense":
+        field = field_from_string(field_spec)
+        coeffs = ([field.format_element(e) for e in field.elements()[1:]] if field.size
+                  else [f"{(-1) ** i * (i + 1)}/{i % 5 + 1}" for i in range(9)])
+        monos = [m for m in monomials_up_to_degree(n, q - n) if m[0] or m[1]]
+        text = " + ".join(f"{coeffs[i % len(coeffs)]}*{mono_to_str(m)}" for i, m in enumerate(monos))
+    argv = ["nonvanish", "--poly", text, "--n", str(n), "--q", str(q), "--field", field_spec,
+            "--kind", kind, "--format", fmt]
+    return argv + (["--embedding", embedding] if embedding else [])
+
+
+@pytest.mark.parametrize("field_spec,kind,shape,fmt", sorted(NONVANISH_PINS))
+def test_nonvanish_bytes_pinned(capsys, field_spec, kind, shape, fmt):
+    code, out, _ = run(capsys, *nonvanish_argv(field_spec, kind, shape, fmt))
+    digest = hashlib.sha256(f"exit {code}\n{out}".encode()).hexdigest()
+    assert digest == NONVANISH_PINS[(field_spec, kind, shape, fmt)]
 
 
 @pytest.mark.parametrize("op", ["search", "verify"])

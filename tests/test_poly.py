@@ -301,21 +301,39 @@ def _assert_evaluates(f, points):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(st.sampled_from(PLAN_FIELDS), st.integers(1, 4), st.data())
+@given(st.sampled_from(PLAN_FIELDS), st.integers(1, 8), st.data())
 def test_planned_evaluate_matches_reference(spec, n, data):
     field = field_from_string(spec)
     values = _values(field)
-    terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * n), values, min_size=1, max_size=10))
+    # variables outside `used` occur in no term
+    used = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+    monos = st.tuples(*[st.integers(0, 6) if j in used else st.just(0) for j in range(n)])
+    terms = data.draw(st.dictionaries(monos, values, min_size=1, max_size=10))
     f = Polynomial(field, n, terms)
-    # successive points, with a zero point and (over Q) one of distinct negative fractions
+    # successive points, one with a zero coordinate, a zero point and (over
+    # Q) one of distinct fractions and a zero, so D > 1
     points = data.draw(st.lists(st.tuples(*[values] * n), min_size=5, max_size=7))
+    z = data.draw(st.integers(0, n - 1))
+    points.append(points[0][:z] + (field.zero,) + points[0][z + 1:])
     points.append((field.zero,) * n)
     if field.char == 0:
         points.append(tuple(field.element(Fraction(-(j + 1), j + 2)) for j in range(n)))
+        points.append((field.zero,) + tuple(field.element(Fraction(j + 3, 2 * j + 3)) for j in range(1, n)))
+    # a monomial alone, whose prefix x1^5 is not a term
+    nonzero = values.filter(lambda x: not x.is_zero)
+    lone = Polynomial(field, max(n, 3), {(5, 0, 2) + (0,) * (n - 3): data.draw(nonzero)})
+    _assert_evaluates(lone, [(p * 3)[:max(n, 3)] for p in points])
+    assert lone._plan[:2] == ([(0, 5, [(0, 5)]), (2, 2, [(1, 2)])], [2])  # x1^5, then x1^5 * x3^2
     _assert_evaluates(f, points)
     assert f._plan is not None or f.is_zero
+    if not f.is_zero:
+        # one prefix entry at most per nonzero exponent of a term, and a
+        # step only for a variable that occurs in some term
+        steps = f._plan[0]
+        assert sum(len(entries) for _, _, entries in steps) <= sum(e > 0 for m in f.terms for e in m)
+        assert [j for j, _, _ in steps] == [j for j in range(n) if any(m[j] for m in f.terms)]
     # derived polynomials start without a plan, though f has one
-    c = data.draw(values.filter(lambda x: not x.is_zero))
+    c = data.draw(nonzero)
     derived = [-f, f.scale(c), f.homogeneous_component(max(f.degree(), 0)), f.homogeneous_component(0),
                Polynomial.zero(field, n), Polynomial.constant(field, n, c)]
     for g in derived:
