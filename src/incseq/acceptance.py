@@ -188,7 +188,7 @@ def criterion_6() -> CriterionResult:
     checked = []
     for n, q, fieldspec in [(2, 3, "gf:3"), (3, 3, "gf:3"), (2, 4, "gf:2^2")]:
         field = field_from_string(fieldspec)
-        emb = Embedding.grid(field, q, -1) if (field.char == 0 or field.char >= q) else Embedding.enumeration(field, q)
+        emb = Embedding.default(field, q)
         T = geometry.line_star(n, q, field, emb)
         if len(T) > geometry.line_star_size_bound(n, q):
             return CriterionResult(6, "kakeya", False, f"|T({n},{q})| = {len(T)} exceeds its bound")

@@ -15,7 +15,7 @@ from functools import cache
 
 from . import acceptance, geometry, groebner, interpolation, oracle
 from .combinatorics import Embedding, _data_lines, count_increasing, increasing_sequences, parse_embedding
-from .field import Field, field_from_string, is_prime, smallest_prime_geq
+from .field import field_from_string, is_prime, smallest_prime_geq
 from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
 
 
@@ -37,30 +37,19 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
     raise ValueError(f"q={q} is not a prime power; pass --field explicitly")
 
 
-def _default_embedding_spec(field: Field, q: int) -> str:
-    if field.char == 0 or field.char >= q:
-        return "grid:-1"
-    if field.size is None or field.size < q:
-        raise ValueError(f"field {field!r} cannot embed [{q}]")
-    images = field.elements()[:q]
-    return "list:" + ",".join(field.format_element(e) for e in images)
-
-
 def _resolve(args, prime_power_field: bool = False, need_n: bool = True):
-    """Field + embedding + order from the global flags, with defaults;
-    --n is required too unless need_n is False."""
+    """Field + embedding from the global flags, with defaults; --n is
+    required too unless need_n is False."""
     if args.q is None:
         raise ValueError("--q is required")
-    field_spec = args.field or _default_field_spec(args.q, prime_power_field)
-    field = field_from_string(field_spec)
-    embedding_spec = args.embedding or _default_embedding_spec(field, args.q)
-    emb = parse_embedding(embedding_spec, field, args.q)
+    field = field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
+    emb = parse_embedding(args.embedding, field, args.q) if args.embedding else Embedding.default(field, args.q)
     if need_n and args.n is None:
         raise ValueError("--n is required")
-    return field, emb, parse_order(args.order)
+    return field, emb
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload, text_lines) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -73,10 +62,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_downset(path: str):
-    return [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(path))]
-
-
 def _basis_for(args, field, emb, order):
     """The basis of --kind, refused before it is built when its expansion
     would exceed groebner.EXPANSION_CAP terms."""
@@ -84,7 +69,7 @@ def _basis_for(args, field, emb, order):
     if args.kind == "downset":
         if not args.downset_file:
             raise ValueError("--downset-file is required for kind downset")
-        points = _read_downset(args.downset_file)
+        points = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
     terms = groebner.expanded_terms(args.kind, args.n, args.q, points)
     if terms > groebner.EXPANSION_CAP:
         raise ValueError(f"the {args.kind} basis for n={args.n}, q={args.q} expands to {terms} terms, "
@@ -98,7 +83,8 @@ def _basis_for(args, field, emb, order):
 
 
 def cmd_gb(args) -> int:
-    field, emb, order = _resolve(args)
+    field, emb = _resolve(args)
+    order = parse_order(args.order)
     gb = _basis_for(args, field, emb, order)
     basis_strs = [format_polynomial(p, order) for p in gb.polynomials]
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
@@ -122,7 +108,8 @@ def cmd_gb(args) -> int:
 
 
 def cmd_sm(args) -> int:
-    field, emb, order = _resolve(args)
+    field, emb = _resolve(args)
+    order = parse_order(args.order)
     gb = _basis_for(args, field, emb, order)
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
     payload = {"kind": gb.kind, "n": gb.n, "q": gb.q, "order": order.kind,
@@ -136,7 +123,7 @@ def cmd_hilbert(args) -> int:
     if args.n is None or args.q is None:
         raise ValueError("--n and --q are required")
     smax = groebner.degree_bound(args.kind, args.n, args.q)
-    svals = [args.s] if args.s is not None else list(range(max(smax, 0) + 1))
+    svals = [args.s] if args.s is not None else list(range(smax + 1))
     values = []
     for s in svals:
         value, closed_form = groebner.hilbert_value(args.kind, args.n, args.q, s)
@@ -149,9 +136,12 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    field, emb, order = _resolve(args)
+    field, emb = _resolve(args)
+    order = parse_order(args.order)
     if (args.point is None) == (args.values is None):
         raise ValueError("pass exactly one of --point or --values")
+    if args.factored and args.values is not None:
+        raise ValueError("--factored applies to --point, not --values")
     if args.point is not None:
         seq = tuple(int(v) for v in args.point.split(","))
         ip = interpolation.indicator(seq, args.n, args.q, emb)
@@ -190,7 +180,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_nonvanish(args) -> int:
-    field, emb, order = _resolve(args)
+    field, emb = _resolve(args)
     f = parse_polynomial(args.poly, field, args.n)
     witness = groebner.nonvanishing_point(f, args.kind, args.n, args.q, emb)
     if witness is None:
@@ -226,18 +216,18 @@ def cmd_oracle(args) -> int:
         if args.embedding is not None:
             raise ValueError("--embedding is not used with --points")
         field = field_from_string(args.field or _default_field_spec(args.q))
-        order = parse_order(args.order)
         # the answer does not depend on the order of the points, so they
         # need no sorting (which an infinite field could not do)
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
         _check_oracle_points(len(pts))
     elif builtin:
-        field, emb, order = _resolve(args, need_n=False)
+        field, emb = _resolve(args, need_n=False)
         n, q, strict = builtin
         _check_oracle_points(count_increasing(n, q, strict))
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
     else:
         raise ValueError("pass --points FILE or --builtin jnq:n,q")
+    order = parse_order(args.order)
     if args.oracle_op == "sm":
         sm = oracle.standard_monomials(pts, order)
         sm_strs = [mono_to_str(m) for m in sorted(sm, key=order.key)]
@@ -280,17 +270,14 @@ def cmd_kakeya(args) -> int:
         K = geometry.optimal_kakeya_f3()
         payload = {"size": len(K), "points": geometry.format_points(K).splitlines()}
         lines = [f"size: {len(K)}"] + payload["points"]
+        ok = True
         if args.verify:
-            emb = Embedding.grid(K.field, 3, -1)
-            cert = geometry.verify_kakeya(K, emb, 3)
-            payload["verified"] = cert.ok
+            ok = payload["verified"] = geometry.verify_kakeya(K, Embedding.grid(K.field, 3, -1), 3).ok
             payload["bound"] = math.comb(5, 3)
-            lines.append(f"verified at threshold 3: {cert.ok}; size {len(K)} = bound {math.comb(5, 3)}")
-            _emit(args, payload, lines)
-            return 0 if cert.ok else 1
+            lines.append(f"verified at threshold 3: {ok}; size {len(K)} = bound {math.comb(5, 3)}")
         _emit(args, payload, lines)
-        return 0
-    field, emb, order = _resolve(args, prime_power_field=True)
+        return 0 if ok else 1
+    field, emb = _resolve(args, prime_power_field=True)
     if args.kakeya_op == "build-t":
         bound = geometry.line_star_size_bound(args.n, args.q)
         if bound > geometry.VERIFY_WORK_CAP:
@@ -320,7 +307,7 @@ def cmd_kakeya(args) -> int:
 
 
 def cmd_nikodym(args) -> int:
-    field, emb, order = _resolve(args, prime_power_field=True)
+    field, emb = _resolve(args, prime_power_field=True)
     _check_verify_work("nikodym", args)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
@@ -338,7 +325,7 @@ def cmd_nikodym(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    field, emb, order = _resolve(args)
+    field, emb = _resolve(args)
     excluded = [tuple(int(v) for v in item.split(",")) for item in (args.exclude or [])]
     if args.cover_op == "search":
         result = geometry.cover_search(args.n, args.q, field, emb, excluded)
@@ -363,82 +350,83 @@ def cmd_cover(args) -> int:
 
 def cmd_verify_all(args) -> int:
     results = acceptance.run_all(args.max_n, args.max_q, args.seed)
-    if args.format == "json":
-        payload = [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail,
-                    "elapsed_s": r.elapsed, "budget_s": r.budget} for r in results]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
+    _emit(args, [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail,
+                  "elapsed_s": r.elapsed, "budget_s": r.budget} for r in results], [r.line() for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser.  A subcommand takes only the global flags it uses
-    and argparse refuses the others (exit 2): hilbert has no --field or
-    --embedding, verify-all and kakeya paper-example no --n --q --field
-    --embedding, and only cover verify has --planes."""
+    """The CLI's parser.  Each subcommand or operation takes only the flags
+    it reads, and argparse refuses the others (exit 2): --format everywhere,
+    --order on gb, sm, interp and oracle, --seed on verify-all, --maxdeg on
+    oracle vanish, --planes on cover verify; hilbert, verify-all and kakeya
+    paper-example lack --field and --embedding, the last two --n and --q."""
     size = argparse.ArgumentParser(add_help=False)
     size.add_argument("--n", type=int, default=None, help="number of variables / sequence length")
     size.add_argument("--q", type=int, default=None, help="alphabet size: sequences take values in 1..q")
     placed = argparse.ArgumentParser(add_help=False)
     placed.add_argument("--field", default=None, help="gf:p, gf:p^k, or rational (default: gf of the smallest prime >= q)")
     placed.add_argument("--embedding", default=None, help="grid:<a> or list:<e1>,... (default grid:-1, images 0..q-1)")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", default="deglex", choices=["lex", "deglex"])
-    common.add_argument("--format", default="text", choices=["text", "json"])
-    common.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
+    ordered = argparse.ArgumentParser(add_help=False)
+    ordered.add_argument("--order", default="deglex", choices=["lex", "deglex"])
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", default="text", choices=["text", "json"])
+    printing = [size, placed, ordered, formatted]  # commands that print polynomials or monomials
+    placing = [size, placed, formatted]
 
     parser = argparse.ArgumentParser(prog="incseq",
                                      description="Vanishing ideals of increasing sequences: closed-form "
                                                  "Groebner bases, interpolation, and Kakeya/Nikodym/cover verifiers.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gb", parents=[size, placed, common], help="construct a closed-form Groebner basis")
+    p = sub.add_parser("gb", parents=printing, help="construct a closed-form Groebner basis")
     p.add_argument("--kind", default="full", choices=["full", "strict", "downset"])
     p.add_argument("--downset-file", default=None, help="one sequence per line, comma-separated entries")
     p.add_argument("--minimize", action="store_true", help="drop downset-basis members with divisible leading monomials")
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("sm", parents=[size, placed, common], help="standard monomials only")
+    p = sub.add_parser("sm", parents=printing, help="standard monomials only")
     p.add_argument("--kind", default="full", choices=["full", "strict", "downset"])
     p.add_argument("--downset-file", default=None)
     p.set_defaults(func=cmd_sm)
 
-    p = sub.add_parser("hilbert", parents=[size, common], help="Hilbert function values")
+    p = sub.add_parser("hilbert", parents=[size, formatted], help="Hilbert function values")
     p.add_argument("--kind", default="full", choices=["full", "strict"])
     p.add_argument("--s", type=int, default=None, help="single argument s (default: the whole valid range)")
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("interp", parents=[size, placed, common], help="indicator polynomials and interpolation")
+    p = sub.add_parser("interp", parents=printing, help="indicator polynomials and interpolation")
     p.add_argument("--point", default=None, help="distinguished sequence, e.g. 1,2,2,4,4")
-    p.add_argument("--factored", action="store_true", help="also emit the grid factored form")
+    p.add_argument("--factored", action="store_true", help="also emit the grid factored form (with --point)")
     p.add_argument("--values", default=None, help="CSV file: sequence entries..., value")
     p.set_defaults(func=cmd_interp)
 
-    p = sub.add_parser("nonvanish", parents=[size, placed, common], help="nonvanishing witness below the degree bound")
+    p = sub.add_parser("nonvanish", parents=placing, help="nonvanishing witness below the degree bound")
     p.add_argument("--poly", required=True, help="polynomial string, e.g. 'x1 - x2'")
     p.add_argument("--kind", default="full", choices=["full", "strict"])
     p.set_defaults(func=cmd_nonvanish)
 
-    p = sub.add_parser("oracle", parents=[size, placed, common], help="evaluation-matrix ground truth")
-    p.add_argument("oracle_op", choices=["sm", "vanish"])
-    p.add_argument("--points", default=None, help="point file: one point per line, comma-separated elements")
-    p.add_argument("--builtin", default=None, help="jnq:n,q or sjnq:n,q")
-    p.add_argument("--maxdeg", type=int, default=None, help="degree cap for vanish")
+    p = sub.add_parser("oracle", help="evaluation-matrix ground truth")
     p.set_defaults(func=cmd_oracle)
+    ops = p.add_subparsers(dest="oracle_op", required=True)
+    sources = argparse.ArgumentParser(add_help=False)
+    sources.add_argument("--points", default=None, help="point file: one point per line, comma-separated elements")
+    sources.add_argument("--builtin", default=None, help="jnq:n,q or sjnq:n,q")
+    ops.add_parser("sm", parents=printing + [sources], help="standard monomials of the point set")
+    p = ops.add_parser("vanish", parents=printing + [sources], help="a vanishing polynomial of bounded degree")
+    p.add_argument("--maxdeg", type=int, default=None, help="degree cap")
 
     p = sub.add_parser("kakeya", help="increasing Kakeya sets")
     p.set_defaults(func=cmd_kakeya)
     ops = p.add_subparsers(dest="kakeya_op", required=True)
-    ops.add_parser("build-t", parents=[size, placed, common], help="the line star T(n, q)")
-    p = ops.add_parser("paper-example", parents=[common], help="the 10-point set in F_3^3")
+    ops.add_parser("build-t", parents=placing, help="the line star T(n, q)")
+    p = ops.add_parser("paper-example", parents=[formatted], help="the 10-point set in F_3^3")
     p.add_argument("--verify", action="store_true", help="verify the built-in example")
-    p = ops.add_parser("verify", parents=[size, placed, common], help="certify a point file")
+    p = ops.add_parser("verify", parents=placing, help="certify a point file")
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.add_argument("--threshold", type=int, default=None, help="line-intersection threshold (default q)")
 
-    p = sub.add_parser("nikodym", parents=[size, placed, common], help="increasing Nikodym sets")
+    p = sub.add_parser("nikodym", parents=placing, help="increasing Nikodym sets")
     p.add_argument("nikodym_op", choices=["verify"])
     p.add_argument("--in", dest="infile", default=None, help="point file to verify")
     p.set_defaults(func=cmd_nikodym)
@@ -449,11 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     excluding = argparse.ArgumentParser(add_help=False)
     excluding.add_argument("--exclude", action="append", default=None,
                            help="excluded sequence, e.g. 1,1 (repeatable)")
-    p = ops.add_parser("verify", parents=[size, placed, common, excluding], help="check a hyperplane file")
+    p = ops.add_parser("verify", parents=placing + [excluding], help="check a hyperplane file")
     p.add_argument("--planes", default=None, help="hyperplane file: <n1>,...,<nn>;<offset> per line")
-    ops.add_parser("search", parents=[size, placed, common, excluding], help="a minimum cover, by exhaustive search")
+    ops.add_parser("search", parents=placing + [excluding], help="a minimum cover, by exhaustive search")
 
-    p = sub.add_parser("verify-all", parents=[common], help="run the acceptance criteria")
+    p = sub.add_parser("verify-all", parents=[formatted], help="run the acceptance criteria")
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized property suites")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-q", type=int, default=4)
     p.set_defaults(func=cmd_verify_all)

@@ -56,8 +56,16 @@ class Embedding:
     def enumeration(cls, field: Field, q: int) -> "Embedding":
         """First q elements of a finite field in canonical order."""
         if field.size is None or field.size < q:
-            raise ValueError(f"field of size {field.size} cannot embed [{q}]")
+            raise ValueError(f"field {field!r} cannot embed [{q}]")
         return cls(field, field.elements()[:q])
+
+    @classmethod
+    def default(cls, field: Field, q: int) -> "Embedding":
+        """The grid at offset -1 (images 0..q-1) when the characteristic
+        is 0 or >= q, otherwise the first q elements."""
+        if field.char == 0 or field.char >= q:
+            return cls.grid(field, q, -1)
+        return cls.enumeration(field, q)
 
     @property
     def is_grid(self) -> bool:

@@ -24,10 +24,9 @@ from operator import getitem, or_
 from .combinatorics import (Embedding, _data_lines, _split_top_level, count_increasing, increasing_sequences,
                             is_increasing)
 from .field import Field, FieldElement, Tables, field_from_string
-from .oracle import standard_monomials, vanishing_polynomial
-from .poly import DEGLEX, monomials_up_to_degree
+from .oracle import vanishing_polynomial
+from .poly import DEGLEX
 
-COVER_POINT_CAP = 10**4
 COVER_PLANE_CAP = 10**3
 LINE_UNION_CAP = 10**6
 VERIFY_WORK_CAP = 10**7  # points a CLI `kakeya verify` or `nikodym verify` may test, or `build-t` build
@@ -350,9 +349,9 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
         raise ValueError("bound check needs a finite ambient field")
     if not 0 < ell <= q - 1:
         raise ValueError(f"ell must be in (0, {q - 1}]")
-    sm = standard_monomials(directions_set.sorted_points(), DEGLEX)
-    required = set(monomials_up_to_degree(n, ell))
-    if not required <= sm:
+    # under deglex a monomial of degree <= ell is non-standard exactly when
+    # it leads a vanishing polynomial of degree <= ell
+    if vanishing_polynomial(directions_set.sorted_points(), ell, DEGLEX, field, n) is not None:
         raise ValueError("direction set does not dominate the degree-<= ell monomials")
     bound = math.comb(n + ell, n)
     if len(K) >= bound:
@@ -507,15 +506,15 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     polynomial of degree < bound, no cover smaller than the bound exists
     and the deepening starts at the bound; otherwise it starts at 1.
     """
-    targets, bound = _cover_targets(n, q, emb, excluded)
-    if len(targets) > COVER_POINT_CAP:
-        raise ValueError(f"point count {len(targets)} exceeds the cap {COVER_POINT_CAP}")
     size = field.size
     if size is None:
         raise ValueError("cannot enumerate an infinite field")
     count = (size**n - 1) // (size - 1) * size  # canonical directions times offsets
+    # checked before the targets are listed: with size >= q there are at
+    # most binom(n+q-1, n) <= q^n <= count of them
     if count > COVER_PLANE_CAP:
         raise ValueError(f"hyperplane count {count} exceeds the cap {COVER_PLANE_CAP}")
+    targets, bound = _cover_targets(n, q, emb, excluded)
     tab = field.tables()
     directions = _directions(tab, n)
     # the plane through p with normal v is number d*size + v.p, v = directions[d]

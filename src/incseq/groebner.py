@@ -229,6 +229,8 @@ def degree_bound(kind: str, n: int, q: int) -> int:
     """Top degree of the standard monomials: q-1 for the nondecreasing
     sequences (kind full), q-n for the strictly increasing ones (kind
     strict, which needs q >= n)."""
+    if n < 1 or q < 1:
+        raise ValueError("n and q must be >= 1")
     if kind == "full":
         return q - 1
     if kind == "strict":

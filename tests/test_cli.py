@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -65,6 +66,28 @@ def test_hilbert_subcommand(capsys):
     assert [v["value"] for v in values] == [1, 3, 6]
     code, out, _ = run(capsys, "hilbert", "--n", "2", "--q", "3", "--s", "9", "--format", "json")
     assert json.loads(out)["values"] == [{"s": 9, "value": 6, "closed_form": False}]
+
+
+@pytest.mark.parametrize("n,q", [("0", "3"), ("2", "0"), ("-3", "3")])
+def test_hilbert_refuses_empty_sizes(capsys, n, q):
+    for kind in ("full", "strict"):
+        code, out, err = run(capsys, "hilbert", "--n", n, "--q", q, "--kind", kind)
+        assert code == 2 and out == ""
+        assert err == "error: n and q must be >= 1\n"
+
+
+def test_default_embedding_of_extension_fields(capsys):
+    # characteristic >= q: the default is the grid at offset -1, images 0..q-1
+    for field, grid in (("gf:5^2", "grid:[4,0]"), ("gf:3^2", "grid:[2,0]")):
+        default = run(capsys, "gb", "--n", "2", "--q", "3", "--field", field)
+        explicit = run(capsys, "gb", "--n", "2", "--q", "3", "--field", field, "--embedding", grid)
+        assert default == explicit and default[0] == 0 and default[1]
+    # characteristic < q: the field's first q elements
+    default = run(capsys, "gb", "--n", "2", "--q", "3", "--field", "gf:2^2")
+    explicit = run(capsys, "gb", "--n", "2", "--q", "3", "--field", "gf:2^2", "--embedding", "list:[0,0],[1,0],[0,1]")
+    assert default == explicit and default[0] == 0
+    code, out, err = run(capsys, "gb", "--n", "2", "--q", "3", "--field", "gf:2")
+    assert code == 2 and out == "" and err == "error: field GF(2) cannot embed [3]\n"
 
 
 def test_interp_point_and_factored(capsys):
@@ -278,6 +301,26 @@ def test_cover_plane_cap_checked_before_tables(capsys, monkeypatch):
     assert err == f"error: hyperplane count 4014012 exceeds the cap {geometry.COVER_PLANE_CAP}\n"
 
 
+def test_oversized_cover_search_refused_up_front(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
+    # n = 8, q = 19 has 1,562,275 targets; GF(19)^8 has 19 (19^8 - 1) / 18 canonical planes
+    code, out, err = run(capsys, "cover", "search", "--n", "8", "--q", "19")
+    assert code == 2 and out == ""
+    assert err == f"error: hyperplane count 17927094320 exceeds the cap {geometry.COVER_PLANE_CAP}\n"
+    code, out, err = run(capsys, "cover", "search", "--n", "2", "--q", "3", "--field", "rational")
+    assert code == 2 and out == "" and err == "error: cannot enumerate an infinite field\n"
+
+
+def test_interp_factored_needs_point(capsys, tmp_path):
+    values = tmp_path / "values.csv"
+    values.write_text("1,1,1\n")
+    argv = ["interp", "--n", "2", "--q", "1", "--values", str(values)]
+    code, out, err = run(capsys, *argv, "--factored")
+    assert code == 2 and out == ""
+    assert err == "error: --factored applies to --point, not --values\n"
+    assert run(capsys, *argv) == (0, "polynomial: 1\n", "")
+
+
 def test_oversized_interp_refused_up_front(capsys, monkeypatch):
     enumerate_ = interpolation.increasing_sequences
     monkeypatch.setattr(interpolation, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
@@ -302,8 +345,8 @@ def test_oversized_oracle_refused_up_front(capsys, monkeypatch, tmp_path):
     enumerate_ = cli.increasing_sequences
     monkeypatch.setattr(cli, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
     # jnq:8,8 has 6,435 points and sjnq:9,18 has 48,620
-    for op, spec, count in (("sm", "jnq:8,8", 6435), ("vanish", "sjnq:9,18", 48620)):
-        code, out, err = run(capsys, "oracle", op, "--builtin", spec, "--field", "gf:19", "--maxdeg", "2")
+    for op, spec, count in ((["sm"], "jnq:8,8", 6435), (["vanish", "--maxdeg", "2"], "sjnq:9,18", 48620)):
+        code, out, err = run(capsys, "oracle", *op, "--builtin", spec, "--field", "gf:19")
         assert code == 2 and out == ""
         assert err == f"error: {count} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}\n"
     # a points file is counted after parsing (repeated lines are one point);
@@ -1123,6 +1166,41 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
         assert cli._parser().parse_args(argv).exclude == (excluded or None)
 
 
+# the flags each subcommand and operation takes, besides -h/--help
+CLI_SURFACE = {
+    "gb": "--n --q --field --embedding --order --format --kind --downset-file --minimize",
+    "sm": "--n --q --field --embedding --order --format --kind --downset-file",
+    "hilbert": "--n --q --format --kind --s",
+    "interp": "--n --q --field --embedding --order --format --point --factored --values",
+    "nonvanish": "--n --q --field --embedding --format --poly --kind",
+    "oracle sm": "--n --q --field --embedding --order --format --points --builtin",
+    "oracle vanish": "--n --q --field --embedding --order --format --points --builtin --maxdeg",
+    "kakeya build-t": "--n --q --field --embedding --format",
+    "kakeya paper-example": "--format --verify",
+    "kakeya verify": "--n --q --field --embedding --format --in --threshold",
+    "nikodym": "--n --q --field --embedding --format --in",
+    "cover verify": "--n --q --field --embedding --format --exclude --planes",
+    "cover search": "--n --q --field --embedding --format --exclude",
+    "verify-all": "--format --seed --max-n --max-q",
+}
+
+
+def _leaf_parsers(parser, prefix=""):
+    """(command path, parser) for every parser that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix.strip(), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, f"{prefix} {name}")
+
+
+def test_cli_surface_pinned():
+    surface = {path: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for path, p in _leaf_parsers(cli.build_parser())}
+    assert surface == {path: set(flags.split()) for path, flags in CLI_SURFACE.items()}
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["hilbert", "--n", "2", "--q", "3", "--field", "nonsense"], "--field"),
     (["hilbert", "--n", "2", "--q", "3", "--embedding", "grid:0"], "--embedding"),
@@ -1137,8 +1215,29 @@ def test_parser_reused_across_calls(capsys, monkeypatch):
     (["kakeya", "build-t", "--n", "2", "--q", "3", "--threshold", "2"], "--threshold"),
     (["kakeya", "build-t", "--n", "2", "--q", "3", "--in", "points.txt"], "--in"),
     (["cover", "search", "--n", "2", "--q", "3", "--planes", "planes.txt"], "--planes"),
-])
-def test_unused_global_flag_refused(capsys, argv, flag):
+    (["oracle", "sm", "--builtin", "jnq:2,3", "--maxdeg", "2"], "--maxdeg"),
+    (["interp", "--n", "2", "--q", "3", "--point", "1,2", "--seed", "1"], "--seed"),
+    (["verify-all", "--order", "lex", "--max-n", "1", "--max-q", "2"], "--order"),
+] + [(argv + [flag, value], flag) for argv in [
+    ["gb", "--n", "2", "--q", "3"],
+    ["sm", "--n", "2", "--q", "3"],
+    ["oracle", "sm", "--builtin", "jnq:2,3"],
+    ["oracle", "vanish", "--builtin", "jnq:2,3", "--maxdeg", "2"],
+] for flag, value in [("--seed", "7")]] + [(argv + [flag, value], flag) for argv in [
+    ["hilbert", "--n", "2", "--q", "3"],
+    ["nonvanish", "--n", "2", "--q", "3", "--poly", "x1 - x2"],
+    ["kakeya", "build-t", "--n", "2", "--q", "3"],
+    ["kakeya", "paper-example"],
+    ["kakeya", "verify", "--n", "2", "--q", "3", "--in", "plane.txt"],
+    ["nikodym", "verify", "--n", "2", "--q", "3", "--in", "plane.txt"],
+    ["cover", "verify", "--n", "2", "--q", "3", "--planes", "planes.txt"],
+    ["cover", "search", "--n", "2", "--q", "3"],
+] for flag, value in [("--seed", "7"), ("--order", "lex")]])
+def test_unused_global_flag_refused(capsys, monkeypatch, tmp_path, argv, flag):
+    # all of F_3^2 is a Kakeya and a Nikodym set; x1 = 0, 1, 2 cover it
+    (tmp_path / "plane.txt").write_text("".join(f"{a},{b}\n" for a in range(3) for b in range(3)))
+    (tmp_path / "planes.txt").write_text("1,0;0\n1,0;1\n1,0;2\n")
+    monkeypatch.chdir(tmp_path)
     code, out, err = _outcome(capsys, argv)
     assert code == 2 and out == ""
     assert f"unrecognized arguments: {flag} " in err

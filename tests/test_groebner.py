@@ -191,6 +191,10 @@ def test_hilbert_values():
         hilbert_value("full", 2, 3, -1)
     with pytest.raises(ValueError):
         hilbert_value("weak", 2, 3, 1)
+    for kind in ("full", "strict"):
+        for n, q in ((0, 3), (2, 0), (-3, 3)):
+            with pytest.raises(ValueError, match="n and q must be >= 1"):
+                hilbert_value(kind, n, q, 0)
 
 
 def test_hilbert_matches_counting():

@@ -26,7 +26,6 @@ from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import FieldElement, field_from_string
 from incseq.geometry import (
     COVER_PLANE_CAP,
-    COVER_POINT_CAP,
     LINE_UNION_CAP,
     BoundPass,
     CoverSearchResult,
@@ -67,6 +66,8 @@ from incseq.poly import (
 )
 
 from dense_reference import mono_eval, row_echelon
+
+COVER_POINT_CAP = 10**4  # the reference search's own cap on its targets
 
 KERNELS = settings(derandomize=True, database=None, deadline=None, max_examples=80,
                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
