@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -599,6 +600,97 @@ def test_gb_bytes_pinned(tmp_path, capsys, kind, order, field, fmt):
     code, out, _ = run(capsys, *gb_argv(kind, order, field, fmt, downset_file))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GB_PINS[(kind, order, field, fmt)]
+
+
+def outcome_digest(code, out, err):
+    return hashlib.sha256(f"exit {code}\n{out}\n{err}".encode()).hexdigest()
+
+
+# SHA-256 of the exit code, stdout and stderr of `incseq sm` on the GB_PINS
+# inputs, and of `incseq hilbert` over the whole range or at s = q, past
+# the degree bound of both kinds; strict at (4, 3) is refused.  Pinned
+# before full and strict bases were built from one degree bound.
+SM_PINS = {
+    ("full", "deglex", "gf:7", "text"): "9f73100043e834efd299d1ee6e484d6f3844ea2c4bf91e69ef9effa61e97cac0",
+    ("full", "deglex", "gf:7", "json"): "28cdd702481c63d98c93b8490c1ed4c2b0d1a78275fc9557435d47017f4df951",
+    ("full", "deglex", "gf:3^2", "text"): "9f73100043e834efd299d1ee6e484d6f3844ea2c4bf91e69ef9effa61e97cac0",
+    ("full", "deglex", "gf:3^2", "json"): "28cdd702481c63d98c93b8490c1ed4c2b0d1a78275fc9557435d47017f4df951",
+    ("full", "deglex", "rational", "text"): "9f73100043e834efd299d1ee6e484d6f3844ea2c4bf91e69ef9effa61e97cac0",
+    ("full", "deglex", "rational", "json"): "28cdd702481c63d98c93b8490c1ed4c2b0d1a78275fc9557435d47017f4df951",
+    ("full", "lex", "gf:7", "text"): "81a38d043054325b19492d5c85243353896c656fbb7a958a200fb73387132fb0",
+    ("full", "lex", "gf:7", "json"): "b698daebb751a8a7bb0bfbb1eea9e3ae073d83059db92b3413c0734f1109d926",
+    ("full", "lex", "gf:3^2", "text"): "81a38d043054325b19492d5c85243353896c656fbb7a958a200fb73387132fb0",
+    ("full", "lex", "gf:3^2", "json"): "b698daebb751a8a7bb0bfbb1eea9e3ae073d83059db92b3413c0734f1109d926",
+    ("full", "lex", "rational", "text"): "81a38d043054325b19492d5c85243353896c656fbb7a958a200fb73387132fb0",
+    ("full", "lex", "rational", "json"): "b698daebb751a8a7bb0bfbb1eea9e3ae073d83059db92b3413c0734f1109d926",
+    ("strict", "deglex", "gf:7", "text"): "b2f1b6570260dc7e711cbb0895e8ca74e6263f26e290079417d5cedb6acc490b",
+    ("strict", "deglex", "gf:7", "json"): "d6940da4e0a81ee466ba077b6d0bcb4d7ffb5960eb71f85954fba823a8c804cf",
+    ("strict", "deglex", "gf:3^2", "text"): "b2f1b6570260dc7e711cbb0895e8ca74e6263f26e290079417d5cedb6acc490b",
+    ("strict", "deglex", "gf:3^2", "json"): "d6940da4e0a81ee466ba077b6d0bcb4d7ffb5960eb71f85954fba823a8c804cf",
+    ("strict", "deglex", "rational", "text"): "b2f1b6570260dc7e711cbb0895e8ca74e6263f26e290079417d5cedb6acc490b",
+    ("strict", "deglex", "rational", "json"): "d6940da4e0a81ee466ba077b6d0bcb4d7ffb5960eb71f85954fba823a8c804cf",
+    ("strict", "lex", "gf:7", "text"): "955bddb4b744cc70a64d4cd7ee91db149a9ffb450751d1140e855eb53f905df6",
+    ("strict", "lex", "gf:7", "json"): "8c5d9ff03b3323e4d087c41696484cce7d15eeff4a30f70a9ca1eff7d75c83bd",
+    ("strict", "lex", "gf:3^2", "text"): "955bddb4b744cc70a64d4cd7ee91db149a9ffb450751d1140e855eb53f905df6",
+    ("strict", "lex", "gf:3^2", "json"): "8c5d9ff03b3323e4d087c41696484cce7d15eeff4a30f70a9ca1eff7d75c83bd",
+    ("strict", "lex", "rational", "text"): "955bddb4b744cc70a64d4cd7ee91db149a9ffb450751d1140e855eb53f905df6",
+    ("strict", "lex", "rational", "json"): "8c5d9ff03b3323e4d087c41696484cce7d15eeff4a30f70a9ca1eff7d75c83bd",
+}
+HILBERT_PINS = {
+    ("full", 2, 3, False, "text"): "76c59d881d63df52dbf777fbc61ad74a5b6c9234328fa4e6d75416916da5aa08",
+    ("full", 2, 3, False, "json"): "82d65ad454e32762ef199dd473a10df99aec98d275efc3a23b2215d346b5b1a8",
+    ("full", 2, 3, True, "text"): "5d92b9c4a6f012eb6317b41ecd28b11e14955c8eceac22138773f83119fe86a3",
+    ("full", 2, 3, True, "json"): "f61e6c0b07e3719ddbf7645753437505c1694e4250b76660e2082a2c9f67973c",
+    ("full", 3, 5, False, "text"): "fee26157955d928eafdd1f1ccbd1eb0d4a118bdb531c35e53d00d20ebce4c011",
+    ("full", 3, 5, False, "json"): "76bc72a403c14ba1aa42c0c8dfbe13416892dc2fffe4ee23965ee7620876a062",
+    ("full", 3, 5, True, "text"): "609a494328e5d1f4c2888d518225129b5a7f6fbfa222a904b4bc5035d949c817",
+    ("full", 3, 5, True, "json"): "f7e6b21e628e7b79d7c613d62e6a8013f6973e4bd7707164e035a2bda2179362",
+    ("full", 4, 3, False, "text"): "12a7d21a43ef4edd632174589a6a30889d91e3f66a8e9c2bcd7534e07de00956",
+    ("full", 4, 3, False, "json"): "9a2a7b243136a1a6b214906673ed22f2db57d1e1d19105458c435975b16ab78f",
+    ("full", 4, 3, True, "text"): "cead66ee718889420afdf62f4790d7644f0bef925195829b476fc6857509f557",
+    ("full", 4, 3, True, "json"): "a5188987e9bc86f53c2e108852fd73591d6a42be2a399dffd5afc0e38c926afb",
+    ("strict", 2, 3, False, "text"): "d17b563dee9287731f4cd3404a9a950424243c0bcc2c55b2d1c60f5941737950",
+    ("strict", 2, 3, False, "json"): "0d140a0a0769ceba1428373eae0b7dae6a0c042222d306cdd56db04df7a27163",
+    ("strict", 2, 3, True, "text"): "f8789e881d21bf235b8810eefed1b05245e7a4c71ae7f33af50ce65666829203",
+    ("strict", 2, 3, True, "json"): "5a59b5b95b6ee0f1fcf79f64888a5f0ad3d85b695e9ece95a98abd071565fc2f",
+    ("strict", 3, 5, False, "text"): "8713d06be466b4b4b2c11e9444b6e8ca29667f1f8e62a29b6017d9463c910f12",
+    ("strict", 3, 5, False, "json"): "8540b3eb0b9588e88839f663e348481e6cad70e0dc13ab71ecdcd305f458e026",
+    ("strict", 3, 5, True, "text"): "e38d38f21a4bc1d11c00c22c05a339c8258ab45facdd0e10a08ea68c78faf594",
+    ("strict", 3, 5, True, "json"): "236a4c4f96f461951f80a983122f0b01f627716bd1c35f088deaacc948379572",
+    ("strict", 4, 3, False, "text"): "86be69c8bbccffda8600df8472b6ef54e5b39da904480ac966c70a79b42baa29",
+    ("strict", 4, 3, False, "json"): "86be69c8bbccffda8600df8472b6ef54e5b39da904480ac966c70a79b42baa29",
+    ("strict", 4, 3, True, "text"): "86be69c8bbccffda8600df8472b6ef54e5b39da904480ac966c70a79b42baa29",
+    ("strict", 4, 3, True, "json"): "86be69c8bbccffda8600df8472b6ef54e5b39da904480ac966c70a79b42baa29",
+}
+
+
+@pytest.mark.parametrize("kind,order,field,fmt", sorted(SM_PINS))
+def test_sm_bytes_pinned(capsys, kind, order, field, fmt):
+    argv = ["sm"] + gb_argv(kind, order, field, fmt, None)[1:]
+    assert outcome_digest(*run(capsys, *argv)) == SM_PINS[(kind, order, field, fmt)]
+
+
+@pytest.mark.parametrize("kind,n,q,past,fmt", sorted(HILBERT_PINS))
+def test_hilbert_bytes_pinned(capsys, kind, n, q, past, fmt):
+    argv = ["hilbert", "--kind", kind, "--n", str(n), "--q", str(q), "--format", fmt]
+    argv += ["--s", str(q)] if past else []
+    assert outcome_digest(*run(capsys, *argv)) == HILBERT_PINS[(kind, n, q, past, fmt)]
+
+
+def test_verify_all_text_pinned(capsys):
+    code, out, err = run(capsys, "verify-all")
+    assert code == 0 and err == ""
+    assert re.sub(r"\d+\.\d+s \(budget", "#s (budget", out) == """\
+PASS  criterion 1 (groebner): 32 (n,q,field) instances verified in #s (budget 5s)
+PASS  criterion 2 (oracle equivalence): 59 standard-monomial sets agree exactly
+PASS  criterion 3 (hilbert): 110 (kind,n,q,s) values equal binom(n+s,s) exactly
+PASS  criterion 4 (interpolation): 17 (n,q) families delta-exact; worked 4-factor form reproduced; #s (budget 30s)
+PASS  criterion 5 (nullstellensatz): 26 nullspaces empty at the degree bounds
+PASS  criterion 6 (kakeya): 10-point optimum certified; F_3^2 minimum 6 found; |T(2,3)|=7, |T(3,3)|=13, |T(2,4)|=13
+PASS  criterion 7 (nikodym): T(2,3): size 7 >= bound 3; T(3,3): size 13 >= bound 4
+PASS  criterion 8 (covers): minima 3/2 exact, sharp covers verified, 12 planes pair-checked in #s (budget 10s)
+PASS  criterion 9 (properties): 10^4 order triples, 10^3 reductions, 6 exhaustive field tables, bijection n,q<=6: zero failures
+"""
 
 
 # SHA-256 of `incseq interp` stdout: an indicator with its factored form
