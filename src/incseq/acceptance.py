@@ -12,6 +12,7 @@ from . import geometry, groebner, interpolation, oracle
 from .combinatorics import (
     Embedding,
     all_downsets,
+    count_increasing,
     difference_vector,
     from_difference_vector,
     increasing_sequences,
@@ -35,6 +36,11 @@ class CriterionResult:
 
 def _fields_for(q: int):
     return [field_from_string(f"gf:{smallest_prime_geq(q)}"), field_from_string("rational")]
+
+
+def _kinds_with_points(n: int, q: int):
+    """The sequence kinds with points at (n, q): full, and strict when q >= n."""
+    return [kind for kind in ("full", "strict") if count_increasing(n, q, kind == "strict")]
 
 
 def criterion_1(max_n: int = 4, max_q: int = 4) -> CriterionResult:
@@ -76,14 +82,10 @@ def criterion_2(max_n: int = 4, max_q: int = 4) -> CriterionResult:
         for q in range(1, max_q + 1):
             emb = Embedding.grid(field, q, -1)
             for order in (LEX, DEGLEX):
-                gb = groebner.full_basis(n, q, emb, order)
-                if oracle.standard_monomials(gb.points, order) != gb.standard_monomials:
-                    return CriterionResult(2, "oracle equivalence", False, f"full mismatch at n={n} q={q} {order}")
-                cases += 1
-                if q >= n:
-                    sgb = groebner.strict_basis(n, q, emb, order)
-                    if oracle.standard_monomials(sgb.points, order) != sgb.standard_monomials:
-                        return CriterionResult(2, "oracle equivalence", False, f"strict mismatch at n={n} q={q} {order}")
+                for kind in _kinds_with_points(n, q):
+                    gb = groebner.sequence_basis(kind, n, q, emb, order)
+                    if oracle.standard_monomials(gb.points, order) != gb.standard_monomials:
+                        return CriterionResult(2, "oracle equivalence", False, f"{kind} mismatch at n={n} q={q} {order}")
                     cases += 1
     emb23 = Embedding.grid(field, 3, -1)
     for downset in all_downsets(2, 3):
@@ -105,11 +107,9 @@ def criterion_3(max_n: int = 5, max_q: int = 5) -> CriterionResult:
     for n in range(1, max_n + 1):
         for q in range(1, max_q + 1):
             emb = Embedding.grid(field, q, -1)
-            plans = [("full", groebner.full_basis(n, q, emb), q - 1)]
-            if q >= n:
-                plans.append(("strict", groebner.strict_basis(n, q, emb), q - n))
-            for kind, gb, smax in plans:
-                for s in range(smax + 1):
+            for kind in _kinds_with_points(n, q):
+                gb = groebner.sequence_basis(kind, n, q, emb)
+                for s in range(groebner.degree_bound(kind, n, q) + 1):
                     value, closed_form = groebner.hilbert_value(kind, n, q, s)
                     by_count = sum(1 for m in gb.standard_monomials if sum(m) <= s)
                     if not (closed_form and value == math.comb(n + s, s) == by_count):
@@ -160,14 +160,10 @@ def criterion_5(max_n: int = 4, max_q: int = 4) -> CriterionResult:
     for n in range(1, max_n + 1):
         for q in range(1, max_q + 1):
             emb = Embedding.grid(field, q, -1)
-            pts = [emb.apply(s) for s in increasing_sequences(n, q)]
-            if oracle.vanishing_polynomial(pts, q - 1) is not None:
-                return CriterionResult(5, "nullstellensatz", False, f"full counterexample at n={n} q={q}")
-            cases += 1
-            if q >= n:
-                spts = [emb.apply(s) for s in increasing_sequences(n, q, strict=True)]
-                if oracle.vanishing_polynomial(spts, q - n) is not None:
-                    return CriterionResult(5, "nullstellensatz", False, f"strict counterexample at n={n} q={q}")
+            for kind in _kinds_with_points(n, q):
+                pts = [emb.apply(s) for s in increasing_sequences(n, q, kind == "strict")]
+                if oracle.vanishing_polynomial(pts, groebner.degree_bound(kind, n, q)) is not None:
+                    return CriterionResult(5, "nullstellensatz", False, f"{kind} counterexample at n={n} q={q}")
                 cases += 1
     return CriterionResult(5, "nullstellensatz", True, f"{cases} nullspaces empty at the degree bounds")
 

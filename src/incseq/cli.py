@@ -74,12 +74,10 @@ def _basis_for(args, field, emb, order):
     if terms > groebner.EXPANSION_CAP:
         raise ValueError(f"the {args.kind} basis for n={args.n}, q={args.q} expands to {terms} terms, "
                          f"above the cap {groebner.EXPANSION_CAP}")
-    if args.kind == "full":
-        return groebner.full_basis(args.n, args.q, emb, order)
-    if args.kind == "strict":
-        return groebner.strict_basis(args.n, args.q, emb, order)
-    return groebner.downset_basis(args.n, args.q, points, emb, order,
-                                  minimize=getattr(args, "minimize", False))
+    if args.kind == "downset":
+        return groebner.downset_basis(args.n, args.q, points, emb, order,
+                                      minimize=getattr(args, "minimize", False))
+    return groebner.sequence_basis(args.kind, args.n, args.q, emb, order)
 
 
 def cmd_gb(args) -> int:

@@ -24,16 +24,16 @@ from .field import FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_degree
 
 EXPANSION_CAP = 10**6  # terms in an expanded basis the CLI will build
+# points skipped between neighbouring blocks: the shift g_j = s_j - (j-1)
+# maps the strictly increasing sequences onto I(n, q - n + 1)
+_GAPS = {"full": 0, "strict": 1}
 
 
 def _block_factors(sizes, emb: Embedding, skip: int = 0):
     """Linear factors (variable position, root) of a block polynomial:
     block j holds the next sizes[j] points t of [q], as factors
-    (x_j - i(t)), and skip points are passed over after each block.
-    The size vector is the leading exponent, so the compositions of q
-    (full) and of q - n + 1 with skip 1 (strict) biject onto the
-    monomials of degree q and q - n + 1; the downset block for g has
-    sizes difference_vector(g)."""
+    (x_j - i(t)), and skip points are passed over after each block.  The
+    size vector is the leading exponent."""
     images, factors, t = emb.images, [], 0
     for j, size in enumerate(sizes):
         factors.extend((j, x) for x in images[t:t + size])
@@ -150,25 +150,26 @@ def is_reduced_basis(polys, order: TermOrder) -> bool:
     return True
 
 
-def full_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
-    """Basis of the ideal of all embedded nondecreasing sequences: one
-    block polynomial per composition of q into n block sizes; standard
-    monomials are everything of degree <= q-1."""
+def sequence_basis(kind: str, n: int, q: int, embedding: Embedding,
+                   order: TermOrder = DEGLEX) -> GroebnerBasis:
+    """Basis of the ideal of the embedded sequences of a kind, with d =
+    degree_bound(kind, n, q): one block polynomial per composition of d+1
+    into n block sizes, the kind's gap of points skipped between blocks;
+    the standard monomials are everything of degree <= d."""
+    d = degree_bound(kind, n, q)
     _check_embedding(q, embedding)
-    factored = [_block_factors(sizes, embedding) for sizes in compositions(q, n)]
-    sm = monomials_up_to_degree(n, degree_bound("full", n, q))
-    return GroebnerBasis("full", n, q, embedding, order, factored, sm)
+    factored = [_block_factors(sizes, embedding, _GAPS[kind]) for sizes in compositions(d + 1, n)]
+    return GroebnerBasis(kind, n, q, embedding, order, factored, monomials_up_to_degree(n, d))
+
+
+def full_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
+    """Basis for the nondecreasing sequences (sequence_basis, kind full)."""
+    return sequence_basis("full", n, q, embedding, order)
 
 
 def strict_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
-    """Basis for strictly increasing sequences: one block polynomial per
-    composition of q-n+1 into n block sizes, one point skipped between
-    blocks; standard monomials have degree <= q-n."""
-    bound = degree_bound("strict", n, q)
-    _check_embedding(q, embedding)
-    factored = [_block_factors(sizes, embedding, skip=1) for sizes in compositions(q - n + 1, n)]
-    sm = monomials_up_to_degree(n, bound)
-    return GroebnerBasis("strict", n, q, embedding, order, factored, sm)
+    """Basis for the strictly increasing sequences (sequence_basis, kind strict)."""
+    return sequence_basis("strict", n, q, embedding, order)
 
 
 def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder = DEGLEX,
@@ -206,38 +207,31 @@ def expanded_terms(kind: str, n: int, q: int, downset=()) -> int:
     over Q.  For a downset, the count before minimizing.
 
     A block with s_j factors in x_j expands to prod(s_j + 1) terms.  The
-    block sizes of the full (strict) basis run over the compositions of q
-    (q - n + 1) into n parts, which gives binom(size + 2n - 1, 2n - 1).  A
-    downset basis adds one block per sequence g outside F, with sizes
-    difference_vector(g); over all of I(n, q) those sum to binom(q + 2n - 1, 2n).
+    block sizes of a full or strict basis run over the compositions of
+    d + 1 into n parts, d = degree_bound(kind, n, q), which gives
+    binom(d + 2n, 2n - 1).  A downset basis adds to the full one a block
+    per sequence g outside F, with sizes difference_vector(g); over all of
+    I(n, q) those sum to binom(q + 2n - 1, 2n).
     """
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be >= 1")
-    if kind == "strict":
-        return math.comb(q + n, 2 * n - 1) if q >= n else 0
-    full = math.comb(q + 2 * n - 1, 2 * n - 1)
-    if kind == "full":
-        return full
     if kind != "downset":
-        raise ValueError(f"unknown kind {kind!r}")
+        return math.comb(degree_bound(kind, n, q) + 2 * n, 2 * n - 1)
     inside = {tuple(g) for g in downset if len(g) == n and is_increasing(g, q)}
-    return full + math.comb(q + 2 * n - 1, 2 * n) - sum(
+    return expanded_terms("full", n, q) + math.comb(q + 2 * n - 1, 2 * n) - sum(
         math.prod(d + 1 for d in difference_vector(g)) for g in inside)
 
 
 def degree_bound(kind: str, n: int, q: int) -> int:
-    """Top degree of the standard monomials: q-1 for the nondecreasing
-    sequences (kind full), q-n for the strictly increasing ones (kind
-    strict, which needs q >= n)."""
+    """Top degree d = q - 1 - (n - 1) * gap of the standard monomials: q-1
+    for the nondecreasing sequences (kind full, gap 0), q-n for the
+    strictly increasing ones (kind strict, gap 1, which needs q >= n)."""
     if n < 1 or q < 1:
         raise ValueError("n and q must be >= 1")
-    if kind == "full":
-        return q - 1
-    if kind == "strict":
-        if q < n:
-            raise ValueError(f"strict kind needs q >= n, got n={n}, q={q}")
-        return q - n
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _GAPS:
+        raise ValueError(f"unknown kind {kind!r}")
+    d = q - 1 - (n - 1) * _GAPS[kind]
+    if d < 0:
+        raise ValueError(f"strict kind needs q >= n, got n={n}, q={q}")
+    return d
 
 
 def hilbert_value(kind: str, n: int, q: int, s: int) -> tuple[int, bool]:
