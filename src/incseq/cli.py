@@ -37,15 +37,21 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
     raise ValueError(f"q={q} is not a prime power; pass --field explicitly")
 
 
-def _resolve(args, prime_power_field: bool = False, need_n: bool = True):
-    """Field + embedding from the global flags, with defaults; --n is
-    required too unless need_n is False."""
+def _sizes(args, need_n: bool = True):
+    """(--n, --q), refusing a missing --q, or --n unless need_n is False."""
     if args.q is None:
         raise ValueError("--q is required")
-    field = field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
-    emb = parse_embedding(args.embedding, field, args.q) if args.embedding else Embedding.default(field, args.q)
     if need_n and args.n is None:
         raise ValueError("--n is required")
+    return args.n, args.q
+
+
+def _resolve(args, prime_power_field: bool = False, need_n: bool = True):
+    """Field + embedding from the flags, with defaults, after _sizes.  Caps that
+    need only n and q come first: a huge q's default field takes long to find."""
+    _sizes(args, need_n)
+    field = field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
+    emb = parse_embedding(args.embedding, field, args.q) if args.embedding else Embedding.default(field, args.q)
     return field, emb
 
 
@@ -62,28 +68,29 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _basis_for(args, field, emb, order):
-    """The basis of --kind, refused before it is built when its expansion
-    would exceed groebner.EXPANSION_CAP terms."""
+def _basis_for(args):
+    """The basis of --kind, refused before the field or the basis is built
+    when its expansion would exceed groebner.EXPANSION_CAP terms."""
+    n, q = _sizes(args)
     points = ()
     if args.kind == "downset":
         if not args.downset_file:
             raise ValueError("--downset-file is required for kind downset")
         points = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
-    terms = groebner.expanded_terms(args.kind, args.n, args.q, points)
+    terms = groebner.expanded_terms(args.kind, n, q, points)
     if terms > groebner.EXPANSION_CAP:
-        raise ValueError(f"the {args.kind} basis for n={args.n}, q={args.q} expands to {terms} terms, "
+        raise ValueError(f"the {args.kind} basis for n={n}, q={q} expands to {terms} terms, "
                          f"above the cap {groebner.EXPANSION_CAP}")
+    _, emb = _resolve(args)
+    order = parse_order(args.order)
     if args.kind == "downset":
-        return groebner.downset_basis(args.n, args.q, points, emb, order,
-                                      minimize=getattr(args, "minimize", False))
-    return groebner.sequence_basis(args.kind, args.n, args.q, emb, order)
+        return groebner.downset_basis(n, q, points, emb, order, minimize=getattr(args, "minimize", False))
+    return groebner.sequence_basis(args.kind, n, q, emb, order)
 
 
 def cmd_gb(args) -> int:
-    field, emb = _resolve(args)
-    order = parse_order(args.order)
-    gb = _basis_for(args, field, emb, order)
+    gb = _basis_for(args)
+    order = gb.order
     basis_strs = [format_polynomial(p, order) for p in gb.polynomials]
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
     payload = {
@@ -106,9 +113,8 @@ def cmd_gb(args) -> int:
 
 
 def cmd_sm(args) -> int:
-    field, emb = _resolve(args)
-    order = parse_order(args.order)
-    gb = _basis_for(args, field, emb, order)
+    gb = _basis_for(args)
+    order = gb.order
     sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
     payload = {"kind": gb.kind, "n": gb.n, "q": gb.q, "order": order.kind,
                "standard_monomials": sm_strs,
@@ -134,6 +140,11 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_interp(args) -> int:
+    n, q = _sizes(args)
+    count = count_increasing(n, q)
+    if count > interpolation.INTERPOLATION_CAP:
+        raise ValueError(f"{count} sequences for n={n}, q={q} exceed the interpolation cap "
+                         f"{interpolation.INTERPOLATION_CAP}")
     field, emb = _resolve(args)
     order = parse_order(args.order)
     if (args.point is None) == (args.values is None):
@@ -219,9 +230,9 @@ def cmd_oracle(args) -> int:
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
         _check_oracle_points(len(pts))
     elif builtin:
-        field, emb = _resolve(args, need_n=False)
         n, q, strict = builtin
         _check_oracle_points(count_increasing(n, q, strict))
+        field, emb = _resolve(args, need_n=False)
         pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
     else:
         raise ValueError("pass --points FILE or --builtin jnq:n,q")
@@ -256,8 +267,8 @@ def _load_pointset(args, field) -> geometry.PointSet:
 
 def _check_verify_work(kind: str, args):
     """Refuse a verification whose work estimate (geometry.verify_work)
-    exceeds geometry.VERIFY_WORK_CAP, before the set is read."""
-    work = geometry.verify_work(kind, args.n, args.q)
+    exceeds geometry.VERIFY_WORK_CAP, before the field is found or the set read."""
+    work = geometry.verify_work(kind, *_sizes(args))
     if work > geometry.VERIFY_WORK_CAP:
         raise ValueError(f"{kind} verify for n={args.n}, q={args.q} may test {work} points, "
                          f"above the cap {geometry.VERIFY_WORK_CAP}")
@@ -275,12 +286,12 @@ def cmd_kakeya(args) -> int:
             lines.append(f"verified at threshold 3: {ok}; size {len(K)} = bound {math.comb(5, 3)}")
         _emit(args, payload, lines)
         return 0 if ok else 1
-    field, emb = _resolve(args, prime_power_field=True)
     if args.kakeya_op == "build-t":
-        bound = geometry.line_star_size_bound(args.n, args.q)
+        bound = geometry.line_star_size_bound(*_sizes(args))
         if bound > geometry.VERIFY_WORK_CAP:
             raise ValueError(f"the line star for n={args.n}, q={args.q} may hold {bound} points, "
                              f"above the cap {geometry.VERIFY_WORK_CAP}")
+        field, emb = _resolve(args, prime_power_field=True)
         T = geometry.line_star(args.n, args.q, field, emb)
         payload = {"n": args.n, "q": args.q, "size": len(T), "size_bound": bound,
                    "points": geometry.format_points(T).splitlines()}
@@ -288,6 +299,7 @@ def cmd_kakeya(args) -> int:
         return 0
     # verify
     _check_verify_work("kakeya", args)
+    field, emb = _resolve(args, prime_power_field=True)
     K = _load_pointset(args, field)
     threshold = args.threshold if args.threshold is not None else args.q
     result = geometry.verify_kakeya(K, emb, threshold)
@@ -305,8 +317,8 @@ def cmd_kakeya(args) -> int:
 
 
 def cmd_nikodym(args) -> int:
-    field, emb = _resolve(args, prime_power_field=True)
     _check_verify_work("nikodym", args)
+    field, emb = _resolve(args, prime_power_field=True)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
     if result.ok:

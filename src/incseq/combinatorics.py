@@ -145,11 +145,10 @@ def count_increasing(n: int, q: int, strict: bool = False) -> int:
     return math.comb(q, n) if strict else math.comb(n + q - 1, q - 1)
 
 
-def is_increasing(seq, q: int, strict: bool = False) -> bool:
+def is_increasing(seq, q: int) -> bool:
     if not seq or any(not 1 <= v <= q for v in seq):
         return False
-    pairs = zip(seq, seq[1:])
-    return all(a < b for a, b in pairs) if strict else all(a <= b for a, b in pairs)
+    return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
 def difference_vector(seq) -> tuple[int, ...]:

@@ -18,11 +18,11 @@ of q-1 linear polynomials) is built independently and the two must agree.
 
 from functools import lru_cache
 
-from .combinatorics import Embedding, _check_embedding, count_increasing, difference_vector, increasing_sequences
+from .combinatorics import Embedding, _check_embedding, difference_vector, increasing_sequences
 from .field import FieldElement
 from .poly import Polynomial
 
-INTERPOLATION_CAP = 10**5  # sequences an Interpolator will enumerate
+INTERPOLATION_CAP = 10**5  # sequences `incseq interp` will enumerate
 
 
 class FactoredForm:
@@ -70,9 +70,6 @@ class Interpolator:
 
     def __init__(self, n: int, q: int, embedding: Embedding):
         _check_embedding(q, embedding)
-        count = count_increasing(n, q)
-        if count > INTERPOLATION_CAP:
-            raise ValueError(f"{count} sequences for n={n}, q={q} exceed the interpolation cap {INTERPOLATION_CAP}")
         self.n = n
         self.q = q
         self.embedding = embedding

@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +292,30 @@ def test_oversized_basis_refused_up_front(capsys, tmp_path):
     f.write_text("1,1\n")
     code, out, _ = run(capsys, "sm", "--n", "2", "--q", "3", "--kind", "downset", "--downset-file", str(f))
     assert code == 0 and out == "standard monomials (1): 1\n"
+
+
+HUGE_Q = 10**18
+ODD_Q = 1000000016000000063  # (10^9 + 7)(10^9 + 9), not a prime power
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gb", "--n", "1", "--q", str(HUGE_Q)],
+     f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap {groebner.EXPANSION_CAP}"),
+    (["kakeya", "build-t", "--n", "1", "--q", str(ODD_Q)],
+     f"the line star for n=1, q={ODD_Q} may hold {ODD_Q} points, above the cap {geometry.VERIFY_WORK_CAP}"),
+    (["interp", "--n", "1", "--q", str(HUGE_Q), "--point", "1"],
+     f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap {interpolation.INTERPOLATION_CAP}"),
+    (["oracle", "sm", "--builtin", f"jnq:1,{HUGE_Q}"],
+     f"{HUGE_Q} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}"),
+], ids=["gb", "kakeya-build-t", "interp", "oracle-sm"])
+def test_caps_checked_before_the_field(argv, message):
+    # the default field of a huge q is found by trial division, which
+    # would run for hours; a cap that needs only n and q is checked first
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "incseq.cli", *argv], capture_output=True, text=True,
+                            env=env, timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_cover_plane_cap_checked_before_tables(capsys, monkeypatch):

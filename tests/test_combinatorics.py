@@ -228,6 +228,4 @@ def test_all_downsets_counts():
 def test_is_increasing():
     assert is_increasing((1, 1, 2), 3)
     assert not is_increasing((2, 1), 3)
-    assert is_increasing((1, 3), 3, strict=True)
-    assert not is_increasing((1, 1), 3, strict=True)
     assert not is_increasing((0, 1), 3)
