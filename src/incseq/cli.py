@@ -13,7 +13,7 @@ import math
 import sys
 from functools import cache
 
-from . import acceptance, geometry, groebner, interpolation, oracle
+from . import acceptance, combinatorics, geometry, groebner, interpolation, oracle
 from .combinatorics import Embedding, _data_lines, count_increasing, increasing_sequences, parse_embedding
 from .field import field_from_string, is_prime, smallest_prime_geq
 from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
@@ -37,19 +37,73 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
     raise ValueError(f"q={q} is not a prime power; pass --field explicitly")
 
 
-def _sizes(args, need_n: bool = True):
-    """(--n, --q), refusing a missing --q, or --n unless need_n is False."""
+# Caps on the work a subcommand takes on; the library's own caps stay
+# with the code they guard.
+EXPANSION_CAP = 10**6  # terms in an expanded gb or sm basis
+INTERPOLATION_CAP = 10**5  # sequences interp solves over
+ORACLE_POINT_CAP = 2000  # points an oracle scan takes (1,716 for jnq:7,7)
+VERIFY_WORK_CAP = 10**7  # points kakeya or nikodym verify may test, or build-t build
+LISTING_CAP = 10**5  # values hilbert lists without --s
+_ORACLE = "{count} points exceed the oracle cap {cap}"
+
+
+def _expansion(args) -> int:
+    """Terms of the expanded --kind basis; a downset is read into args.downset."""
+    args.downset = ()
+    if args.kind == "downset":
+        if not args.downset_file:
+            raise ValueError("--downset-file is required for kind downset")
+        args.downset = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
+    return groebner.expanded_terms(args.kind, args.n, args.q, args.downset)
+
+
+# One row per sized leaf subcommand: its work count from the parsed
+# arguments `a`, its cap, and its refusal, a template of `a`, `count` and
+# `cap`.  No count needs the field, so each is checked before it is found.
+_CAPS = {
+    **dict.fromkeys(["gb", "sm"], lambda a: (_expansion(a), EXPANSION_CAP, "the {a.kind} basis for n={a.n}, "
+                                             "q={a.q} expands to {count} terms, above the cap {cap}")),
+    "hilbert": lambda a: (1 if a.s is not None else groebner.degree_bound(a.kind, a.n, a.q) + 1, LISTING_CAP,
+                          "the {a.kind} Hilbert function for n={a.n}, q={a.q} has {count} values, "
+                          "above the cap {cap}; pass --s for one of them"),
+    "interp": lambda a: (count_increasing(a.n, a.q), INTERPOLATION_CAP,
+                         "{count} sequences for n={a.n}, q={a.q} exceed the interpolation cap {cap}"),
+    **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (
+        count_increasing(a.n, a.q, a.kind == "strict"), ORACLE_POINT_CAP, _ORACLE)),
+    "kakeya build-t": lambda a: (geometry.line_star_size_bound(a.n, a.q), VERIFY_WORK_CAP,
+                                 "the line star for n={a.n}, q={a.q} may hold {count} points, above the cap {cap}"),
+    # Kakeya: binom(n+q-1, n) directions, q^(n-1) lines each, q points a line;
+    # Nikodym: binom(n+q-1, n) points, (q^n-1)/(q-1) directions each, q-1 punctured points
+    **dict.fromkeys(["kakeya verify", "nikodym verify"], lambda a: (
+        count_increasing(a.n, a.q) * (a.q**a.n - (a.subcommand == "nikodym")), VERIFY_WORK_CAP,
+        "{a.subcommand} verify for n={a.n}, q={a.q} may test {count} points, above the cap {cap}")),
+    **dict.fromkeys(["nonvanish", "cover verify", "cover search"], lambda a: (
+        count_increasing(a.n, a.q, vars(a).get("kind") == "strict"), combinatorics.ENUMERATION_CAP,
+        combinatorics.ENUMERATION_REFUSAL)),
+}
+
+
+def _check(args, count: int, cap: int, refusal: str):
+    if count > cap:
+        raise ValueError(refusal.format(a=args, count=count, cap=cap))
+
+
+def _check_sizes(args):
+    """Refuse a missing --q or --n, sizes below 1, and work over the cap
+    of the subcommand's row of _CAPS."""
     if args.q is None:
         raise ValueError("--q is required")
-    if need_n and args.n is None:
+    if args.n is None:
         raise ValueError("--n is required")
-    return args.n, args.q
+    if args.n < 1 or args.q < 1:
+        raise ValueError("n and q must be >= 1")
+    op = getattr(args, f"{args.subcommand}_op", None)
+    _check(args, *_CAPS[f"{args.subcommand} {op}" if op else args.subcommand](args))
 
 
-def _resolve(args, prime_power_field: bool = False, need_n: bool = True):
-    """Field + embedding from the flags, with defaults, after _sizes.  Caps that
-    need only n and q come first: a huge q's default field takes long to find."""
-    _sizes(args, need_n)
+def _resolve(args, prime_power_field: bool = False):
+    """Field + embedding from the flags, with defaults, after _check_sizes."""
+    _check_sizes(args)
     field = field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
     emb = parse_embedding(args.embedding, field, args.q) if args.embedding else Embedding.default(field, args.q)
     return field, emb
@@ -69,23 +123,13 @@ def _read(path: str) -> str:
 
 
 def _basis_for(args):
-    """The basis of --kind, refused before the field or the basis is built
-    when its expansion would exceed groebner.EXPANSION_CAP terms."""
-    n, q = _sizes(args)
-    points = ()
-    if args.kind == "downset":
-        if not args.downset_file:
-            raise ValueError("--downset-file is required for kind downset")
-        points = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
-    terms = groebner.expanded_terms(args.kind, n, q, points)
-    if terms > groebner.EXPANSION_CAP:
-        raise ValueError(f"the {args.kind} basis for n={n}, q={q} expands to {terms} terms, "
-                         f"above the cap {groebner.EXPANSION_CAP}")
+    """The basis of --kind, built once _resolve has checked its expansion."""
     _, emb = _resolve(args)
     order = parse_order(args.order)
     if args.kind == "downset":
-        return groebner.downset_basis(n, q, points, emb, order, minimize=getattr(args, "minimize", False))
-    return groebner.sequence_basis(args.kind, n, q, emb, order)
+        return groebner.downset_basis(args.n, args.q, args.downset, emb, order,
+                                      minimize=getattr(args, "minimize", False))
+    return groebner.sequence_basis(args.kind, args.n, args.q, emb, order)
 
 
 def cmd_gb(args) -> int:
@@ -124,10 +168,9 @@ def cmd_sm(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if args.n is None or args.q is None:
-        raise ValueError("--n and --q are required")
+    _check_sizes(args)
     smax = groebner.degree_bound(args.kind, args.n, args.q)
-    svals = [args.s] if args.s is not None else list(range(smax + 1))
+    svals = [args.s] if args.s is not None else range(smax + 1)
     values = []
     for s in svals:
         value, closed_form = groebner.hilbert_value(args.kind, args.n, args.q, s)
@@ -140,11 +183,6 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_interp(args) -> int:
-    n, q = _sizes(args)
-    count = count_increasing(n, q)
-    if count > interpolation.INTERPOLATION_CAP:
-        raise ValueError(f"{count} sequences for n={n}, q={q} exceed the interpolation cap "
-                         f"{interpolation.INTERPOLATION_CAP}")
     field, emb = _resolve(args)
     order = parse_order(args.order)
     if (args.point is None) == (args.values is None):
@@ -204,7 +242,6 @@ def cmd_nonvanish(args) -> int:
 def cmd_oracle(args) -> int:
     if args.points and args.builtin:
         raise ValueError("pass --points FILE or --builtin jnq:n,q, not both")
-    builtin = None
     if args.builtin:
         kind, _, spec = args.builtin.partition(":")
         parts = [v.strip() for v in spec.split(",")]
@@ -214,9 +251,10 @@ def cmd_oracle(args) -> int:
         for flag, given, spec in (("--q", args.q, q), ("--n", args.n, n)):
             if given is not None and given != spec:
                 raise ValueError(f"{flag} disagrees with the builtin spec")
-        args.q = q
-        builtin = (n, q, kind == "sjnq")
-    if args.points:
+        args.n, args.q, args.kind = n, q, "strict" if kind == "sjnq" else "full"
+        field, emb = _resolve(args)
+        pts = [emb.apply(s) for s in increasing_sequences(n, q, args.kind == "strict")]
+    elif args.points:
         if args.n is None:
             raise ValueError("--n is required with --points")
         if args.field is None and args.q is None:
@@ -228,12 +266,7 @@ def cmd_oracle(args) -> int:
         # the answer does not depend on the order of the points, so they
         # need no sorting (which an infinite field could not do)
         pts = list(geometry.parse_points(_read(args.points), field, args.n).points)
-        _check_oracle_points(len(pts))
-    elif builtin:
-        n, q, strict = builtin
-        _check_oracle_points(count_increasing(n, q, strict))
-        field, emb = _resolve(args, need_n=False)
-        pts = [emb.apply(s) for s in increasing_sequences(n, q, strict)]
+        _check(args, len(pts), ORACLE_POINT_CAP, _ORACLE)
     else:
         raise ValueError("pass --points FILE or --builtin jnq:n,q")
     order = parse_order(args.order)
@@ -254,24 +287,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _check_oracle_points(count: int):
-    if count > oracle.ORACLE_POINT_CAP:
-        raise ValueError(f"{count} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}")
-
-
 def _load_pointset(args, field) -> geometry.PointSet:
     if args.infile is None:
         raise ValueError("--in is required")
     return geometry.parse_points(_read(args.infile), field, args.n)
-
-
-def _check_verify_work(kind: str, args):
-    """Refuse a verification whose work estimate (geometry.verify_work)
-    exceeds geometry.VERIFY_WORK_CAP, before the field is found or the set read."""
-    work = geometry.verify_work(kind, *_sizes(args))
-    if work > geometry.VERIFY_WORK_CAP:
-        raise ValueError(f"{kind} verify for n={args.n}, q={args.q} may test {work} points, "
-                         f"above the cap {geometry.VERIFY_WORK_CAP}")
 
 
 def cmd_kakeya(args) -> int:
@@ -287,18 +306,14 @@ def cmd_kakeya(args) -> int:
         _emit(args, payload, lines)
         return 0 if ok else 1
     if args.kakeya_op == "build-t":
-        bound = geometry.line_star_size_bound(*_sizes(args))
-        if bound > geometry.VERIFY_WORK_CAP:
-            raise ValueError(f"the line star for n={args.n}, q={args.q} may hold {bound} points, "
-                             f"above the cap {geometry.VERIFY_WORK_CAP}")
         field, emb = _resolve(args, prime_power_field=True)
         T = geometry.line_star(args.n, args.q, field, emb)
+        bound = geometry.line_star_size_bound(args.n, args.q)
         payload = {"n": args.n, "q": args.q, "size": len(T), "size_bound": bound,
                    "points": geometry.format_points(T).splitlines()}
         _emit(args, payload, [f"size: {len(T)} (bound {bound})"] + payload["points"])
         return 0
     # verify
-    _check_verify_work("kakeya", args)
     field, emb = _resolve(args, prime_power_field=True)
     K = _load_pointset(args, field)
     threshold = args.threshold if args.threshold is not None else args.q
@@ -317,7 +332,6 @@ def cmd_kakeya(args) -> int:
 
 
 def cmd_nikodym(args) -> int:
-    _check_verify_work("nikodym", args)
     field, emb = _resolve(args, prime_power_field=True)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)

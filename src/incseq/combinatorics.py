@@ -12,6 +12,7 @@ from itertools import combinations, combinations_with_replacement
 from .field import Field, FieldElement
 
 ENUMERATION_CAP = 10**7
+ENUMERATION_REFUSAL = "refusing to enumerate more than {cap} sequences"
 
 
 class Embedding:
@@ -135,7 +136,7 @@ def _split_top_level(text: str) -> list[str]:
 def increasing_sequences(n: int, q: int, strict: bool = False) -> list[tuple[int, ...]]:
     """All (strictly) nondecreasing length-n sequences over [q], lex order."""
     if count_increasing(n, q, strict) > ENUMERATION_CAP:
-        raise ValueError(f"refusing to enumerate more than {ENUMERATION_CAP} sequences")
+        raise ValueError(ENUMERATION_REFUSAL.format(cap=ENUMERATION_CAP))
     return list((combinations if strict else combinations_with_replacement)(range(1, q + 1), n))
 
 

@@ -21,15 +21,13 @@ import math
 from functools import reduce
 from operator import getitem, or_
 
-from .combinatorics import (Embedding, _data_lines, _split_top_level, count_increasing, increasing_sequences,
-                            is_increasing)
+from .combinatorics import Embedding, _data_lines, _split_top_level, increasing_sequences, is_increasing
 from .field import Field, FieldElement, Tables, field_from_string
 from .oracle import vanishing_polynomial
 from .poly import DEGLEX
 
 COVER_PLANE_CAP = 10**3
 LINE_UNION_CAP = 10**6
-VERIFY_WORK_CAP = 10**7  # points a CLI `kakeya verify` or `nikodym verify` may test, or `build-t` build
 
 
 class InconsistencyError(RuntimeError):
@@ -256,17 +254,6 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
             return KakeyaCertificate(threshold, (), tab.el(v))
         entries.append((tab.el(v), tab.el(found)))
     return KakeyaCertificate(threshold, entries)
-
-
-def verify_work(kind: str, n: int, q: int) -> int:
-    """An upper bound on the points `verify_kakeya` (kind "kakeya") or
-    `verify_nikodym` (kind "nikodym") tests against a set in F^n, |F| = q,
-    counted without enumerating anything.  Kakeya: at most
-    count_increasing(n, q) directions, q^(n-1) lines each, q points a
-    line.  Nikodym: for each of the count_increasing(n, q) embedded
-    points, all (q^n - 1)/(q - 1) canonical directions, q - 1 punctured
-    points each."""
-    return count_increasing(n, q) * (q**n if kind == "kakeya" else q**n - 1)
 
 
 class NikodymCertificate:

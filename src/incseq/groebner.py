@@ -23,7 +23,6 @@ from .combinatorics import (
 from .field import FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_degree
 
-EXPANSION_CAP = 10**6  # terms in an expanded basis the CLI will build
 # points skipped between neighbouring blocks: the shift g_j = s_j - (j-1)
 # maps the strictly increasing sequences onto I(n, q - n + 1)
 _GAPS = {"full": 0, "strict": 1}

@@ -22,8 +22,6 @@ from .combinatorics import Embedding, _check_embedding, difference_vector, incre
 from .field import FieldElement
 from .poly import Polynomial
 
-INTERPOLATION_CAP = 10**5  # sequences `incseq interp` will enumerate
-
 
 class FactoredForm:
     """scalar * product of linear polynomials (empty product = 1)."""

@@ -11,7 +11,6 @@ import heapq
 from .field import Field, FieldElement
 from .poly import DEGLEX, Polynomial, TermOrder
 
-ORACLE_POINT_CAP = 2000  # points the CLI will scan (1,716 for jnq:7,7)
 INDEX_TABLE_CAP = 256  # largest finite field the scan runs on table lookups
 
 

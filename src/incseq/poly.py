@@ -63,7 +63,7 @@ def mono_to_str(m: tuple[int, ...]) -> str:
     basis has at most the C(n+q, n) of degree <= q (126 over 724 terms
     for n=4, q=5 at GF(7) images 1..5).  The bound of 2^14 entries
     (about 5 MB at width 8) holds the 12,870 of `gb --n 8 --q 8`, whose
-    490,314 terms are near groebner.EXPANSION_CAP; past it the least
+    490,314 terms are near cli.EXPANSION_CAP; past it the least
     recently used text is dropped and built again when next asked for.
     """
     return "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(m) if e > 0) or "1"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from incseq import cli, geometry, groebner, interpolation, oracle
+from incseq import cli, geometry, interpolation, oracle
 from incseq.cli import main
 from incseq.combinatorics import increasing_sequences
 from incseq.field import Field, field_from_string
@@ -281,7 +281,7 @@ def test_oversized_basis_refused_up_front(capsys, tmp_path):
     for sub in ("gb", "sm"):
         code, out, err = run(capsys, sub, "--n", "12", "--q", "12", "--field", "gf:13")
         assert code == 2 and out == ""
-        assert "834451800 terms" in err and f"cap {groebner.EXPANSION_CAP}" in err
+        assert "834451800 terms" in err and f"cap {cli.EXPANSION_CAP}" in err
     # n, q = 8, 9 expands to 1,307,504 terms; 8, 8 to 490,314
     code, _, _ = run(capsys, "gb", "--n", "8", "--q", "9", "--kind", "strict")
     assert code == 0
@@ -298,16 +298,26 @@ HUGE_Q = 10**18
 ODD_Q = 1000000016000000063  # (10^9 + 7)(10^9 + 9), not a prime power
 
 
+HUGE = ["--n", "1", "--q", str(HUGE_Q)]
+ENUMERATION_REFUSAL = "refusing to enumerate more than 10000000 sequences"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["gb", "--n", "1", "--q", str(HUGE_Q)],
-     f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap {groebner.EXPANSION_CAP}"),
+     f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap {cli.EXPANSION_CAP}"),
     (["kakeya", "build-t", "--n", "1", "--q", str(ODD_Q)],
-     f"the line star for n=1, q={ODD_Q} may hold {ODD_Q} points, above the cap {geometry.VERIFY_WORK_CAP}"),
+     f"the line star for n=1, q={ODD_Q} may hold {ODD_Q} points, above the cap {cli.VERIFY_WORK_CAP}"),
     (["interp", "--n", "1", "--q", str(HUGE_Q), "--point", "1"],
-     f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap {interpolation.INTERPOLATION_CAP}"),
+     f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
     (["oracle", "sm", "--builtin", f"jnq:1,{HUGE_Q}"],
-     f"{HUGE_Q} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}"),
-], ids=["gb", "kakeya-build-t", "interp", "oracle-sm"])
+     f"{HUGE_Q} points exceed the oracle cap {cli.ORACLE_POINT_CAP}"),
+    (["nonvanish", *HUGE, "--poly", "x1"], ENUMERATION_REFUSAL),
+    (["cover", "search", *HUGE], ENUMERATION_REFUSAL),
+    (["cover", "verify", *HUGE, "--planes", os.devnull], ENUMERATION_REFUSAL),
+    (["hilbert", *HUGE],
+     f"the full Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} values, above the cap 100000; "
+     "pass --s for one of them"),
+], ids=["gb", "kakeya-build-t", "interp", "oracle-sm", "nonvanish", "cover-search", "cover-verify", "hilbert"])
 def test_caps_checked_before_the_field(argv, message):
     # the default field of a huge q is found by trial division, which
     # would run for hours; a cap that needs only n and q is checked first
@@ -358,10 +368,10 @@ def test_oversized_interp_refused_up_front(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == ("error: 352716 sequences for n=11, q=11 exceed the interpolation cap "
-                   f"{interpolation.INTERPOLATION_CAP}\n")
+                   f"{cli.INTERPOLATION_CAP}\n")
     # the cap itself is accepted: N = 35 at n = q = 4
     monkeypatch.setattr(interpolation, "increasing_sequences", enumerate_)
-    monkeypatch.setattr(interpolation, "INTERPOLATION_CAP", 35)
+    monkeypatch.setattr(cli, "INTERPOLATION_CAP", 35)
     code, _, _ = run(capsys, "interp", "--n", "4", "--q", "4", "--field", "rational", "--point", "1,1,1,1")
     assert code == 0
     code, _, err = run(capsys, "interp", "--n", "4", "--q", "5", "--field", "rational", "--point", "1,1,1,1")
@@ -377,11 +387,11 @@ def test_oversized_oracle_refused_up_front(capsys, monkeypatch, tmp_path):
     for op, spec, count in ((["sm"], "jnq:8,8", 6435), (["vanish", "--maxdeg", "2"], "sjnq:9,18", 48620)):
         code, out, err = run(capsys, "oracle", *op, "--builtin", spec, "--field", "gf:19")
         assert code == 2 and out == ""
-        assert err == f"error: {count} points exceed the oracle cap {oracle.ORACLE_POINT_CAP}\n"
+        assert err == f"error: {count} points exceed the oracle cap {cli.ORACLE_POINT_CAP}\n"
     # a points file is counted after parsing (repeated lines are one point);
     # the cap itself is accepted
     monkeypatch.setattr(cli, "increasing_sequences", enumerate_)
-    monkeypatch.setattr(oracle, "ORACLE_POINT_CAP", 3)
+    monkeypatch.setattr(cli, "ORACLE_POINT_CAP", 3)
     points = tmp_path / "points.txt"
     points.write_text("1,2\n2,3\n1,2\n3,3\n")
     code, out, _ = run(capsys, "oracle", "sm", "--points", str(points), "--n", "2", "--q", "3",
@@ -432,6 +442,11 @@ def test_oracle_points_refuse_builtin(capsys, tmp_path, op):
     assert run(capsys, *argv)[0] == 0
 
 
+def _work(*argv):
+    """The work count of the cap row that checks argv."""
+    return cli._CAPS[" ".join(argv[:2])](cli.build_parser().parse_args(argv))[0]
+
+
 @pytest.mark.parametrize("kind", ["kakeya", "nikodym"])
 def test_oversized_verify_refused_up_front(capsys, monkeypatch, tmp_path, kind):
     def refuse(*args):
@@ -441,37 +456,44 @@ def test_oversized_verify_refused_up_front(capsys, monkeypatch, tmp_path, kind):
     monkeypatch.setattr(geometry, f"verify_{kind}", refuse)
     # n = 3, q = 101: 176,851 sequences, each with about 101^3 points to test
     argv = [kind, "verify", "--n", "3", "--q", "101", "--in", str(tmp_path / "none.txt")]
-    work = geometry.verify_work(kind, 3, 101)
-    assert work > geometry.VERIFY_WORK_CAP
+    work = _work(kind, "verify", "--n", "3", "--q", "101")
+    assert work > cli.VERIFY_WORK_CAP
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == (f"error: {kind} verify for n=3, q=101 may test {work} points, "
-                   f"above the cap {geometry.VERIFY_WORK_CAP}\n")
+                   f"above the cap {cli.VERIFY_WORK_CAP}\n")
     # the cap itself is accepted
     monkeypatch.undo()
     star = tmp_path / "star.txt"
     code, out, _ = run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")
     star.write_text("\n".join(out.splitlines()[1:]) + "\n")
-    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.verify_work(kind, 2, 5))
+    monkeypatch.setattr(cli, "VERIFY_WORK_CAP", _work(kind, "verify", "--n", "2", "--q", "5"))
     assert run(capsys, kind, "verify", "--n", "2", "--q", "5", "--in", str(star))[0] == 0
-    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.verify_work(kind, 2, 5) - 1)
+    monkeypatch.setattr(cli, "VERIFY_WORK_CAP", _work(kind, "verify", "--n", "2", "--q", "5") - 1)
     assert run(capsys, kind, "verify", "--n", "2", "--q", "5", "--in", str(star))[0] == 2
 
 
 def test_oversized_line_star_refused_up_front(capsys, monkeypatch):
     monkeypatch.setattr(geometry, "line_star", lambda *a: pytest.fail("built the line star"))
     bound = geometry.line_star_size_bound(3, 101)
-    assert bound == 17675101 > geometry.VERIFY_WORK_CAP
+    assert bound == 17675101 > cli.VERIFY_WORK_CAP
     code, out, err = run(capsys, "kakeya", "build-t", "--n", "3", "--q", "101")
     assert code == 2 and out == ""
     assert err == (f"error: the line star for n=3, q=101 may hold {bound} points, "
-                   f"above the cap {geometry.VERIFY_WORK_CAP}\n")
+                   f"above the cap {cli.VERIFY_WORK_CAP}\n")
     # the cap itself is accepted
     monkeypatch.undo()
-    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5))
+    monkeypatch.setattr(cli, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5))
     assert run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")[0] == 0
-    monkeypatch.setattr(geometry, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5) - 1)
+    monkeypatch.setattr(cli, "VERIFY_WORK_CAP", geometry.line_star_size_bound(2, 5) - 1)
     assert run(capsys, "kakeya", "build-t", "--n", "2", "--q", "5")[0] == 2
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "gf:3"]], ids=["default-field", "gf3"])
+def test_line_star_refuses_q_zero(capsys, field):
+    # as every other sized subcommand does, before the field or the embedding
+    code, out, err = run(capsys, "kakeya", "build-t", "--n", "2", "--q", "0", *field)
+    assert (code, out, err) == (2, "", "error: n and q must be >= 1\n")
 
 
 def test_oversized_tables_refused_before_building(capsys, monkeypatch, tmp_path):
@@ -479,7 +501,7 @@ def test_oversized_tables_refused_before_building(capsys, monkeypatch, tmp_path)
 
     # n = 1, q = 3001 passes the verify cap (9,006,001 points) but would
     # need 3001 x 3001 tables; refused before any row is built
-    assert geometry.verify_work("kakeya", 1, 3001) <= geometry.VERIFY_WORK_CAP
+    assert _work("kakeya", "verify", "--n", "1", "--q", "3001") <= cli.VERIFY_WORK_CAP
     monkeypatch.setattr(field_module.PrimeField, "elements", lambda *a: pytest.fail("tabulated"))
     points = tmp_path / "points.txt"
     points.write_text("0\n")
@@ -1319,6 +1341,40 @@ def test_cli_surface_pinned():
     surface = {path: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                for path, p in _leaf_parsers(cli.build_parser())}
     assert surface == {path: set(flags.split()) for path, flags in CLI_SURFACE.items()}
+
+
+# an over-cap argv and its refusal for every leaf that takes --n and --q
+OVER_CAP = {
+    "gb": (HUGE, f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap 1000000"),
+    "sm": (HUGE + ["--kind", "strict"],
+           f"the strict basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap 1000000"),
+    "hilbert": (HUGE + ["--kind", "strict"], f"the strict Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} "
+                                              "values, above the cap 100000; pass --s for one of them"),
+    "interp": (HUGE, f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap 100000"),
+    "nonvanish": (HUGE + ["--poly", "x1", "--kind", "strict"], ENUMERATION_REFUSAL),
+    "oracle sm": (["--builtin", f"sjnq:1,{HUGE_Q}"], f"{HUGE_Q} points exceed the oracle cap 2000"),
+    "oracle vanish": (["--builtin", f"jnq:1,{HUGE_Q}", "--maxdeg", "1"], f"{HUGE_Q} points exceed the oracle cap 2000"),
+    "kakeya build-t": (["--n", "3", "--q", "101"],
+                       "the line star for n=3, q=101 may hold 17675101 points, above the cap 10000000"),
+    "kakeya verify": (HUGE, f"kakeya verify for n=1, q={HUGE_Q} may test {HUGE_Q**2} points, above the cap 10000000"),
+    "nikodym": (["verify", *HUGE],
+                f"nikodym verify for n=1, q={HUGE_Q} may test {HUGE_Q * (HUGE_Q - 1)} points, above the cap 10000000"),
+    "cover verify": (HUGE, ENUMERATION_REFUSAL),
+    "cover search": (HUGE, ENUMERATION_REFUSAL),
+}
+
+
+@pytest.mark.parametrize("path", [path for path, p in _leaf_parsers(cli.build_parser())
+                                  if "--q" in p._option_string_actions])
+def test_every_sized_subcommand_checks_its_cap_before_the_field(capsys, monkeypatch, path):
+    # a subcommand added without a row in the CLI's cap table fails here
+    def fail(*args):
+        pytest.fail("worked out a field before the cap")
+
+    monkeypatch.setattr(cli, "field_from_string", fail)
+    monkeypatch.setattr(cli, "_default_field_spec", fail)
+    argv, message = OVER_CAP[path]
+    assert run(capsys, *path.split(), *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,flag", [
