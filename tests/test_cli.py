@@ -296,8 +296,6 @@ def test_oversized_basis_refused_up_front(capsys, tmp_path):
 
 HUGE_Q = 10**18
 ODD_Q = 1000000016000000063  # (10^9 + 7)(10^9 + 9), not a prime power
-
-
 HUGE = ["--n", "1", "--q", str(HUGE_Q)]
 ENUMERATION_REFUSAL = "refusing to enumerate more than 10000000 sequences"
 
