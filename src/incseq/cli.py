@@ -326,7 +326,7 @@ def cmd_kakeya(args) -> int:
               + [f"  direction {e['direction']}: base {e['base']}" for e in payload["entries"]])
         return 0
     payload = {"ok": False, "threshold": threshold,
-               "failed_direction": geometry.format_point(result.direction)}
+               "failed_direction": geometry.format_point(result.failed)}
     _emit(args, payload, [f"FAILED: no line at threshold {threshold} in direction {payload['failed_direction']}"])
     return 1
 
@@ -343,7 +343,7 @@ def cmd_nikodym(args) -> int:
         _emit(args, payload, [f"certified: {len(result.entries)} points; size {len(B)} >= bound {bound.bound}"]
               + [f"  point {e['point']}: direction {e['direction']}" for e in payload["entries"]])
         return 0
-    payload = {"ok": False, "failed_point": geometry.format_point(result.point)}
+    payload = {"ok": False, "failed_point": geometry.format_point(result.failed)}
     _emit(args, payload, [f"FAILED: no punctured line through {payload['failed_point']}"])
     return 1
 

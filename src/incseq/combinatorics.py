@@ -22,7 +22,7 @@ class Embedding:
     for a fixed offset a, which requires characteristic 0 or >= q.
     """
 
-    __slots__ = ("q", "field", "images", "grid_offset")
+    __slots__ = ("q", "field", "images", "is_grid")
 
     def __init__(self, field: Field, images):
         images = tuple(images)
@@ -33,14 +33,7 @@ class Embedding:
         self.field = field
         self.q = len(images)
         self.images = images
-        self.grid_offset = self._detect_grid()
-
-    def _detect_grid(self):
-        one = self.field.one
-        for a, b in zip(self.images, self.images[1:]):
-            if b - a != one:
-                return None
-        return self.images[0] - one  # offset a with i(j) = a + j
+        self.is_grid = all(b - a == field.one for a, b in zip(images, images[1:]))
 
     @classmethod
     def grid(cls, field: Field, q: int, offset=-1) -> "Embedding":
@@ -67,10 +60,6 @@ class Embedding:
         if field.char == 0 or field.char >= q:
             return cls.grid(field, q, -1)
         return cls.enumeration(field, q)
-
-    @property
-    def is_grid(self) -> bool:
-        return self.grid_offset is not None
 
     def apply(self, seq) -> tuple[FieldElement, ...]:
         """Componentwise image of a sequence with entries in [q]."""

@@ -222,18 +222,17 @@ def line_star_size_bound(n: int, q: int) -> int:
     return (q - 1) * (math.comb(q + n - 1, n) - (q - 1)) + 1
 
 
-class KakeyaCertificate:
-    """Per-direction witness lines (direction -> base point), or, when
-    `direction` is set, the first direction with no line meeting the set
-    at the threshold (and no entries)."""
+class Certificate:
+    """A witness per direction or point, as (item, witness) entries, or,
+    when `failed` is set, the first item with no witness (and no
+    entries)."""
 
-    __slots__ = ("threshold", "entries", "direction", "ok")
+    __slots__ = ("entries", "failed", "ok")
 
-    def __init__(self, threshold: int, entries, direction=None):
-        self.threshold = threshold
+    def __init__(self, entries, failed=None):
         self.entries = tuple(entries)
-        self.direction = direction
-        self.ok = direction is None
+        self.failed = failed
+        self.ok = failed is None
 
 
 def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
@@ -251,23 +250,9 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
         found = next((base for base, line in _lines(tab, K.n, v)
                       if sum(p in points for p in line) >= threshold), None)
         if found is None:
-            return KakeyaCertificate(threshold, (), tab.el(v))
+            return Certificate((), tab.el(v))
         entries.append((tab.el(v), tab.el(found)))
-    return KakeyaCertificate(threshold, entries)
-
-
-class NikodymCertificate:
-    """Per-point witness directions (embedded point -> direction whose
-    punctured line through the point stays inside the set), or, when
-    `point` is set, the first point with no such direction (and no
-    entries)."""
-
-    __slots__ = ("entries", "point", "ok")
-
-    def __init__(self, entries, point=None):
-        self.entries = tuple(entries)
-        self.point = point
-        self.ok = point is None
+    return Certificate(entries)
 
 
 def verify_nikodym(B: PointSet, emb: Embedding):
@@ -288,9 +273,9 @@ def verify_nikodym(B: PointSet, emb: Embedding):
         found = next((v for v, steps in directions
                       if all(tuple(map(getitem, rows, step)) in points for step in steps)), None)
         if found is None:
-            return NikodymCertificate((), tab.el(z))
+            return Certificate((), tab.el(z))
         entries.append((tab.el(z), tab.el(found)))
-    return NikodymCertificate(entries)
+    return Certificate(entries)
 
 
 class BoundPass:
@@ -391,7 +376,7 @@ def nikodym_bound_check(B: PointSet, emb: Embedding, cert=None):
     if cert is None:
         cert = verify_nikodym(B, emb)
     if not cert.ok:
-        raise CertificateError(f"not an increasing Nikodym set: no punctured line through {cert.point}")
+        raise CertificateError(f"not an increasing Nikodym set: no punctured line through {cert.failed}")
     n, q = B.n, emb.q
     bound = math.comb(n + q - 2, n)
     if len(B) >= bound:

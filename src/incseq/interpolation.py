@@ -44,10 +44,9 @@ class IndicatorPolynomial:
     """The unique degree-(q-1) polynomial that is 1 at one embedded
     sequence and 0 at every other."""
 
-    __slots__ = ("seq", "point", "expanded", "factored")
+    __slots__ = ("point", "expanded", "factored")
 
-    def __init__(self, seq, point, expanded: Polynomial, factored: FactoredForm | None):
-        self.seq = seq
+    def __init__(self, point, expanded: Polynomial, factored: FactoredForm | None):
         self.point = point
         self.expanded = expanded
         self.factored = factored
@@ -140,7 +139,7 @@ class Interpolator:
         vals[idx] = self.field.one.value
         expanded = self._solve(vals)
         factored = self._factored(seq) if self.embedding.is_grid else None
-        return IndicatorPolynomial(seq, self.points[idx], expanded, factored)
+        return IndicatorPolynomial(self.points[idx], expanded, factored)
 
     def _factored(self, seq) -> FactoredForm:
         """Grid recipe: (x_1 - i(t)) below the first entry, (x_n - i(t))

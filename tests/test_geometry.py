@@ -8,9 +8,9 @@ from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
 from incseq.geometry import (
     BoundPass,
+    Certificate,
     CertificateError,
     Hyperplane,
-    NikodymCertificate,
     PointSet,
     _canonical,
     _directions,
@@ -214,7 +214,7 @@ def test_kakeya_failure_witness():
     damaged = PointSet(GF3, 2, T.points - {_pt(GF3, 0, 1)})
     result = verify_kakeya(damaged, E23, 3)
     assert not result.ok
-    assert result.direction == _pt(GF3, 0, 1)
+    assert result.failed == _pt(GF3, 0, 1)
 
 
 def test_kakeya_threshold_range_checked():
@@ -326,7 +326,7 @@ def test_nikodym_failure_witness():
     empty = PointSet(GF3, 2, [])
     result = verify_nikodym(empty, E23)
     assert not result.ok
-    assert result.point == _pt(GF3, 0, 0)
+    assert result.failed == _pt(GF3, 0, 0)
 
 
 def test_nikodym_bound_check_requires_certificate():
@@ -345,27 +345,27 @@ def test_nikodym_chain_mechanics():
     z = _pt(GF3, 0, 0)
     v = _pt(GF3, 0, 1)
     B = PointSet(GF3, 2, _punctured(z, v))
-    fake = NikodymCertificate([(z, v)])
+    fake = Certificate([(z, v)])
     trace = _nikodym_chain(B, E23, fake, bound=3)
     assert not trace.ok
     assert trace.extended_zeros == (z,)
     assert trace.poly.evaluate(z).is_zero
     # a certificate whose line leaves the set is rejected
-    bad = NikodymCertificate([(z, _pt(GF3, 1, 0))])
+    bad = Certificate([(z, _pt(GF3, 1, 0))])
     with pytest.raises(CertificateError):
         _nikodym_chain(B, E23, bad, bound=3)
     # so is one with a zero direction, even where its point lies in the set
     with_z = PointSet(GF3, 2, B.points | {z})
     with pytest.raises(ValueError, match="no direction"):
-        _nikodym_chain(with_z, E23, NikodymCertificate([(z, _pt(GF3, 0, 0))]), bound=3)
+        _nikodym_chain(with_z, E23, Certificate([(z, _pt(GF3, 0, 0))]), bound=3)
 
 
 def test_nikodym_chain_scaled_direction():
     # a non-canonical certificate direction names the same punctured line
     z = _pt(GF3, 0, 0)
     B = PointSet(GF3, 2, _punctured(z, _pt(GF3, 0, 1)))
-    canonical = _nikodym_chain(B, E23, NikodymCertificate([(z, _pt(GF3, 0, 1))]), bound=3)
-    scaled = _nikodym_chain(B, E23, NikodymCertificate([(z, _pt(GF3, 0, 2))]), bound=3)
+    canonical = _nikodym_chain(B, E23, Certificate([(z, _pt(GF3, 0, 1))]), bound=3)
+    scaled = _nikodym_chain(B, E23, Certificate([(z, _pt(GF3, 0, 2))]), bound=3)
     assert scaled.extended_zeros == canonical.extended_zeros == (z,)
     assert scaled.poly == canonical.poly
 
