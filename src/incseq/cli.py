@@ -24,14 +24,12 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
         return f"gf:{smallest_prime_geq(q)}"
     if is_prime(q):
         return f"gf:{q}"
-    for p in range(2, q):
+    for p in range(2, q):  # the least factor above 1 is prime
         if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
+            k = 1
+            while p**k < q:
                 k += 1
-            if m == 1 and is_prime(p):
+            if p**k == q:
                 return f"gf:{p}^{k}"
             break
     raise ValueError(f"q={q} is not a prime power; pass --field explicitly")
@@ -45,16 +43,33 @@ ORACLE_POINT_CAP = 2000  # points an oracle scan takes (1,716 for jnq:7,7)
 VERIFY_WORK_CAP = 10**7  # points kakeya or nikodym verify may test, or build-t build
 LISTING_CAP = 10**5  # values hilbert lists without --s
 _ORACLE = "{count} points exceed the oracle cap {cap}"
+_HUGE = 10**4300  # Python prints ints of at most 4300 digits
+
+
+def _count(exact, a: int, b: int, more_bits: int = 0) -> int:
+    """exact(), a count of at least C(a, b) 2^more_bits, or _HUGE once that is 2^14285 > 10^4300 or more, as
+    C(a, m) >= (a // m)^m, m = min(b, a - b), and p^k >= 2^(k (p.bit_length() - 1)); else exact() is short."""
+    m = min(b, a - b)
+    bits = more_bits + (m * ((a // m).bit_length() - 1) if m > 0 else 0)
+    return _HUGE if bits >= 14285 else min(_HUGE, exact())
+
+
+def _sequences(a) -> int:
+    """count_increasing for the row's n, q and --kind, through _count."""
+    strict = vars(a).get("kind") == "strict"
+    return _count(lambda: count_increasing(a.n, a.q, strict), a.q if strict else a.n + a.q - 1, a.n)
 
 
 def _expansion(args) -> int:
-    """Terms of the expanded --kind basis; a downset is read into args.downset."""
+    """Terms of the expanded --kind basis; a downset, which adds blocks to the full one, is read into args.downset."""
     args.downset = ()
     if args.kind == "downset":
         if not args.downset_file:
             raise ValueError("--downset-file is required for kind downset")
         args.downset = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
-    return groebner.expanded_terms(args.kind, args.n, args.q, args.downset)
+    d = groebner.degree_bound("full" if args.kind == "downset" else args.kind, args.n, args.q)
+    return _count(lambda: groebner.expanded_terms(args.kind, args.n, args.q, args.downset),
+                  d + 2 * args.n, 2 * args.n - 1)
 
 
 # One row per sized leaf subcommand: its work count from the parsed
@@ -66,26 +81,27 @@ _CAPS = {
     "hilbert": lambda a: (1 if a.s is not None else groebner.degree_bound(a.kind, a.n, a.q) + 1, LISTING_CAP,
                           "the {a.kind} Hilbert function for n={a.n}, q={a.q} has {count} values, "
                           "above the cap {cap}; pass --s for one of them"),
-    "interp": lambda a: (count_increasing(a.n, a.q), INTERPOLATION_CAP,
+    "interp": lambda a: (_sequences(a), INTERPOLATION_CAP,
                          "{count} sequences for n={a.n}, q={a.q} exceed the interpolation cap {cap}"),
-    **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (
-        count_increasing(a.n, a.q, a.kind == "strict"), ORACLE_POINT_CAP, _ORACLE)),
-    "kakeya build-t": lambda a: (geometry.line_star_size_bound(a.n, a.q), VERIFY_WORK_CAP,
+    **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (_sequences(a), ORACLE_POINT_CAP, _ORACLE)),
+    # the line star bound (q-1) (binom(n+q-1, n) - (q-1)) + 1 is at least half its binomial
+    "kakeya build-t": lambda a: (_count(lambda: geometry.line_star_size_bound(a.n, a.q), a.n + a.q - 1, a.n, -1),
+                                 VERIFY_WORK_CAP,
                                  "the line star for n={a.n}, q={a.q} may hold {count} points, above the cap {cap}"),
     # Kakeya: binom(n+q-1, n) directions, q^(n-1) lines each, q points a line;
-    # Nikodym: binom(n+q-1, n) points, (q^n-1)/(q-1) directions each, q-1 punctured points
+    # Nikodym: binom(n+q-1, n) points, (q^n-1)/(q-1) directions each, q-1 punctured points (q^n-1 >= q^n / 2)
     **dict.fromkeys(["kakeya verify", "nikodym verify"], lambda a: (
-        count_increasing(a.n, a.q) * (a.q**a.n - (a.subcommand == "nikodym")), VERIFY_WORK_CAP,
+        _count(lambda: count_increasing(a.n, a.q) * (a.q**a.n - (a.subcommand == "nikodym")),
+               a.n + a.q - 1, a.n, a.n * (a.q.bit_length() - 1) - 1), VERIFY_WORK_CAP,
         "{a.subcommand} verify for n={a.n}, q={a.q} may test {count} points, above the cap {cap}")),
     **dict.fromkeys(["nonvanish", "cover verify", "cover search"], lambda a: (
-        count_increasing(a.n, a.q, vars(a).get("kind") == "strict"), combinatorics.ENUMERATION_CAP,
-        combinatorics.ENUMERATION_REFUSAL)),
+        _sequences(a), combinatorics.ENUMERATION_CAP, combinatorics.ENUMERATION_REFUSAL)),
 }
 
 
 def _check(args, count: int, cap: int, refusal: str):
     if count > cap:
-        raise ValueError(refusal.format(a=args, count=count, cap=cap))
+        raise ValueError(refusal.format(a=args, count="at least 10^4300" if count >= _HUGE else count, cap=cap))
 
 
 def _check_sizes(args):
@@ -101,10 +117,14 @@ def _check_sizes(args):
     _check(args, *_CAPS[f"{args.subcommand} {op}" if op else args.subcommand](args))
 
 
-def _resolve(args, prime_power_field: bool = False):
-    """Field + embedding from the flags, with defaults, after _check_sizes."""
+def _field(args, prime_power_field: bool = False):
     _check_sizes(args)
-    field = field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
+    return field_from_string(args.field or _default_field_spec(args.q, prime_power_field))
+
+
+def _resolve(args, prime_power_field: bool = False, field=None):
+    """Field + embedding from the flags, with defaults; the field is _field's unless given."""
+    field = field or _field(args, prime_power_field)
     emb = parse_embedding(args.embedding, field, args.q) if args.embedding else Embedding.default(field, args.q)
     return field, emb
 
@@ -227,8 +247,10 @@ def cmd_interp(args) -> int:
 
 
 def cmd_nonvanish(args) -> int:
-    field, emb = _resolve(args)
+    field = _field(args)
     f = parse_polynomial(args.poly, field, args.n)
+    groebner.check_degree(f, args.kind, args.n, args.q)  # before the embedding's q images are built
+    _, emb = _resolve(args, field=field)
     witness = groebner.nonvanishing_point(f, args.kind, args.n, args.q, emb)
     if witness is None:
         _emit(args, {"zero": True}, ["zero polynomial: vanishes everywhere by definition"])

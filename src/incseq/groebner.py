@@ -245,6 +245,12 @@ def hilbert_value(kind: str, n: int, q: int, s: int) -> tuple[int, bool]:
     return math.comb(n + eff, eff), s <= smax
 
 
+def check_degree(f: Polynomial, kind: str, n: int, q: int):
+    """Refuse f above the degree bound of kind, where a nonzero f may vanish on every point."""
+    if f.degree() > (bound := degree_bound(kind, n, q)):
+        raise ValueError(f"degree {f.degree()} exceeds the bound {bound} for kind {kind!r}")
+
+
 def nonvanishing_point(f: Polynomial, kind: str, n: int, q: int, embedding: Embedding):
     """A point of the embedded sequence set where f does not vanish
     (first in enumeration order), or None when f is the zero polynomial.
@@ -252,11 +258,9 @@ def nonvanishing_point(f: Polynomial, kind: str, n: int, q: int, embedding: Embe
     Only applicable below the degree bound (q-1 nondecreasing, q-n
     strict), where a witness is guaranteed for nonzero f.
     """
-    bound = degree_bound(kind, n, q)
+    check_degree(f, kind, n, q)
     if f.is_zero:
         return None
-    if f.degree() > bound:
-        raise ValueError(f"degree {f.degree()} exceeds the bound {bound} for kind {kind!r}")
     _check_embedding(q, embedding)
     for seq in increasing_sequences(n, q, kind == "strict"):
         point = embedding.apply(seq)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from incseq import cli, geometry, interpolation, oracle
+from incseq import cli, geometry, groebner, interpolation, oracle
 from incseq.cli import main
-from incseq.combinatorics import increasing_sequences
+from incseq.combinatorics import count_increasing, increasing_sequences
 from incseq.field import Field, field_from_string
 from incseq.poly import format_polynomial, mono_to_str, monomials_up_to_degree, parse_order
 
@@ -142,9 +142,11 @@ def test_nonvanish(capsys):
     assert json.loads(out)["witness"] == "0,1"
     code, out, _ = run(capsys, "nonvanish", "--poly", "0", "--n", "2", "--q", "3", "--format", "json")
     assert code == 0 and json.loads(out)["zero"] is True
-    # degree above the bound is a usage error
+    # degree above the bound is a usage error, found before the embedding is built
     code, _, err = run(capsys, "nonvanish", "--poly", "x1^3", "--n", "2", "--q", "3")
     assert code == 2 and "error" in err
+    code, out, err = run(capsys, "nonvanish", "--poly", "x1^3", "--n", "2", "--q", "3", "--embedding", "list:0,0,1")
+    assert (code, out, err) == (2, "", "error: degree 3 exceeds the bound 2 for kind 'full'\n")
 
 
 def test_oracle_builtin(capsys):
@@ -298,6 +300,9 @@ HUGE_Q = 10**18
 ODD_Q = 1000000016000000063  # (10^9 + 7)(10^9 + 9), not a prime power
 HUGE = ["--n", "1", "--q", str(HUGE_Q)]
 ENUMERATION_REFUSAL = "refusing to enumerate more than 10000000 sequences"
+# counts with millions of digits: a cap row bounds them instead of working them out
+WIDE = ["--n", "10000000", "--q", "10000000"]
+WIDE_SIZES = "n=10000000, q=10000000"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -315,15 +320,63 @@ ENUMERATION_REFUSAL = "refusing to enumerate more than 10000000 sequences"
     (["hilbert", *HUGE],
      f"the full Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} values, above the cap 100000; "
      "pass --s for one of them"),
-], ids=["gb", "kakeya-build-t", "interp", "oracle-sm", "nonvanish", "cover-search", "cover-verify", "hilbert"])
+    (["kakeya", "verify", "--n", "100000", "--q", "3"],
+     f"kakeya verify for n=100000, q=3 may test at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
+    (["nikodym", "verify", "--n", "100000000", "--q", "3"],
+     f"nikodym verify for n=100000000, q=3 may test at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
+    (["gb", *WIDE], f"the full basis for {WIDE_SIZES} expands to at least 10^4300 terms, above the cap 1000000"),
+    (["sm", *WIDE], f"the full basis for {WIDE_SIZES} expands to at least 10^4300 terms, above the cap 1000000"),
+    (["interp", *WIDE, "--point", "1"],
+     f"at least 10^4300 sequences for {WIDE_SIZES} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
+    (["oracle", "sm", "--builtin", "jnq:10000000,10000000"],
+     f"at least 10^4300 points exceed the oracle cap {cli.ORACLE_POINT_CAP}"),
+    (["kakeya", "build-t", *WIDE],
+     f"the line star for {WIDE_SIZES} may hold at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
+    (["nonvanish", *WIDE, "--poly", "x1"], ENUMERATION_REFUSAL),
+    (["cover", "verify", *WIDE, "--planes", os.devnull], ENUMERATION_REFUSAL),
+    (["cover", "search", *WIDE], ENUMERATION_REFUSAL),
+    # the embedding would build 9,000,000 images; the degree is checked first
+    (["nonvanish", "--n", "1", "--q", "9000000", "--poly", "x1^99999999"],
+     "degree 99999999 exceeds the bound 8999999 for kind 'full'"),
+], ids=["gb", "kakeya-build-t", "interp", "oracle-sm", "nonvanish", "cover-search", "cover-verify", "hilbert",
+        "kakeya-verify-wide", "nikodym-verify-wide", "gb-wide", "sm-wide", "interp-wide", "oracle-sm-wide",
+        "kakeya-build-t-wide", "nonvanish-wide", "cover-verify-wide", "cover-search-wide", "nonvanish-degree"])
 def test_caps_checked_before_the_field(argv, message):
     # the default field of a huge q is found by trial division, which
-    # would run for hours; a cap that needs only n and q is checked first
+    # would run for hours; a cap that needs only n and q is checked first,
+    # on a count that is never worked out once it is known to be too
+    # long to print
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-m", "incseq.cli", *argv], capture_output=True, text=True,
                             env=env, timeout=10)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n,q", [(1, 1), (2, 3), (1, HUGE_Q), (7, 8), (300, 2), (2000, 3000), (8000, 8000),
+                                 (10000, 3), (14285, 2)])
+def test_cap_counts_exact_below_the_print_limit(n, q):
+    # below 10^4300 a row's count is worked out in full, so it prints as it
+    # always did; from there on it is 10^4300, printed as a lower bound,
+    # whether a cheap bound or the count itself shows it
+    rows = {
+        ("gb", "full"): groebner.expanded_terms("full", n, q),
+        ("sm", "strict"): groebner.expanded_terms("strict", n, q) if q >= n else None,
+        ("interp", None): count_increasing(n, q),
+        ("oracle sm", "strict"): count_increasing(n, q, True),
+        ("oracle vanish", "full"): count_increasing(n, q),
+        ("kakeya build-t", None): geometry.line_star_size_bound(n, q),
+        ("kakeya verify", None): count_increasing(n, q) * q**n,
+        ("nikodym verify", None): count_increasing(n, q) * (q**n - 1),
+        ("nonvanish", "strict"): count_increasing(n, q, True),
+        ("cover search", None): count_increasing(n, q),
+    }
+    for (row, kind), want in rows.items():
+        if want is None:
+            continue
+        args = argparse.Namespace(n=n, q=q, subcommand=row.split()[0], kind=kind, downset_file=None)
+        count, _, _ = cli._CAPS[row](args)
+        assert count == (want if want < 10**4300 else cli._HUGE), (row, kind)
 
 
 def test_cover_plane_cap_checked_before_tables(capsys, monkeypatch):
