@@ -47,8 +47,8 @@ _HUGE = 10**4300  # Python prints ints of at most 4300 digits
 
 
 def _count(exact, a: int, b: int, more_bits: int = 0) -> int:
-    """exact(), a count of at least C(a, b) 2^more_bits, or _HUGE once that is 2^14285 > 10^4300 or more, as
-    C(a, m) >= (a // m)^m, m = min(b, a - b), and p^k >= 2^(k (p.bit_length() - 1)); else exact() is short."""
+    """exact(), known to be at least C(a, b) 2^more_bits, or _HUGE once that bound reaches 2^14285 > 10^4300.
+    C(a, m) >= (a // m)^m for m = min(b, a - b); callers bound a power p^k by 2^(k (p.bit_length() - 1))."""
     m = min(b, a - b)
     bits = more_bits + (m * ((a // m).bit_length() - 1) if m > 0 else 0)
     return _HUGE if bits >= 14285 else min(_HUGE, exact())
