@@ -1,7 +1,7 @@
 """Write BENCH_<pr>.json: the benchmark's metrics, a few end-to-end
 command timings and the src/ line count, for one commit on one machine.
 
-    python3 tools/bench.py --pr 23 [--seconds 10] [--seed 1]
+    python3 tools/bench.py --pr N [--seconds 10] [--seed 1]
 
 Runs, from the checkout this file sits in:
 - each perfbench workload twice, with `--trace 0` for its end-to-end
