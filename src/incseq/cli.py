@@ -60,27 +60,53 @@ def _sequences(a) -> int:
     return _count(lambda: count_increasing(a.n, a.q, strict), a.q if strict else a.n + a.q - 1, a.n)
 
 
-def _expansion(args) -> int:
-    """Terms of the expanded --kind basis; a downset, which adds blocks to the full one, is read into args.downset."""
+def _degree(args) -> int:
+    """The degree bound of --kind, a downset's being the full one; a downset file is read into args.downset."""
     args.downset = ()
     if args.kind == "downset":
         if not args.downset_file:
             raise ValueError("--downset-file is required for kind downset")
         args.downset = [tuple(int(v) for v in line.split(",")) for line in _data_lines(_read(args.downset_file))]
-    d = groebner.degree_bound("full" if args.kind == "downset" else args.kind, args.n, args.q)
+    return groebner.degree_bound("full" if args.kind == "downset" else args.kind, args.n, args.q)
+
+
+def _expansion(args) -> int:
+    """Terms of the expanded --kind basis."""
+    d = _degree(args)
     return _count(lambda: groebner.expanded_terms(args.kind, args.n, args.q, args.downset),
                   d + 2 * args.n, 2 * args.n - 1)
+
+
+def _standard(args) -> int:
+    """Exponents in the standard monomials of --kind: n binom(n+d, n), or n times the downset's size."""
+    d = _degree(args)
+    if args.kind == "downset":
+        return args.n * len(set(args.downset))
+    return _count(lambda: args.n * math.comb(args.n + d, d), args.n + d, args.n, args.n.bit_length() - 1)
+
+
+def _hilbert(a):
+    """hilbert's row: its largest value binom(n+m, n), m the degree bound or min(--s, bound), must print (below
+    10^4300); then the values it lists are capped."""
+    d = groebner.degree_bound(a.kind, a.n, a.q)
+    m = d if a.s is None else min(max(a.s, 0), d)
+    if _count(lambda: math.comb(a.n + m, m), a.n + m, a.n) >= _HUGE:
+        return _HUGE, _HUGE - 1, "the {a.kind} Hilbert function for n={a.n}, q={a.q} reaches {count}, too long to print"
+    count = 1 if a.s is not None else d + 1
+    return count, LISTING_CAP, ("the {a.kind} Hilbert function for n={a.n}, q={a.q} has {count} values, "
+                                "above the cap {cap}; pass --s for one of them")
 
 
 # One row per sized leaf subcommand: its work count from the parsed
 # arguments `a`, its cap, and its refusal, a template of `a`, `count` and
 # `cap`.  No count needs the field, so each is checked before it is found.
 _CAPS = {
-    **dict.fromkeys(["gb", "sm"], lambda a: (_expansion(a), EXPANSION_CAP, "the {a.kind} basis for n={a.n}, "
-                                             "q={a.q} expands to {count} terms, above the cap {cap}")),
-    "hilbert": lambda a: (1 if a.s is not None else groebner.degree_bound(a.kind, a.n, a.q) + 1, LISTING_CAP,
-                          "the {a.kind} Hilbert function for n={a.n}, q={a.q} has {count} values, "
-                          "above the cap {cap}; pass --s for one of them"),
+    "gb": lambda a: (_expansion(a), EXPANSION_CAP,
+                     "the {a.kind} basis for n={a.n}, q={a.q} expands to {count} terms, above the cap {cap}"),
+    "sm": lambda a: (_standard(a), EXPANSION_CAP,
+                     "the {a.kind} basis for n={a.n}, q={a.q} has {count} exponents in its standard monomials, "
+                     "above the cap {cap}"),
+    "hilbert": _hilbert,
     "interp": lambda a: (_sequences(a), INTERPOLATION_CAP,
                          "{count} sequences for n={a.n}, q={a.q} exceed the interpolation cap {cap}"),
     **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (_sequences(a), ORACLE_POINT_CAP, _ORACLE)),
@@ -142,48 +168,25 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _basis_for(args):
-    """The basis of --kind, built once _resolve has checked its expansion."""
+def cmd_gb(args) -> int:
+    """gb, and sm, which prints only the standard monomials and builds no basis."""
     _, emb = _resolve(args)
     order = parse_order(args.order)
-    if args.kind == "downset":
-        return groebner.downset_basis(args.n, args.q, args.downset, emb, order,
-                                      minimize=getattr(args, "minimize", False))
-    return groebner.sequence_basis(args.kind, args.n, args.q, emb, order)
-
-
-def cmd_gb(args) -> int:
-    gb = _basis_for(args)
-    order = gb.order
-    basis_strs = [format_polynomial(p, order) for p in gb.polynomials]
-    sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
-    payload = {
-        "kind": gb.kind,
-        "n": gb.n,
-        "q": gb.q,
-        "order": order.kind,
-        "basis": basis_strs,
-        "standard_monomials": sm_strs,
-        "counts": {"basis": len(basis_strs), "sm": len(sm_strs), "points": len(gb.points)},
-        "reduced": gb.is_reduced(),
-    }
-    lines = [f"kind: {gb.kind}  n: {gb.n}  q: {gb.q}  order: {order.kind}",
-             f"basis ({len(basis_strs)}):"]
-    lines += [f"  {s}" for s in basis_strs]
-    lines.append(f"standard monomials ({len(sm_strs)}): {' '.join(sm_strs)}")
-    lines.append(f"points: {len(gb.points)}  reduced: {payload['reduced']}")
+    sm = groebner.standard_monomials(args.kind, args.n, args.q, args.downset)
+    sm_strs = [mono_to_str(m) for m in sorted(sm, key=order.key)]
+    # the closed form has one standard monomial per point
+    payload = {"kind": args.kind, "n": args.n, "q": args.q, "order": order.kind, "standard_monomials": sm_strs,
+               "counts": {"sm": len(sm_strs), "points": len(sm_strs)}}
+    lines = [f"standard monomials ({len(sm_strs)}): {' '.join(sm_strs)}"]
+    if args.subcommand == "gb":
+        gb = (groebner.downset_basis(args.n, args.q, args.downset, emb, order, args.minimize)
+              if args.kind == "downset" else groebner.sequence_basis(args.kind, args.n, args.q, emb, order))
+        basis = payload["basis"] = [format_polynomial(p, order) for p in gb.polynomials]
+        payload["counts"]["basis"] = len(basis)
+        payload["reduced"] = gb.is_reduced()
+        lines = [f"kind: {args.kind}  n: {args.n}  q: {args.q}  order: {order.kind}", f"basis ({len(basis)}):",
+                 *(f"  {s}" for s in basis), *lines, f"points: {len(sm_strs)}  reduced: {payload['reduced']}"]
     _emit(args, payload, lines)
-    return 0
-
-
-def cmd_sm(args) -> int:
-    gb = _basis_for(args)
-    order = gb.order
-    sm_strs = [mono_to_str(m) for m in gb.sorted_standard_monomials()]
-    payload = {"kind": gb.kind, "n": gb.n, "q": gb.q, "order": order.kind,
-               "standard_monomials": sm_strs,
-               "counts": {"sm": len(sm_strs), "points": len(gb.points)}}
-    _emit(args, payload, [f"standard monomials ({len(sm_strs)}): {' '.join(sm_strs)}"])
     return 0
 
 
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sm", parents=printing, help="standard monomials only")
     p.add_argument("--kind", default="full", choices=["full", "strict", "downset"])
     p.add_argument("--downset-file", default=None)
-    p.set_defaults(func=cmd_sm)
+    p.set_defaults(func=cmd_gb)
 
     p = sub.add_parser("hilbert", parents=[size, formatted], help="Hilbert function values")
     p.add_argument("--kind", default="full", choices=["full", "strict"])

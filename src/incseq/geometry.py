@@ -18,7 +18,7 @@ runs over Q.
 
 import itertools
 import math
-from functools import reduce
+from functools import cache, reduce
 from operator import getitem, or_
 
 from .combinatorics import Embedding, _data_lines, _split_top_level, increasing_sequences, is_increasing
@@ -262,50 +262,55 @@ def verify_nikodym(B: PointSet, emb: Embedding):
     _require_ambient(B.field, q)
     tab = B.field.tables()
     points = set(map(tab.ix, B.points))
-    nonzero_ts = [t for t in range(q) if t != tab.zero]
-    # each direction's offsets t*v, computed once for every point
-    directions = [(v, _multiples(tab, v, nonzero_ts)) for v in _directions(tab, B.n)]
+    # the punctured line through z in direction v is z + v and z + t*v for
+    # the other nonzero t; those offsets are worked out the first time some
+    # z + v lies in B, and kept for later points, so a point that no z + v
+    # reaches costs one test per direction
+    others = [t for t in range(q) if t not in (tab.zero, tab.one)]
+    offsets = cache(lambda v: _multiples(tab, v, others))
+    directions = _directions(tab, B.n)
     images = tab.ix(emb.apply(range(1, q + 1)))
     entries = []
     for seq in increasing_sequences(B.n, q):
         z = tuple(images[s - 1] for s in seq)
         rows = [tab.add[a] for a in z]
-        found = next((v for v, steps in directions
-                      if all(tuple(map(getitem, rows, step)) in points for step in steps)), None)
+        found = next((v for v in directions if tuple(map(getitem, rows, v)) in points
+                      and all(tuple(map(getitem, rows, step)) in points for step in offsets(v))), None)
         if found is None:
             return Certificate((), tab.el(z))
         entries.append((tab.el(z), tab.el(found)))
     return Certificate(entries)
 
 
-class BoundPass:
-    __slots__ = ("size", "bound")
-    ok = True
+class BoundCheck:
+    """A proved lower bound on a set's size, checked: `ok` when the set
+    reaches it.  A set below it carries `poly`, a nonzero polynomial of
+    low degree vanishing on it, and what the polynomial method makes of
+    it: for Kakeya, a direction where the top part of poly is nonzero, so
+    no line in it is rich, and whether that held on every direction; for
+    Nikodym, the points the vanishing was extended to."""
 
-    def __init__(self, size: int, bound: int):
-        if size < bound:
+    __slots__ = ("size", "bound", "poly", "witness_direction", "chain_verified", "extended_zeros", "ok")
+
+    def __init__(self, size, bound, poly=None, witness_direction=None, chain_verified=True, extended_zeros=()):
+        if poly is None and size < bound:
             raise InconsistencyError(f"size {size} below the proved bound {bound}")
-        self.size = size
-        self.bound = bound
+        self.size, self.bound, self.poly = size, bound, poly
+        self.witness_direction, self.chain_verified = witness_direction, chain_verified
+        self.extended_zeros = tuple(extended_zeros)
+        self.ok = poly is None
 
 
-class KakeyaBoundCounterexample:
-    """Evidence that a too-small set cannot satisfy the line condition:
-    a vanishing polynomial whose top part is nonzero at some direction,
-    which therefore has no rich line."""
-
-    __slots__ = ("size", "bound", "poly", "witness_direction", "chain_verified")
-    ok = False
-
-    def __init__(self, size, bound, poly, witness_direction, chain_verified):
-        self.size = size
-        self.bound = bound
-        self.poly = poly
-        self.witness_direction = witness_direction
-        self.chain_verified = chain_verified
+def _vanishing(S: PointSet, d: int, name: str):
+    """A nonzero polynomial of degree <= d vanishing on S, which exists when
+    S has fewer points than the binom(n+d, n) monomials of degree <= d."""
+    poly = vanishing_polynomial(S.sorted_points(), d, field=S.field, n=S.n)
+    if poly is None:
+        raise InconsistencyError(f"no vanishing polynomial despite |{name}| < column count")
+    return poly
 
 
-def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
+def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int) -> BoundCheck:
     """Dvir-style dimension bound for sets rich in the directions of a
     set whose standard monomials contain everything of degree <= ell.
 
@@ -327,10 +332,8 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
         raise ValueError("direction set does not dominate the degree-<= ell monomials")
     bound = math.comb(n + ell, n)
     if len(K) >= bound:
-        return BoundPass(len(K), bound)
-    poly = vanishing_polynomial(K.sorted_points(), ell, field=field, n=n)
-    if poly is None:
-        raise InconsistencyError("no vanishing polynomial despite |K| < column count")
+        return BoundCheck(len(K), bound)
+    poly = _vanishing(K, ell, "K")
     top = poly.homogeneous_component(poly.degree())
     tab = field.tables()
     points = set(map(tab.ix, K.points))
@@ -348,47 +351,28 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int):
             witness = v
     if witness is None:
         raise InconsistencyError("top-degree part vanished on every direction despite the monomial condition")
-    return KakeyaBoundCounterexample(len(K), bound, poly, witness, chain_ok)
+    return BoundCheck(len(K), bound, poly, witness, chain_ok)
 
 
-class NikodymContradictionTrace:
-    """Proof chain for an impossible input: a nonzero low-degree
-    polynomial forced to vanish on every embedded nondecreasing point."""
-
-    __slots__ = ("size", "bound", "poly", "extended_zeros")
-    ok = False
-
-    def __init__(self, size, bound, poly, extended_zeros):
-        self.size = size
-        self.bound = bound
-        self.poly = poly
-        self.extended_zeros = tuple(extended_zeros)
-
-
-def nikodym_bound_check(B: PointSet, emb: Embedding, cert=None):
+def nikodym_bound_check(B: PointSet, emb: Embedding, cert=None) -> BoundCheck:
     """Size bound binom(n+q-2, n) for certified increasing Nikodym sets.
 
     Verification failures raise; a certified set below the bound is
     mathematically impossible, and the proof chain is replayed to emit
-    the contradiction trace (any break in the chain means the
-    certificate was bad).  `cert` is verify_nikodym(B, emb) when the
-    caller has it already; by default it is computed here."""
+    the contradiction (any break in the chain means the certificate was
+    bad).  `cert` is verify_nikodym(B, emb) when the caller has it
+    already; by default it is computed here."""
     if cert is None:
         cert = verify_nikodym(B, emb)
     if not cert.ok:
         raise CertificateError(f"not an increasing Nikodym set: no punctured line through {cert.failed}")
-    n, q = B.n, emb.q
-    bound = math.comb(n + q - 2, n)
-    if len(B) >= bound:
-        return BoundPass(len(B), bound)
-    return _nikodym_chain(B, emb, cert, bound)
+    bound = math.comb(B.n + emb.q - 2, B.n)
+    return BoundCheck(len(B), bound) if len(B) >= bound else _nikodym_chain(B, emb, cert, bound)
 
 
-def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int):
-    n, q = B.n, emb.q
-    poly = vanishing_polynomial(B.sorted_points(), q - 2, field=B.field, n=n)
-    if poly is None:
-        raise InconsistencyError("no vanishing polynomial despite |B| < column count")
+def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int) -> BoundCheck:
+    q = emb.q
+    poly = _vanishing(B, q - 2, "B")
     tab = B.field.tables()
     nonzero_ts = [t for t in range(q) if t != tab.zero]
     zeros = []
@@ -406,7 +390,7 @@ def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int):
         zeros.append(z)
     # poly now vanishes on every embedded nondecreasing point, which a
     # nonzero polynomial of degree <= q-1 cannot do
-    return NikodymContradictionTrace(len(B), bound, poly, zeros)
+    return BoundCheck(len(B), bound, poly, extended_zeros=zeros)
 
 
 class CoverResult:
@@ -444,8 +428,7 @@ def cover_verify(planes, n: int, q: int, emb: Embedding, excluded=()) -> CoverRe
     for p in targets:
         if not any(h.contains(p) for h in distinct):
             return CoverResult(False, p, len(distinct), None)
-    if len(distinct) < bound:
-        raise InconsistencyError(f"cover of size {len(distinct)} beats the proved bound {bound}")
+    BoundCheck(len(distinct), bound)  # raises below the bound
     return CoverResult(True, None, len(distinct), bound)
 
 

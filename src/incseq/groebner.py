@@ -118,9 +118,6 @@ class GroebnerBasis:
     def is_reduced(self) -> bool:
         return is_reduced_basis(self.polynomials, self.order)
 
-    def sorted_standard_monomials(self) -> list:
-        return sorted(self.standard_monomials, key=self.order.key)
-
 
 def is_reduced_basis(polys, order: TermOrder) -> bool:
     """Monic, and no monomial of one member divisible by another's
@@ -186,18 +183,28 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
     nonzero entry lowered by 1) is a standard monomial.
     """
     downset = frozenset(tuple(p) for p in points)
-    if not downset:
-        raise ValueError("downset must be nonempty")
-    if not is_downset(downset, n, q):
-        raise ValueError("point set is not a downset")
+    sm = standard_monomials("downset", n, q, downset)
     _check_embedding(q, embedding)
     blocks = list(compositions(q, n))
     blocks += [difference_vector(g) for g in increasing_sequences(n, q) if g not in downset]
-    sm = {difference_vector(g) for g in downset}
     if minimize:
         blocks = [b for b in blocks if all(b[:j] + (e - 1,) + b[j + 1:] in sm for j, e in enumerate(b) if e)]
     factored = [_block_factors(sizes, embedding) for sizes in blocks]
     return GroebnerBasis("downset", n, q, embedding, order, factored, sm, downset=downset)
+
+
+def standard_monomials(kind: str, n: int, q: int, downset=()) -> set:
+    """The standard monomials of a kind's basis, without building it:
+    everything of degree <= degree_bound(kind, n, q), or the difference
+    vectors of a downset, which must be nonempty and closed downward."""
+    if kind != "downset":
+        return set(monomials_up_to_degree(n, degree_bound(kind, n, q)))
+    downset = set(map(tuple, downset))
+    if not downset:
+        raise ValueError("downset must be nonempty")
+    if not is_downset(downset, n, q):
+        raise ValueError("point set is not a downset")
+    return set(map(difference_vector, downset))
 
 
 def expanded_terms(kind: str, n: int, q: int, downset=()) -> int:

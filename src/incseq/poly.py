@@ -8,9 +8,9 @@ multi-divisor normal-form reduction.
 import heapq
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, count, pairwise, repeat
+from itertools import accumulate, combinations_with_replacement, count, pairwise, repeat
 from math import lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 
 from .field import Field, FieldElement
 
@@ -70,18 +70,9 @@ def mono_to_str(m: tuple[int, ...]) -> str:
 
 
 def monomials_up_to_degree(n: int, d: int) -> list[tuple[int, ...]]:
-    """All width-n exponent tuples of total degree <= d."""
-    result = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            result.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], d, n)
-    return result
+    """All width-n exponent tuples of total degree <= d, in lex order: the
+    difference vectors of the nondecreasing sequences over 0..d."""
+    return [tuple(map(sub, s, (0,) + s[:-1])) for s in combinations_with_replacement(range(d + 1), n)]
 
 
 class Polynomial:
@@ -341,7 +332,7 @@ def parse_polynomial(text: str, field: Field, n: int) -> Polynomial:
     if text == "0":
         return Polynomial.zero(field, n)
     chunks = text.replace(" - ", " + -").split(" + ")
-    result = Polynomial.zero(field, n)
+    terms = {}  # summed in one dict; the constructor drops what cancels
     for chunk in chunks:
         chunk = chunk.strip()
         if not chunk:
@@ -372,8 +363,9 @@ def parse_polynomial(text: str, field: Field, n: int) -> Polynomial:
         c = field.one if coeff is None else coeff
         if negate:
             c = -c
-        result = result + Polynomial(field, n, {tuple(exps): c})
-    return result
+        m = tuple(exps)
+        terms[m] = terms[m] + c if m in terms else c
+    return Polynomial(field, n, terms)
 
 
 PACK_WIDTH = 16  # bits per packed exponent digit a reduction starts at

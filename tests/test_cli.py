@@ -280,20 +280,53 @@ def test_usage_errors_exit_2(capsys):
 
 def test_oversized_basis_refused_up_front(capsys, tmp_path):
     # 834,451,800 terms: refused before a single block is built
-    for sub in ("gb", "sm"):
-        code, out, err = run(capsys, sub, "--n", "12", "--q", "12", "--field", "gf:13")
-        assert code == 2 and out == ""
-        assert "834451800 terms" in err and f"cap {cli.EXPANSION_CAP}" in err
+    code, out, err = run(capsys, "gb", "--n", "12", "--q", "12", "--field", "gf:13")
+    assert code == 2 and out == ""
+    assert "834451800 terms" in err and f"cap {cli.EXPANSION_CAP}" in err
+    # sm builds no basis; it is refused by the 12 exponents of each of the
+    # 1,352,078 standard monomials it would list
+    code, out, err = run(capsys, "sm", "--n", "12", "--q", "12", "--field", "gf:13")
+    assert code == 2 and out == ""
+    assert "16224936 exponents in its standard monomials" in err and f"cap {cli.EXPANSION_CAP}" in err
     # n, q = 8, 9 expands to 1,307,504 terms; 8, 8 to 490,314
     code, _, _ = run(capsys, "gb", "--n", "8", "--q", "9", "--kind", "strict")
     assert code == 0
-    code, _, err = run(capsys, "sm", "--n", "8", "--q", "9")
-    assert code == 2 and "1307504 terms" in err
-    # a downset's estimate counts only the blocks outside it
+    code, out, _ = run(capsys, "sm", "--n", "8", "--q", "9")
+    assert code == 0 and out.startswith("standard monomials (12870): 1 x8 ") and out.endswith(" x1^8\n")
+    # a downset's count is its size times n
     f = tmp_path / "F.txt"
     f.write_text("1,1\n")
     code, out, _ = run(capsys, "sm", "--n", "2", "--q", "3", "--kind", "downset", "--downset-file", str(f))
     assert code == 0 and out == "standard monomials (1): 1\n"
+
+
+def test_sm_counts_the_exponents_it_lists(capsys):
+    # 1,000 standard monomials of 999 exponents: under the cap, and listed
+    # without a recursion level per variable
+    code, out, err = run(capsys, "sm", "--n", "999", "--q", "2")
+    assert (code, err) == (0, "") and out.startswith("standard monomials (1000): 1 x999 x998 ")
+    # 501,501 standard monomials of 1,000 exponents each are refused
+    code, out, err = run(capsys, "sm", "--n", "1000", "--q", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: the full basis for n=1000, q=3 has 501501000 exponents in its standard monomials, "
+                   f"above the cap {cli.EXPANSION_CAP}\n")
+
+
+@pytest.mark.parametrize("argv", [["--n", "10000", "--q", "10000"], ["--n", "100000", "--q", "100000", "--s", "99999"]])
+def test_hilbert_refuses_values_too_long_to_print(capsys, argv):
+    code, out, err = run(capsys, "hilbert", *argv)
+    assert (code, out, err) == (2, "", f"error: the full Hilbert function for n={argv[1]}, q={argv[3]} reaches at "
+                                       "least 10^4300, too long to print\n")
+
+
+def test_hilbert_prints_every_value_below_the_print_limit(capsys):
+    # h(s) = binom(2s, s) at n = s: the last s below 10^4300 prints in full
+    s = next(s for s in range(7000, 8000) if count_increasing(s, s + 1) >= 10**4300) - 1
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "hilbert", "--n", str(s), "--q", str(s + 1), "--s", str(s), "--format", fmt)
+        assert (code, err) == (0, "") and str(count_increasing(s, s + 1)) in out
+    code, _, err = run(capsys, "hilbert", "--n", str(s + 1), "--q", str(s + 2), "--s", str(s + 1))
+    assert code == 2 and "too long to print" in err
 
 
 HUGE_Q = 10**18
@@ -325,7 +358,8 @@ WIDE_SIZES = "n=10000000, q=10000000"
     (["nikodym", "verify", "--n", "100000000", "--q", "3"],
      f"nikodym verify for n=100000000, q=3 may test at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
     (["gb", *WIDE], f"the full basis for {WIDE_SIZES} expands to at least 10^4300 terms, above the cap 1000000"),
-    (["sm", *WIDE], f"the full basis for {WIDE_SIZES} expands to at least 10^4300 terms, above the cap 1000000"),
+    (["sm", *WIDE],
+     f"the full basis for {WIDE_SIZES} has at least 10^4300 exponents in its standard monomials, above the cap 1000000"),
     (["interp", *WIDE, "--point", "1"],
      f"at least 10^4300 sequences for {WIDE_SIZES} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
     (["oracle", "sm", "--builtin", "jnq:10000000,10000000"],
@@ -361,7 +395,7 @@ def test_cap_counts_exact_below_the_print_limit(n, q):
     # whether a cheap bound or the count itself shows it
     rows = {
         ("gb", "full"): groebner.expanded_terms("full", n, q),
-        ("sm", "strict"): groebner.expanded_terms("strict", n, q) if q >= n else None,
+        ("sm", "strict"): n * count_increasing(n, q, True) if q >= n else None,
         ("interp", None): count_increasing(n, q),
         ("oracle sm", "strict"): count_increasing(n, q, True),
         ("oracle vanish", "full"): count_increasing(n, q),
@@ -1398,7 +1432,8 @@ def test_cli_surface_pinned():
 OVER_CAP = {
     "gb": (HUGE, f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap 1000000"),
     "sm": (HUGE + ["--kind", "strict"],
-           f"the strict basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap 1000000"),
+           f"the strict basis for n=1, q={HUGE_Q} has {HUGE_Q} exponents in its standard monomials, above the cap "
+           "1000000"),
     "hilbert": (HUGE + ["--kind", "strict"], f"the strict Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} "
                                               "values, above the cap 100000; pass --s for one of them"),
     "interp": (HUGE, f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap 100000"),

@@ -4,13 +4,15 @@ import math
 import pytest
 
 from incseq import field as field_module
+from incseq import geometry
 from incseq.combinatorics import Embedding, increasing_sequences
 from incseq.field import field_from_string
 from incseq.geometry import (
-    BoundPass,
+    BoundCheck,
     Certificate,
     CertificateError,
     Hyperplane,
+    InconsistencyError,
     PointSet,
     _canonical,
     _directions,
@@ -38,7 +40,7 @@ from incseq.geometry import (
     verify_nikodym,
 )
 from incseq.oracle import standard_monomials, vanishing_polynomial
-from incseq.poly import monomials_up_to_degree
+from incseq.poly import Polynomial, monomials_up_to_degree
 
 from dense_reference import mono_eval
 
@@ -247,7 +249,7 @@ def test_lower_bound_pass_with_equality():
     K = optimal_kakeya_f3()
     J33 = _increasing_pointset(GF3, 3, 3, E33)
     result = kakeya_lower_bound_check(K, J33, 2)
-    assert isinstance(result, BoundPass)
+    assert result.ok
     assert result.size == result.bound == 10
 
 
@@ -327,6 +329,34 @@ def test_nikodym_failure_witness():
     result = verify_nikodym(empty, E23)
     assert not result.ok
     assert result.failed == _pt(GF3, 0, 0)
+
+
+def test_nikodym_one_point_set_fails_at_its_first_point(monkeypatch):
+    # no direction from the origin reaches the one point, so no punctured
+    # line's other offsets are ever worked out
+    gf101 = field_from_string("gf:101")
+    emb = Embedding.default(gf101, 101)
+    multiples = []
+    monkeypatch.setattr(geometry, "_multiples", lambda *args: multiples.append(args) or [])
+    result = verify_nikodym(PointSet(gf101, 3, [_pt(gf101, 0, 0, 0)]), emb)
+    assert not result.ok and result.failed == _pt(gf101, 0, 0, 0) and multiples == []
+
+
+def test_bound_check_below_its_bound_needs_a_polynomial():
+    assert BoundCheck(4, 4).ok and BoundCheck(5, 4).ok
+    with pytest.raises(InconsistencyError, match="size 3 below the proved bound 4"):
+        BoundCheck(3, 4)
+    x1 = Polynomial.variable(GF3, 2, 0)
+    found = BoundCheck(3, 4, x1, extended_zeros=[_pt(GF3, 0, 0)])
+    assert not found.ok and found.poly == x1 and found.extended_zeros == (_pt(GF3, 0, 0),)
+
+
+def test_cover_below_its_bound_is_inconsistent(monkeypatch):
+    # two planes that covered J(2,3) would beat the bound q = 3
+    monkeypatch.setattr(Hyperplane, "contains", lambda self, p: True)
+    planes = [Hyperplane((GF3.one, GF3.zero), t) for t in GF3.elements()[:2]]
+    with pytest.raises(InconsistencyError, match="size 2 below the proved bound 3"):
+        cover_verify(planes, 2, 3, E23)
 
 
 def test_nikodym_bound_check_requires_certificate():

@@ -27,12 +27,11 @@ from incseq.field import FieldElement, field_from_string
 from incseq.geometry import (
     COVER_PLANE_CAP,
     LINE_UNION_CAP,
-    BoundPass,
+    BoundCheck,
     Certificate,
     CoverSearchResult,
     Hyperplane,
     InconsistencyError,
-    KakeyaBoundCounterexample,
     PointSet,
     _require_ambient,
     canonical_direction,
@@ -444,7 +443,7 @@ def reference_kakeya_lower_bound_check(K, directions_set, ell):
         raise ValueError("direction set does not dominate the degree-<= ell monomials")
     bound = math.comb(n + ell, n)
     if len(K) >= bound:
-        return BoundPass(len(K), bound)
+        return BoundCheck(len(K), bound)
     poly = vanishing_polynomial(K.sorted_points(), ell, field=field, n=n)
     if poly is None:
         raise InconsistencyError("no vanishing polynomial despite |K| < column count")
@@ -462,7 +461,7 @@ def reference_kakeya_lower_bound_check(K, directions_set, ell):
             witness = v
     if witness is None:
         raise InconsistencyError("top-degree part vanished on every direction despite the monomial condition")
-    return KakeyaBoundCounterexample(len(K), bound, poly, witness, chain_ok)
+    return BoundCheck(len(K), bound, poly, witness, chain_ok)
 
 
 def reference_kakeya_line_union_search(n, q, field, emb):

@@ -222,6 +222,28 @@ def test_monomial_enumeration_sorted():
     assert ordered[0] == (0, 0) and sum(ordered[-1]) == 2
 
 
+def test_monomial_enumeration_lex_and_wide():
+    # lex order, the first exponent slowest, and no recursion per variable
+    assert monomials_up_to_degree(2, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert monomials_up_to_degree(3, 0) == [(0, 0, 0)]
+    wide = monomials_up_to_degree(5000, 1)
+    assert len(wide) == 5001 and wide[0] == (0,) * 5000 and wide[1] == (0,) * 4999 + (1,)
+
+
+def test_parse_dense_polynomial_and_cancellations():
+    field = field_from_string("gf:101")
+    rng = random.Random(5)
+    dense = Polynomial(field, 4, {m: field.element(rng.randrange(1, 101)) for m in monomials_up_to_degree(4, 8)})
+    assert len(dense.terms) == 495
+    for order in (LEX, DEGLEX):
+        assert parse_polynomial(format_polynomial(dense, order), field, 4) == dense
+    x1, x2 = _vars(field, 2)
+    assert parse_polynomial("x1 - x1", field, 2).is_zero
+    assert parse_polynomial("0*x1 + x2", field, 2) == x2
+    assert parse_polynomial("x1 + x2 - x1 + x1", field, 2) == x1 + x2
+    assert parse_polynomial("50*x1*x2 + 51*x2*x1", field, 2).is_zero
+
+
 def test_coefficients_must_belong_to_the_field():
     gf3, gf5 = field_from_string("gf:3"), field_from_string("gf:5")
     with pytest.raises(ValueError, match="GF\\(5\\)"):
