@@ -7,13 +7,14 @@ grid:-1 (images 0..q-1) when the characteristic allows, order deglex.
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
 from functools import cache
 
-from . import acceptance, combinatorics, geometry, groebner, interpolation, oracle
+# Only what gb, sm and hilbert run is imported here; every other handler
+# imports its own module when it runs, so start-up skips compiling them.
+from . import combinatorics, groebner
 from .combinatorics import Embedding, _data_lines, count_increasing, increasing_sequences, parse_embedding
 from .field import field_from_string, is_prime, smallest_prime_geq
 from .poly import format_polynomial, mono_to_str, parse_order, parse_polynomial
@@ -37,7 +38,7 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
 
 # Caps on the work a subcommand takes on; the library's own caps stay
 # with the code they guard.
-EXPANSION_CAP = 10**6  # terms in an expanded gb or sm basis
+EXPANSION_CAP = 10**7  # exponents in gb's expanded terms or sm's standard monomials
 INTERPOLATION_CAP = 10**5  # sequences interp solves over
 ORACLE_POINT_CAP = 2000  # points an oracle scan takes (1,716 for jnq:7,7)
 VERIFY_WORK_CAP = 10**7  # points kakeya or nikodym verify may test, or build-t build
@@ -71,10 +72,10 @@ def _degree(args) -> int:
 
 
 def _expansion(args) -> int:
-    """Terms of the expanded --kind basis."""
+    """Exponents in the expanded --kind basis: n times its terms."""
     d = _degree(args)
-    return _count(lambda: groebner.expanded_terms(args.kind, args.n, args.q, args.downset),
-                  d + 2 * args.n, 2 * args.n - 1)
+    return _count(lambda: args.n * groebner.expanded_terms(args.kind, args.n, args.q, args.downset),
+                  d + 2 * args.n, 2 * args.n - 1, args.n.bit_length() - 1)
 
 
 def _standard(args) -> int:
@@ -97,12 +98,21 @@ def _hilbert(a):
                                 "above the cap {cap}; pass --s for one of them")
 
 
+def _line_star(a):
+    """kakeya build-t's row: the line star bound (q-1) (binom(n+q-1, n) - (q-1)) + 1 is at least half its
+    binomial."""
+    from . import geometry
+    return (_count(lambda: geometry.line_star_size_bound(a.n, a.q), a.n + a.q - 1, a.n, -1), VERIFY_WORK_CAP,
+            "the line star for n={a.n}, q={a.q} may hold {count} points, above the cap {cap}")
+
+
 # One row per sized leaf subcommand: its work count from the parsed
 # arguments `a`, its cap, and its refusal, a template of `a`, `count` and
 # `cap`.  No count needs the field, so each is checked before it is found.
 _CAPS = {
     "gb": lambda a: (_expansion(a), EXPANSION_CAP,
-                     "the {a.kind} basis for n={a.n}, q={a.q} expands to {count} terms, above the cap {cap}"),
+                     "the {a.kind} basis for n={a.n}, q={a.q} has {count} exponents in its expanded terms, "
+                     "above the cap {cap}"),
     "sm": lambda a: (_standard(a), EXPANSION_CAP,
                      "the {a.kind} basis for n={a.n}, q={a.q} has {count} exponents in its standard monomials, "
                      "above the cap {cap}"),
@@ -110,10 +120,7 @@ _CAPS = {
     "interp": lambda a: (_sequences(a), INTERPOLATION_CAP,
                          "{count} sequences for n={a.n}, q={a.q} exceed the interpolation cap {cap}"),
     **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (_sequences(a), ORACLE_POINT_CAP, _ORACLE)),
-    # the line star bound (q-1) (binom(n+q-1, n) - (q-1)) + 1 is at least half its binomial
-    "kakeya build-t": lambda a: (_count(lambda: geometry.line_star_size_bound(a.n, a.q), a.n + a.q - 1, a.n, -1),
-                                 VERIFY_WORK_CAP,
-                                 "the line star for n={a.n}, q={a.q} may hold {count} points, above the cap {cap}"),
+    "kakeya build-t": _line_star,
     # Kakeya: binom(n+q-1, n) directions, q^(n-1) lines each, q points a line;
     # Nikodym: binom(n+q-1, n) points, (q^n-1)/(q-1) directions each, q-1 punctured points (q^n-1 >= q^n / 2)
     **dict.fromkeys(["kakeya verify", "nikodym verify"], lambda a: (
@@ -206,6 +213,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_interp(args) -> int:
+    import csv
+    from . import interpolation
     field, emb = _resolve(args)
     order = parse_order(args.order)
     if (args.point is None) == (args.values is None):
@@ -250,6 +259,7 @@ def cmd_interp(args) -> int:
 
 
 def cmd_nonvanish(args) -> int:
+    from . import geometry
     field = _field(args)
     f = parse_polynomial(args.poly, field, args.n)
     groebner.check_degree(f, args.kind, args.n, args.q)  # before the embedding's q images are built
@@ -265,6 +275,7 @@ def cmd_nonvanish(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import geometry, oracle
     if args.points and args.builtin:
         raise ValueError("pass --points FILE or --builtin jnq:n,q, not both")
     if args.builtin:
@@ -312,13 +323,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _load_pointset(args, field) -> geometry.PointSet:
+def _load_pointset(args, field):
+    from . import geometry
     if args.infile is None:
         raise ValueError("--in is required")
     return geometry.parse_points(_read(args.infile), field, args.n)
 
 
 def cmd_kakeya(args) -> int:
+    from . import geometry
     if args.kakeya_op == "paper-example":
         K = geometry.optimal_kakeya_f3()
         payload = {"size": len(K), "points": geometry.format_points(K).splitlines()}
@@ -357,6 +370,7 @@ def cmd_kakeya(args) -> int:
 
 
 def cmd_nikodym(args) -> int:
+    from . import geometry
     field, emb = _resolve(args, prime_power_field=True)
     B = _load_pointset(args, field)
     result = geometry.verify_nikodym(B, emb)
@@ -374,6 +388,7 @@ def cmd_nikodym(args) -> int:
 
 
 def cmd_cover(args) -> int:
+    from . import geometry
     field, emb = _resolve(args)
     excluded = [tuple(int(v) for v in item.split(",")) for item in (args.exclude or [])]
     if args.cover_op == "search":
@@ -398,6 +413,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import acceptance
     results = acceptance.run_all(args.max_n, args.max_q, args.seed)
     _emit(args, [{"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail,
                   "elapsed_s": r.elapsed, "budget_s": r.budget} for r in results], [r.line() for r in results])

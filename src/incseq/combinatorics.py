@@ -165,13 +165,10 @@ def from_difference_vector(vec) -> tuple[int, ...]:
 def compositions(total: int, parts: int):
     """The size vectors of `parts` consecutive blocks, some possibly
     empty, that hold `total` points, in lex order.  They are the exponent
-    vectors of degree `total` in `parts` variables."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    vectors of degree `total` in `parts` variables: the gaps of (0, *s,
+    total) for each nondecreasing (parts - 1)-tuple s over 0..total."""
+    return [tuple(map(int.__sub__, s + (total,), (0,) + s))
+            for s in combinations_with_replacement(range(total + 1), parts - 1)]
 
 
 def is_downset(points, n: int, q: int) -> bool:

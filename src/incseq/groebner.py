@@ -185,7 +185,7 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
     downset = frozenset(tuple(p) for p in points)
     sm = standard_monomials("downset", n, q, downset)
     _check_embedding(q, embedding)
-    blocks = list(compositions(q, n))
+    blocks = compositions(q, n)
     blocks += [difference_vector(g) for g in increasing_sequences(n, q) if g not in downset]
     if minimize:
         blocks = [b for b in blocks if all(b[:j] + (e - 1,) + b[j + 1:] in sm for j, e in enumerate(b) if e)]

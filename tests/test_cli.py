@@ -279,10 +279,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_oversized_basis_refused_up_front(capsys, tmp_path):
-    # 834,451,800 terms: refused before a single block is built
+    # 12 exponents in each of 834,451,800 terms: refused before a single block is built
     code, out, err = run(capsys, "gb", "--n", "12", "--q", "12", "--field", "gf:13")
     assert code == 2 and out == ""
-    assert "834451800 terms" in err and f"cap {cli.EXPANSION_CAP}" in err
+    assert "10013421600 exponents in its expanded terms" in err and f"cap {cli.EXPANSION_CAP}" in err
     # sm builds no basis; it is refused by the 12 exponents of each of the
     # 1,352,078 standard monomials it would list
     code, out, err = run(capsys, "sm", "--n", "12", "--q", "12", "--field", "gf:13")
@@ -340,7 +340,8 @@ WIDE_SIZES = "n=10000000, q=10000000"
 
 @pytest.mark.parametrize("argv,message", [
     (["gb", "--n", "1", "--q", str(HUGE_Q)],
-     f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap {cli.EXPANSION_CAP}"),
+     f"the full basis for n=1, q={HUGE_Q} has {HUGE_Q + 1} exponents in its expanded terms, "
+     f"above the cap {cli.EXPANSION_CAP}"),
     (["kakeya", "build-t", "--n", "1", "--q", str(ODD_Q)],
      f"the line star for n=1, q={ODD_Q} may hold {ODD_Q} points, above the cap {cli.VERIFY_WORK_CAP}"),
     (["interp", "--n", "1", "--q", str(HUGE_Q), "--point", "1"],
@@ -357,9 +358,13 @@ WIDE_SIZES = "n=10000000, q=10000000"
      f"kakeya verify for n=100000, q=3 may test at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
     (["nikodym", "verify", "--n", "100000000", "--q", "3"],
      f"nikodym verify for n=100000000, q=3 may test at least 10^4300 points, above the cap {cli.VERIFY_WORK_CAP}"),
-    (["gb", *WIDE], f"the full basis for {WIDE_SIZES} expands to at least 10^4300 terms, above the cap 1000000"),
+    (["gb", *WIDE],
+     f"the full basis for {WIDE_SIZES} has at least 10^4300 exponents in its expanded terms, above the cap 10000000"),
+    # 10,000 terms, but of 5,000 exponents each
+    (["gb", "--n", "5000", "--q", "1"],
+     "the full basis for n=5000, q=1 has 50000000 exponents in its expanded terms, above the cap 10000000"),
     (["sm", *WIDE],
-     f"the full basis for {WIDE_SIZES} has at least 10^4300 exponents in its standard monomials, above the cap 1000000"),
+     f"the full basis for {WIDE_SIZES} has at least 10^4300 exponents in its standard monomials, above the cap 10000000"),
     (["interp", *WIDE, "--point", "1"],
      f"at least 10^4300 sequences for {WIDE_SIZES} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
     (["oracle", "sm", "--builtin", "jnq:10000000,10000000"],
@@ -373,7 +378,7 @@ WIDE_SIZES = "n=10000000, q=10000000"
     (["nonvanish", "--n", "1", "--q", "9000000", "--poly", "x1^99999999"],
      "degree 99999999 exceeds the bound 8999999 for kind 'full'"),
 ], ids=["gb", "kakeya-build-t", "interp", "oracle-sm", "nonvanish", "cover-search", "cover-verify", "hilbert",
-        "kakeya-verify-wide", "nikodym-verify-wide", "gb-wide", "sm-wide", "interp-wide", "oracle-sm-wide",
+        "kakeya-verify-wide", "nikodym-verify-wide", "gb-wide", "gb-wide-n", "sm-wide", "interp-wide", "oracle-sm-wide",
         "kakeya-build-t-wide", "nonvanish-wide", "cover-verify-wide", "cover-search-wide", "nonvanish-degree"])
 def test_caps_checked_before_the_field(argv, message):
     # the default field of a huge q is found by trial division, which
@@ -394,7 +399,7 @@ def test_cap_counts_exact_below_the_print_limit(n, q):
     # always did; from there on it is 10^4300, printed as a lower bound,
     # whether a cheap bound or the count itself shows it
     rows = {
-        ("gb", "full"): groebner.expanded_terms("full", n, q),
+        ("gb", "full"): n * groebner.expanded_terms("full", n, q),
         ("sm", "strict"): n * count_increasing(n, q, True) if q >= n else None,
         ("interp", None): count_increasing(n, q),
         ("oracle sm", "strict"): count_increasing(n, q, True),
@@ -1430,10 +1435,11 @@ def test_cli_surface_pinned():
 
 # an over-cap argv and its refusal for every leaf that takes --n and --q
 OVER_CAP = {
-    "gb": (HUGE, f"the full basis for n=1, q={HUGE_Q} expands to {HUGE_Q + 1} terms, above the cap 1000000"),
+    "gb": (HUGE, f"the full basis for n=1, q={HUGE_Q} has {HUGE_Q + 1} exponents in its expanded terms, above the cap "
+                 "10000000"),
     "sm": (HUGE + ["--kind", "strict"],
            f"the strict basis for n=1, q={HUGE_Q} has {HUGE_Q} exponents in its standard monomials, above the cap "
-           "1000000"),
+           "10000000"),
     "hilbert": (HUGE + ["--kind", "strict"], f"the strict Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} "
                                               "values, above the cap 100000; pass --s for one of them"),
     "interp": (HUGE, f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap 100000"),

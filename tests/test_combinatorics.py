@@ -133,6 +133,9 @@ def test_good_decompositions():
         ((), (1, 2)), ((1,), (2,)), ((1, 2), ())]
     emb = Embedding.grid(Q, 5, -1)
     assert [_parts(_block_factors(s, emb), 1, emb) for s in compositions(5, 1)] == [((1, 2, 3, 4, 5),)]
+    # more parts than the recursion limit
+    items = compositions(1, 5000)
+    assert len(items) == 5000 and items[0] == (0,) * 4999 + (1,) and items[-1] == (1,) + (0,) * 4999
     for n in range(1, 7):
         for q in range(1, 7):
             emb = Embedding.grid(Q, q, -1)

@@ -8,8 +8,10 @@ Runs, from the checkout this file sits in:
   metrics and `--trace 1` for its per-layer ones, keeping the run's
   output digest (`digest_sha256` of its meta line);
 - one run each of `incseq gb --n 7 --q 8`, `incseq interp --n 7 --q 7
-  --field rational --point 1,2,2,3,5,5,7` and `incseq verify-all`, and of
-  the Tier-1 test suite, timed wall to wall, with their exit codes;
+  --field rational --point 1,2,2,3,5,5,7`, `incseq verify-all` and
+  `incseq hilbert --n 5 --q 6`, and of the Tier-1 test suite, timed wall
+  to wall, with their exit codes.  The hilbert case does under 1 ms of
+  work, so its wall time is the process start-up;
 - `wc -l src/incseq/*.py`.
 
 Everything runs one process at a time, so a run takes about six times
@@ -31,6 +33,7 @@ COMMANDS = [
     ["gb", "--n", "7", "--q", "8"],
     ["interp", "--n", "7", "--q", "7", "--field", "rational", "--point", "1,2,2,3,5,5,7"],
     ["verify-all"],
+    ["hilbert", "--n", "5", "--q", "6"],
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # layer cases of the bench file that this commit cannot time, and why
