@@ -127,10 +127,11 @@ def criterion_4(max_n: int = 4, max_q: int = 4) -> CriterionResult:
     for n, q in pairs:
         emb = Embedding.grid(field, q, 0)  # identity placement of [q]
         interp = interpolation.get_interpolator(n, q, emb)
+        points = [emb.apply(s) for s in interp.sequences]
         for j, seq in enumerate(interp.sequences):
             ip = interp.indicator(seq)
             # delta property: every indicator evaluated at every point
-            for i, point in enumerate(interp.points):
+            for i, point in enumerate(points):
                 expected = field.one if i == j else field.zero
                 if ip.expanded.evaluate(point) != expected:
                     return CriterionResult(4, "interpolation", False, f"delta failure at n={n} q={q} ({i},{j})")

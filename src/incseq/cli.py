@@ -39,7 +39,7 @@ def _default_field_spec(q: int, prime_power: bool = False) -> str:
 # Caps on the work a subcommand takes on; the library's own caps stay
 # with the code they guard.
 EXPANSION_CAP = 10**7  # exponents in gb's expanded terms or sm's standard monomials
-INTERPOLATION_CAP = 10**5  # sequences interp solves over
+INTERPOLATION_CAP = 10**6  # sweep steps interp may take: n q binom(n+q-1, n)
 ORACLE_POINT_CAP = 2000  # points an oracle scan takes (1,716 for jnq:7,7)
 VERIFY_WORK_CAP = 10**7  # points kakeya or nikodym verify may test, or build-t build
 LISTING_CAP = 10**5  # values hilbert lists without --s
@@ -117,8 +117,10 @@ _CAPS = {
                      "the {a.kind} basis for n={a.n}, q={a.q} has {count} exponents in its standard monomials, "
                      "above the cap {cap}"),
     "hilbert": _hilbert,
-    "interp": lambda a: (_sequences(a), INTERPOLATION_CAP,
-                         "{count} sequences for n={a.n}, q={a.q} exceed the interpolation cap {cap}"),
+    # each sequence sits in a sweep group of at most q entries per coordinate
+    "interp": lambda a: (_count(lambda: a.n * a.q * count_increasing(a.n, a.q), a.n + a.q - 1, a.n,
+                                a.n.bit_length() + a.q.bit_length() - 2), INTERPOLATION_CAP,
+                         "interp for n={a.n}, q={a.q} may take {count} sweep steps, above the cap {cap}"),
     **dict.fromkeys(["oracle sm", "oracle vanish"], lambda a: (_sequences(a), ORACLE_POINT_CAP, _ORACLE)),
     "kakeya build-t": _line_star,
     # Kakeya: binom(n+q-1, n) directions, q^(n-1) lines each, q points a line;

@@ -190,16 +190,14 @@ def is_downset(points, n: int, q: int) -> bool:
     return True
 
 
-def all_downsets(n: int, q: int, include_empty: bool = False):
-    """Every downset of I(n,q), by subset filtering (tiny n, q only)."""
+def all_downsets(n: int, q: int):
+    """Every nonempty downset of I(n,q), by subset filtering (tiny n, q only)."""
     universe = increasing_sequences(n, q)
     if len(universe) > 20:
         raise ValueError("downset enumeration is limited to |I(n,q)| <= 20")
     out = []
-    for mask in range(len(universe) and 2 ** len(universe)):
+    for mask in range(1, 2 ** len(universe)):
         subset = frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
-        if not subset and not include_empty:
-            continue
         if is_downset(subset, n, q):
             out.append(subset)
     return out

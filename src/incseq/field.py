@@ -309,31 +309,26 @@ class PrimeField(Field):
 class ExtensionField(Field):
     """GF(p^k) by Zech logarithms over a multiplicative generator g.
 
-    The modulus is monic irreducible of degree k.  A nonzero payload x (an
-    element index, see the module docstring) is g^log[x], and exp[i] = g^i.
+    The modulus is default_modulus(p, k), monic irreducible of degree k.
+    A nonzero payload x (an element index, see the module docstring) is
+    g^log[x], and exp[i] = g^i.
     x + y = g^(log x + zech[log y - log x]), where zech[n] = log(1 + g^n),
     None where 1 + g^n = 0.  exp and zech are doubled, so a sum or
     difference of two logs needs no reduction.
     """
 
-    def __init__(self, p: int, k: int, modulus=None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if k < 2:
             raise ValueError("extension degree must be >= 2")
         if p**k > EXTENSION_SIZE_CAP:
             raise ValueError(f"p^k = {p ** k} exceeds the table cap {EXTENSION_SIZE_CAP}")
-        modulus = tuple(modulus) if modulus is not None else default_modulus(p, k)
-        if len(modulus) != k + 1 or modulus[-1] % p != 1:
-            raise ValueError("modulus must be monic of degree k")
-        modulus = tuple(c % p for c in modulus)
-        if not is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.key = ("extension", p, k, modulus)
+        self.modulus = default_modulus(p, k)
+        self.key = ("extension", p, k, self.modulus)
         self._hash = hash(self.key)
         self.p = p
         self.k = k
-        self.modulus = modulus
         self.char = p
         self.size = p**k
         self.zero = FieldElement(self, 0)

@@ -5,7 +5,7 @@ plus Hilbert values and nonvanishing-witness search.
 Every basis element is a block polynomial: a product of linear factors
 (x_j - i(t)) over n consecutive blocks of [q], fixed by its vector of
 block sizes, which is also its leading exponent.  Elements are stored
-factored and expanded on demand.
+as their size vectors and expanded from the embedding on demand.
 """
 
 import math
@@ -28,57 +28,50 @@ from .poly import DEGLEX, Polynomial, TermOrder, mono_divides, monomials_up_to_d
 _GAPS = {"full": 0, "strict": 1}
 
 
-def _block_factors(sizes, emb: Embedding, skip: int = 0):
-    """Linear factors (variable position, root) of a block polynomial:
-    block j holds the next sizes[j] points t of [q], as factors
-    (x_j - i(t)), and skip points are passed over after each block.  The
-    size vector is the leading exponent."""
-    images, factors, t = emb.images, [], 0
-    for j, size in enumerate(sizes):
-        factors.extend((j, x) for x in images[t:t + size])
-        t += size + skip
-    return tuple(factors)
-
-
-def _expand_all(field, n, factor_lists) -> list[Polynomial]:
-    """The product of each list of factors (x_j - t), 0 <= j < n and t an
-    element of field; an empty product is 1.  A product is the tensor
-    product of its n univariate columns, so no two terms ever meet.  A
-    column depends only on its roots, so each distinct one is expanded
-    once for all the lists (a closed-form basis has at most q(q+1)/2 + 1),
-    and each distinct payload is wrapped in one FieldElement that its
-    terms share."""
+def _expand_all(embedding: Embedding, n, gap, blocks) -> list[Polynomial]:
+    """The block polynomial of each size vector in blocks: block j holds
+    the next sizes[j] points t of [q], as factors (x_j - i(t)), and gap
+    points are passed over after each block.  A product is the tensor
+    product of its nonempty blocks' univariate columns, so no two terms
+    ever meet.  A column depends only on its first point and its size, so
+    each distinct one is expanded once for all the blocks, and each
+    distinct payload is wrapped in one FieldElement that its terms share."""
+    field = embedding.field
     fsub, fmul, zero, one = field._sub, field._mul, field.zero.value, field.one.value
-    columns = {}  # roots -> [(degree, payload)] of the nonzero coefficients
+    nodes = [x.value for x in embedding.images]
+    columns = {}  # (first point, size) -> [(degree, payload)] of the nonzero coefficients
     shared = {}  # payload -> its one element, hashing each payload once
     out = []
-    for factors in factor_lists:
-        roots = [[] for _ in range(n)]
-        for j, t in factors:
-            roots[j].append(t.value)
-        cols = []
-        for r in map(tuple, roots):
-            col = columns.get(r)
-            if col is None:
-                c = [one]  # degree 0 first
-                for t in r:
-                    c = [fsub(a, fmul(t, b)) for a, b in zip([zero] + c, c + [zero])]
-                col = columns[r] = [(k, a) for k, a in enumerate(c) if a != zero]
-            cols.append(col)
-        terms = {(k,): a for k, a in cols[0]} if n else {(): one}
+    for sizes in blocks:
+        js, cols, t = [], [], 0
+        for j, size in enumerate(sizes):
+            if size:
+                col = columns.get((t, size))
+                if col is None:
+                    c = [one]  # degree 0 first
+                    for r in nodes[t:t + size]:
+                        c = [fsub(a, fmul(r, b)) for a, b in zip([zero] + c, c + [zero])]
+                    col = columns[t, size] = [(k, a) for k, a in enumerate(c) if a != zero]
+                js.append(j)
+                cols.append(col)
+            t += size + gap
+        # keyed by the nonempty blocks' degrees until the end
+        terms = {(k,): a for k, a in cols[0]} if cols else {(): one}
         for col in cols[1:]:
             terms = {m + (k,): fmul(c, a) for m, c in terms.items() for k, a in col}
         # each variable's factors multiply out monic, so every term divides
-        # the product of the tops: that leads under every order.  Re-keying
-        # its term by the recorded tuple keeps one copy of it per polynomial.
-        lm = tuple(map(len, roots))
+        # the product of the tops, the size vector: that leads under every
+        # order, and keying its term by that tuple keeps one copy of it.
+        lm, exponent, full = tuple(sizes), [0] * n, {}
         for m, c in terms.items():
             e = shared.get(c)
             if e is None:
                 e = shared[c] = FieldElement(field, c)
-            terms[m] = e
-        terms[lm] = terms.pop(lm)
-        out.append(Polynomial._raw(field, n, terms, (None, lm)))
+            for j, k in zip(js, m):
+                exponent[j] = k
+            full[tuple(exponent)] = e
+        full[lm] = full.pop(lm)
+        out.append(Polynomial._raw(field, n, full, (None, lm)))
     return out
 
 
@@ -89,22 +82,22 @@ class GroebnerBasis:
     vanishing ideal of the corresponding embedded point set.
     """
 
-    __slots__ = ("kind", "n", "q", "embedding", "order", "factored", "standard_monomials",
+    __slots__ = ("kind", "n", "q", "embedding", "order", "blocks", "standard_monomials",
                  "downset", "__dict__")
 
-    def __init__(self, kind, n, q, embedding, order, factored, standard_monomials, downset=None):
+    def __init__(self, kind, n, q, embedding, order, blocks, standard_monomials, downset=None):
         self.kind = kind
         self.n = n
         self.q = q
         self.embedding = embedding
         self.order = order
-        self.factored = tuple(factored)
+        self.blocks = tuple(blocks)
         self.standard_monomials = frozenset(standard_monomials)
         self.downset = frozenset(downset) if downset is not None else None
 
     @cached_property
     def polynomials(self) -> tuple[Polynomial, ...]:
-        return tuple(_expand_all(self.embedding.field, self.n, self.factored))
+        return tuple(_expand_all(self.embedding, self.n, _GAPS.get(self.kind, 0), self.blocks))
 
     @cached_property
     def points(self) -> tuple:
@@ -154,8 +147,7 @@ def sequence_basis(kind: str, n: int, q: int, embedding: Embedding,
     the standard monomials are everything of degree <= d."""
     d = degree_bound(kind, n, q)
     _check_embedding(q, embedding)
-    factored = [_block_factors(sizes, embedding, _GAPS[kind]) for sizes in compositions(d + 1, n)]
-    return GroebnerBasis(kind, n, q, embedding, order, factored, monomials_up_to_degree(n, d))
+    return GroebnerBasis(kind, n, q, embedding, order, compositions(d + 1, n), monomials_up_to_degree(n, d))
 
 
 def full_basis(n: int, q: int, embedding: Embedding, order: TermOrder = DEGLEX) -> GroebnerBasis:
@@ -189,8 +181,7 @@ def downset_basis(n: int, q: int, points, embedding: Embedding, order: TermOrder
     blocks += [difference_vector(g) for g in increasing_sequences(n, q) if g not in downset]
     if minimize:
         blocks = [b for b in blocks if all(b[:j] + (e - 1,) + b[j + 1:] in sm for j, e in enumerate(b) if e)]
-    factored = [_block_factors(sizes, embedding) for sizes in blocks]
-    return GroebnerBasis("downset", n, q, embedding, order, factored, sm, downset=downset)
+    return GroebnerBasis("downset", n, q, embedding, order, blocks, sm, downset=downset)
 
 
 def standard_monomials(kind: str, n: int, q: int, downset=()) -> set:

@@ -73,7 +73,6 @@ class Interpolator:
         self.field = embedding.field
         self.sequences = seqs = increasing_sequences(n, q)
         self.index = {s: i for i, s in enumerate(seqs)}
-        self.points = [embedding.apply(s) for s in seqs]
         field = self.field
         # nodes[t] = i(t + 1); inverses[u][w] = 1 / (i(u + 1) - i(w + 1)) for w < u
         self._nodes = nodes = [x.value for x in embedding.images]
@@ -139,7 +138,7 @@ class Interpolator:
         vals[idx] = self.field.one.value
         expanded = self._solve(vals)
         factored = self._factored(seq) if self.embedding.is_grid else None
-        return IndicatorPolynomial(self.points[idx], expanded, factored)
+        return IndicatorPolynomial(self.embedding.apply(seq), expanded, factored)
 
     def _factored(self, seq) -> FactoredForm:
         """Grid recipe: (x_1 - i(t)) below the first entry, (x_n - i(t))

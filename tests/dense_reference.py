@@ -1,11 +1,12 @@
 """Dense references for the tests: monomial evaluation, evaluation
-matrices and reduced row echelon form, all on FieldElement objects.
+matrices, reduced row echelon form and products of linear factors, all
+on FieldElement objects.
 
 They share no code with the raw-payload kernels in `incseq` and are
 slow on purpose: tests compare the kernels' results with these.
 """
 
-from incseq.poly import DEGLEX, TermOrder
+from incseq.poly import DEGLEX, Polynomial, TermOrder
 
 
 def mono_eval(m: tuple[int, ...], point):
@@ -68,3 +69,22 @@ def row_echelon(rows, field):
         if r == len(m):
             break
     return m, pivots
+
+
+def block_factors(sizes, embedding, gap=0):
+    """The linear factors (variable position, root) of a block polynomial:
+    block j holds the next sizes[j] points t of [q], as factors
+    (x_j - i(t)), and gap points are passed over after each block."""
+    factors, t = [], 0
+    for j, size in enumerate(sizes):
+        factors += [(j, x) for x in embedding.images[t:t + size]]
+        t += size + gap
+    return factors
+
+
+def reference_expand(field, n, factors):
+    """The product of the factors (x_j - t), one Polynomial product each."""
+    result = Polynomial.one(field, n)
+    for j, t in factors:
+        result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
+    return result

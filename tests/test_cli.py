@@ -345,7 +345,7 @@ WIDE_SIZES = "n=10000000, q=10000000"
     (["kakeya", "build-t", "--n", "1", "--q", str(ODD_Q)],
      f"the line star for n=1, q={ODD_Q} may hold {ODD_Q} points, above the cap {cli.VERIFY_WORK_CAP}"),
     (["interp", "--n", "1", "--q", str(HUGE_Q), "--point", "1"],
-     f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
+     f"interp for n=1, q={HUGE_Q} may take {HUGE_Q**2} sweep steps, above the cap {cli.INTERPOLATION_CAP}"),
     (["oracle", "sm", "--builtin", f"jnq:1,{HUGE_Q}"],
      f"{HUGE_Q} points exceed the oracle cap {cli.ORACLE_POINT_CAP}"),
     (["nonvanish", *HUGE, "--poly", "x1"], ENUMERATION_REFUSAL),
@@ -366,7 +366,7 @@ WIDE_SIZES = "n=10000000, q=10000000"
     (["sm", *WIDE],
      f"the full basis for {WIDE_SIZES} has at least 10^4300 exponents in its standard monomials, above the cap 10000000"),
     (["interp", *WIDE, "--point", "1"],
-     f"at least 10^4300 sequences for {WIDE_SIZES} exceed the interpolation cap {cli.INTERPOLATION_CAP}"),
+     f"interp for {WIDE_SIZES} may take at least 10^4300 sweep steps, above the cap {cli.INTERPOLATION_CAP}"),
     (["oracle", "sm", "--builtin", "jnq:10000000,10000000"],
      f"at least 10^4300 points exceed the oracle cap {cli.ORACLE_POINT_CAP}"),
     (["kakeya", "build-t", *WIDE],
@@ -401,7 +401,7 @@ def test_cap_counts_exact_below_the_print_limit(n, q):
     rows = {
         ("gb", "full"): n * groebner.expanded_terms("full", n, q),
         ("sm", "strict"): n * count_increasing(n, q, True) if q >= n else None,
-        ("interp", None): count_increasing(n, q),
+        ("interp", None): n * q * count_increasing(n, q),
         ("oracle sm", "strict"): count_increasing(n, q, True),
         ("oracle vanish", "full"): count_increasing(n, q),
         ("kakeya build-t", None): geometry.line_star_size_bound(n, q),
@@ -453,19 +453,19 @@ def test_interp_factored_needs_point(capsys, tmp_path):
 def test_oversized_interp_refused_up_front(capsys, monkeypatch):
     enumerate_ = interpolation.increasing_sequences
     monkeypatch.setattr(interpolation, "increasing_sequences", lambda *a: pytest.fail("enumerated"))
-    # n = q = 11 has 352,716 sequences
+    # n = q = 11 has 352,716 sequences, 11 * 11 * 352,716 sweep steps
     argv = ["interp", "--n", "11", "--q", "11", "--field", "rational", "--point", ",".join("1" * 11)]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == ("error: 352716 sequences for n=11, q=11 exceed the interpolation cap "
+    assert err == ("error: interp for n=11, q=11 may take 42678636 sweep steps, above the cap "
                    f"{cli.INTERPOLATION_CAP}\n")
-    # the cap itself is accepted: N = 35 at n = q = 4
+    # the cap itself is accepted: 4 * 4 * 35 steps at n = q = 4
     monkeypatch.setattr(interpolation, "increasing_sequences", enumerate_)
-    monkeypatch.setattr(cli, "INTERPOLATION_CAP", 35)
+    monkeypatch.setattr(cli, "INTERPOLATION_CAP", 560)
     code, _, _ = run(capsys, "interp", "--n", "4", "--q", "4", "--field", "rational", "--point", "1,1,1,1")
     assert code == 0
     code, _, err = run(capsys, "interp", "--n", "4", "--q", "5", "--field", "rational", "--point", "1,1,1,1")
-    assert code == 2 and "70 sequences" in err
+    assert code == 2 and "1400 sweep steps" in err
 
 
 def test_oversized_oracle_refused_up_front(capsys, monkeypatch, tmp_path):
@@ -740,6 +740,21 @@ def test_gb_bytes_pinned(tmp_path, capsys, kind, order, field, fmt):
     code, out, _ = run(capsys, *gb_argv(kind, order, field, fmt, downset_file))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GB_PINS[(kind, order, field, fmt)]
+
+
+# SHA-256 of `incseq gb` stdout at wide n, where most blocks of a size
+# vector are empty, pinned before bases were expanded from their size vectors.
+WIDE_GB_PINS = {
+    "--n 300 --q 1": "105a478238df3d85ada4c18bc0bf5352b51a7e29db3c533e473e86c89dd048a2",
+    "--n 30 --q 32 --kind strict": "4d85375947c048d90d0aa1cb59bfdd7319a3b301f6525e655858df41eb2e18fe",
+}
+
+
+@pytest.mark.parametrize("args", sorted(WIDE_GB_PINS))
+def test_wide_gb_bytes_pinned(capsys, args):
+    code, out, err = run(capsys, "gb", *args.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_GB_PINS[args]
 
 
 def outcome_digest(code, out, err):
@@ -1442,7 +1457,7 @@ OVER_CAP = {
            "10000000"),
     "hilbert": (HUGE + ["--kind", "strict"], f"the strict Hilbert function for n=1, q={HUGE_Q} has {HUGE_Q} "
                                               "values, above the cap 100000; pass --s for one of them"),
-    "interp": (HUGE, f"{HUGE_Q} sequences for n=1, q={HUGE_Q} exceed the interpolation cap 100000"),
+    "interp": (HUGE, f"interp for n=1, q={HUGE_Q} may take {HUGE_Q**2} sweep steps, above the cap 1000000"),
     "nonvanish": (HUGE + ["--poly", "x1", "--kind", "strict"], ENUMERATION_REFUSAL),
     "oracle sm": (["--builtin", f"sjnq:1,{HUGE_Q}"], f"{HUGE_Q} points exceed the oracle cap 2000"),
     "oracle vanish": (["--builtin", f"jnq:1,{HUGE_Q}", "--maxdeg", "1"], f"{HUGE_Q} points exceed the oracle cap 2000"),

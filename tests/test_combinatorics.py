@@ -17,8 +17,10 @@ from incseq.combinatorics import (
     parse_embedding,
 )
 from incseq.field import field_from_string
-from incseq.groebner import _block_factors, strict_basis
+from incseq.groebner import _expand_all, strict_basis
 from incseq.poly import monomials_up_to_degree
+
+from dense_reference import block_factors, reference_expand
 
 Q = field_from_string("rational")
 GF3 = field_from_string("gf:3")
@@ -115,6 +117,14 @@ def test_difference_vector_bijection():
             assert set(images) == set(monomials_up_to_degree(n, q - 1))
 
 
+def _factors(sizes, emb, gap=0):
+    """The factor list of a block polynomial, built here, once
+    _expand_all is seen to multiply out the same product."""
+    factors = block_factors(sizes, emb, gap)
+    assert _expand_all(emb, len(sizes), gap, [sizes])[0] == reference_expand(emb.field, len(sizes), factors)
+    return tuple(factors)
+
+
 def _parts(factors, n, emb):
     """The blocks a factor list spells, as the points t of [q] whose image
     i(t) is a root in x_j, for each j."""
@@ -129,10 +139,10 @@ def _blocks_in_order(factors, sizes):
 
 def test_good_decompositions():
     emb = Embedding.grid(Q, 2, -1)
-    assert [_parts(_block_factors(s, emb), 2, emb) for s in compositions(2, 2)] == [
+    assert [_parts(_factors(s, emb), 2, emb) for s in compositions(2, 2)] == [
         ((), (1, 2)), ((1,), (2,)), ((1, 2), ())]
     emb = Embedding.grid(Q, 5, -1)
-    assert [_parts(_block_factors(s, emb), 1, emb) for s in compositions(5, 1)] == [((1, 2, 3, 4, 5),)]
+    assert [_parts(_factors(s, emb), 1, emb) for s in compositions(5, 1)] == [((1, 2, 3, 4, 5),)]
     # more parts than the recursion limit
     items = compositions(1, 5000)
     assert len(items) == 5000 and items[0] == (0,) * 4999 + (1,) and items[-1] == (1,) + (0,) * 4999
@@ -142,7 +152,7 @@ def test_good_decompositions():
             items = list(compositions(q, n))
             assert len(items) == math.comb(q + n - 1, n - 1)
             for sizes in items:
-                factors = _block_factors(sizes, emb)
+                factors = _factors(sizes, emb)
                 assert [x for _, x in factors] == list(emb.images)  # roots run through i(1..q) in order
                 assert _blocks_in_order(factors, sizes)
                 assert sum(sizes) == q
@@ -152,7 +162,7 @@ def test_good_decompositions():
 
 def test_super_decompositions():
     emb = Embedding.grid(Q, 3, -1)
-    parts = [_parts(_block_factors(s, emb, skip=1), 2, emb) for s in compositions(2, 2)]
+    parts = [_parts(_factors(s, emb, gap=1), 2, emb) for s in compositions(2, 2)]
     assert parts == [((), (2, 3)), ((1,), (3,)), ((1, 2), ())]
     # the skipped points
     assert [tuple(sorted({1, 2, 3}.difference(*p))) for p in parts] == [(1,), (2,), (3,)]
@@ -164,7 +174,7 @@ def test_super_decompositions():
             items = list(compositions(q - n + 1, n))
             assert len(items) == math.comb(q, n - 1)
             for sizes in items:
-                factors = _block_factors(sizes, emb, skip=1)
+                factors = _factors(sizes, emb, gap=1)
                 flat = [t for part in _parts(factors, n, emb) for t in part]
                 assert flat == sorted(flat) and len(set(flat)) == len(flat)
                 assert len(flat) == q - n + 1  # exactly n - 1 points of [q] left out
@@ -176,7 +186,7 @@ def test_super_decompositions():
 def test_adjacent_gaps_empty_following_part():
     # points 1 and 2 skipped: the block between them is empty
     emb = Embedding.grid(Q, 3, -1)
-    assert _block_factors((0, 0, 1), emb, skip=1) == ((2, emb.images[2]),)
+    assert _factors((0, 0, 1), emb, gap=1) == ((2, emb.images[2]),)
 
 
 def test_downset_validation():
@@ -223,7 +233,6 @@ def test_downset_difference_vectors_are_division_closed():
 def test_all_downsets_counts():
     assert len(all_downsets(2, 3)) == 7
     assert len(all_downsets(3, 2)) == 4
-    assert len(all_downsets(2, 3, include_empty=True)) == 8
     for d in all_downsets(2, 3):
         assert is_downset(d, 2, 3)
 

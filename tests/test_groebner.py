@@ -327,8 +327,9 @@ def test_minimized_downset_basis_matches_all_pairs_filter(case):
     downset = [s for s in increasing_sequences(n, q) if any(mono_divides(s, g) for g in generators)]
     gb = downset_basis(n, q, downset, emb, order)
     blocks = [p.leading_monomial(order) for p in gb.polynomials]
-    want = [fs for fs, b in zip(gb.factored, blocks) if not any(o != b and mono_divides(o, b) for o in blocks)]
-    assert list(downset_basis(n, q, downset, emb, order, minimize=True).factored) == want
+    assert list(gb.blocks) == blocks
+    want = [b for b in blocks if not any(o != b and mono_divides(o, b) for o in blocks)]
+    assert list(downset_basis(n, q, downset, emb, order, minimize=True).blocks) == want
 
 
 @st.composite

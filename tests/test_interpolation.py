@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, difference_vector, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import _block_factors, _expand_all, full_basis
+from incseq.groebner import _expand_all, full_basis
 from incseq.interpolation import Interpolator, get_interpolator, indicator, interpolate
 from incseq.poly import DEGLEX, Polynomial, format_polynomial, monomials_up_to_degree, reduce_by_basis
 
@@ -60,7 +60,7 @@ def test_delta_property_and_degree(n, q):
         assert len(ip.factored.factors) == q - 1
         assert all(f.degree() == 1 for f in ip.factored.factors)
         for t in interp.sequences:
-            value = ip.expanded.evaluate(interp.points[interp.index[t]])
+            value = ip.expanded.evaluate(emb.apply(t))
             assert value == (Q.one if s == t else Q.zero)
 
 
@@ -73,7 +73,7 @@ def test_delta_property_finite_field_grid():
         assert ip.factored is not None and ip.factored.expand() == ip.expanded
         assert ip.expanded.degree() == 2
         for t in interp.sequences:
-            value = ip.expanded.evaluate(interp.points[interp.index[t]])
+            value = ip.expanded.evaluate(emb.apply(t))
             assert value == (gf7.one if s == t else gf7.zero)
 
 
@@ -85,7 +85,7 @@ def test_non_grid_embedding_has_no_factored_form():
         assert ip.factored is None
         assert ip.expanded.degree() == 2
         for t in interp.sequences:
-            value = ip.expanded.evaluate(interp.points[interp.index[t]])
+            value = ip.expanded.evaluate(emb.apply(t))
             assert value == (Q.one if s == t else Q.zero)
 
 
@@ -208,7 +208,7 @@ def dense_inverse(interp):
     columns = monomials_up_to_degree(interp.n, interp.q - 1)
     size = len(columns)
     rows = [[mono_eval(m, p) for m in columns] + [field.one if j == i else field.zero for j in range(size)]
-            for i, p in enumerate(interp.points)]
+            for i, p in enumerate(map(interp.embedding.apply, interp.sequences))]
     echelon, pivots = row_echelon(rows, field)
     assert pivots[:size] == list(range(size))
     return columns, [row[size:] for row in echelon]
@@ -254,6 +254,6 @@ def test_interval_products_are_triangular(spec, kind, data):
     n, q, emb = data.draw(contexts(spec, kind))
     seqs = increasing_sequences(n, q)
     for g in seqs:
-        p = _expand_all(emb.field, n, [_block_factors(difference_vector(g), emb)])[0]
+        p = _expand_all(emb, n, 0, [difference_vector(g)])[0]
         for h in seqs:
             assert p.evaluate(emb.apply(h)).is_zero != all(a <= b for a, b in zip(g, h))

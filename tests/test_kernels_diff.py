@@ -63,7 +63,7 @@ from incseq.poly import (
     reduce_by_basis,
 )
 
-from dense_reference import mono_eval, row_echelon
+from dense_reference import block_factors, mono_eval, reference_expand, row_echelon
 
 COVER_POINT_CAP = 10**4  # the reference search's own cap on its targets
 
@@ -119,13 +119,6 @@ def reference_is_reduced_basis(polys, order):
             if any(mono_divides(other, m) for m in p.terms):
                 return False
     return True
-
-
-def reference_expand(field, n, factors):
-    result = Polynomial.one(field, n)
-    for j, t in factors:
-        result = result * (Polynomial.variable(field, n, j) - Polynomial.constant(field, n, t))
-    return result
 
 
 # Copies of `mono_to_str` and `format_polynomial` as they were before the
@@ -790,11 +783,48 @@ def test_is_reduced_on_arbitrary_lists(divs):
         assert is_reduced_basis(polys, order) == reference_is_reduced_basis(polys, order)
 
 
+@st.composite
+def vanishing_embeddings(draw, field, q):
+    """q images in random order that hold 0 and a pair a, -a (as far as q
+    allows), so some expanded coefficients vanish: a factor x_j - 0 has
+    no constant term, and (x_j - a)(x_j + a) in one block no x_j term."""
+    a = draw(elements(field, nonzero=True))
+    head = list(dict.fromkeys([field.zero, a, -a]))[:q]  # a = -a in characteristic 2
+    if field.size is None:
+        rest = [field.element(v) for v in range(1, 10)]
+    else:
+        rest = field.elements()
+    rest = [x for x in rest if x not in head]
+    return Embedding.from_elements(field, draw(st.permutations(head + rest[:q - len(head)])))
+
+
+@st.composite
+def block_products(draw, field, n):
+    """(embedding, gap, blocks): one to four size vectors of n blocks,
+    with gap points (0 or 1) passed over after each block, all within [q]
+    of one embedding from vanishing_embeddings."""
+    top = min(field.size or 8, 8)
+    gap = draw(st.integers(0, 1 if n <= top else 0))
+    room = top - gap * (n - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        sizes, left = [], room
+        for _ in range(n):
+            sizes.append(draw(st.integers(0, min(3, left))))
+            left -= sizes[-1]
+        blocks.append(tuple(draw(st.permutations(sizes))))
+    q = draw(st.integers(max(max(map(sum, blocks)) + gap * (n - 1), 1), top))
+    return draw(vanishing_embeddings(field, q)), gap, blocks
+
+
 @KERNELS
 @given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
 def test_expand_all(field, n, data):
-    factors = data.draw(st.lists(st.tuples(st.integers(0, n - 1), elements(field)), max_size=6))
-    _assert_same(_expand_all(field, n, [factors])[0], reference_expand(field, n, factors))
+    emb, gap, blocks = data.draw(block_products(field, n))
+    polys = _expand_all(emb, n, gap, blocks)
+    assert len(polys) == len(blocks)
+    for p, sizes in zip(polys, blocks):
+        _assert_same(p, reference_expand(field, n, block_factors(sizes, emb, gap)))
 
 
 LM_FIELDS = [field_from_string(s) for s in ("gf:7", "gf:3^2", "rational")]
@@ -803,22 +833,12 @@ LM_FIELDS = [field_from_string(s) for s in ("gf:7", "gf:3^2", "rational")]
 @st.composite
 def vanishing_bases(draw):
     """A full, strict, downset or minimized downset basis over GF(7),
-    GF(3^2) or Q whose images hold 0 and a pair a, -a (as far as q
-    allows), so some expanded coefficients vanish: a factor x_j - 0 has
-    no constant term, and (x_j - a)(x_j + a) in one block no x_j term."""
+    GF(3^2) or Q over vanishing_embeddings."""
     field = draw(st.sampled_from(LM_FIELDS))
     kind = draw(st.sampled_from(["full", "strict", "downset", "minimize"]))
     q = draw(st.integers(1, 5))
     n = draw(st.integers(1, min(3, q) if kind == "strict" else 3))
-    a = draw(elements(field, nonzero=True))
-    head = [field.zero, a, -a]
-    if field.size is None:
-        rest = [field.element(v) for v in (1, 2, 3, 4, 5, 6)]
-    else:
-        rest = field.elements()
-    rest = [x for x in rest if x not in head]
-    images = draw(st.permutations(head[:q] + rest[:max(q - 3, 0)]))
-    emb = Embedding.from_elements(field, images)
+    emb = draw(vanishing_embeddings(field, q))
     order = draw(st.sampled_from(ORDERS))
     if kind == "full":
         return full_basis(n, q, emb, order)
@@ -830,12 +850,12 @@ def vanishing_bases(draw):
 @KERNELS
 @given(vanishing_bases())
 def test_basis_expansion_shares_columns(gb):
-    field, n = gb.embedding.field, gb.n
+    emb, n, gap = gb.embedding, gb.n, 1 if gb.kind == "strict" else 0
     polys = gb.polynomials
-    assert len(polys) == len(gb.factored)
-    for p, factors in zip(polys, gb.factored):
-        alone = _expand_all(field, n, [factors])[0]
-        want = reference_expand(field, n, factors)
+    assert len(polys) == len(gb.blocks)
+    for p, sizes in zip(polys, gb.blocks):
+        alone = _expand_all(emb, n, gap, [sizes])[0]
+        want = reference_expand(emb.field, n, block_factors(sizes, emb, gap))
         assert p.terms == alone.terms == want.terms
         assert p._lm == alone._lm
         for order in ORDERS:
@@ -887,20 +907,11 @@ def test_monomial_text_after_eviction():
     mono_to_str.cache_clear()
 
 
-@st.composite
-def factor_lists(draw, field, n):
-    """Factors (x_j - t) with t from a small alphabet that holds 0, so
-    repeated roots and zero roots are common; over Q the roots are
-    integral and non-integral."""
-    alphabet = draw(st.lists(elements(field), min_size=1, max_size=3)) + [field.zero]
-    return draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(alphabet)), max_size=7))
-
-
 @KERNELS
 @given(st.sampled_from(LM_FIELDS), st.integers(1, 4), st.data())
 def test_recorded_leading_monomials(field, n, data):
-    products = [_expand_all(field, n, [data.draw(factor_lists(field, n))])[0]
-                for _ in range(data.draw(st.integers(1, 4)))]
+    emb, gap, blocks = data.draw(block_products(field, n))
+    products = _expand_all(emb, n, gap, blocks)
     others = data.draw(st.lists(polynomials(field, n, 3, max_terms=5, nonzero=True), max_size=2))
     scale = data.draw(elements(field, nonzero=True))
     # ask in alternating orders, so a kept monomial of the other order is never reused

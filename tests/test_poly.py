@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from incseq.combinatorics import Embedding, compositions, increasing_sequences
 from incseq.field import field_from_string
-from incseq.groebner import _block_factors, _expand_all, full_basis
+from incseq.groebner import _expand_all, full_basis
 from incseq.interpolation import get_interpolator
 from incseq.poly import (
     DEGLEX,
@@ -92,7 +92,7 @@ def test_block_product_leading_monomial_is_size_vector():
     emb = Embedding.grid(Q, 3, -1)
     for n in (1, 2, 3):
         for sizes in compositions(3, n):
-            f = _expand_all(Q, n, [_block_factors(sizes, emb)])[0]
+            f = _expand_all(emb, n, 0, [sizes])[0]
             for order in (LEX, DEGLEX):
                 assert f.leading_monomial(order) == sizes
 

@@ -7,8 +7,9 @@ Runs, from the checkout this file sits in:
 - each perfbench workload twice, with `--trace 0` for its end-to-end
   metrics and `--trace 1` for its per-layer ones, keeping the run's
   output digest (`digest_sha256` of its meta line);
-- one run each of `incseq gb --n 7 --q 8`, `incseq interp --n 7 --q 7
-  --field rational --point 1,2,2,3,5,5,7`, `incseq verify-all` and
+- one run each of `incseq gb --n 7 --q 8`, `incseq gb --n 1500 --q 1`
+  (a wide basis whose blocks are mostly empty), `incseq interp --n 7
+  --q 7 --field rational --point 1,2,2,3,5,5,7`, `incseq verify-all` and
   `incseq hilbert --n 5 --q 6`, and of the Tier-1 test suite, timed wall
   to wall, with their exit codes.  The hilbert case does under 1 ms of
   work, so its wall time is the process start-up;
@@ -31,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["closed-forms", "interp-stream", "certify"]
 COMMANDS = [
     ["gb", "--n", "7", "--q", "8"],
+    ["gb", "--n", "1500", "--q", "1"],
     ["interp", "--n", "7", "--q", "7", "--field", "rational", "--point", "1,2,2,3,5,5,7"],
     ["verify-all"],
     ["hilbert", "--n", "5", "--q", "6"],
