@@ -10,8 +10,8 @@ The searches, verifiers and constructions run in index form: a finite
 field's payloads are its element indices (element i is
 `field.elements()[i]`), a point is a tuple of them, and field arithmetic
 is a lookup in the q x q tables of `Field.tables()`, kept on the field and
-shared with the oracle.  Points are unwrapped to payloads once on entry
-and wrapped back into field elements once on return.  Only `Hyperplane` and
+shared with the oracle.  A `PointSet` keeps the form it was built in and
+works out the other on first use.  Only `Hyperplane` and
 `canonical_direction` work on field elements, since `cover_verify` also
 runs over Q.
 """
@@ -39,24 +39,43 @@ class CertificateError(ValueError):
 
 
 class PointSet:
-    """Deduplicated finite subset of F^n."""
+    """Deduplicated finite subset of F^n, kept in the form it was built
+    in: `points` as field-element tuples, or, for geometry's own
+    constructions (`_of_indices`), `indices` as index tuples.  The other
+    form is worked out on first use and kept."""
 
-    __slots__ = ("field", "n", "points")
+    __slots__ = ("field", "n", "_points", "_indices")
 
     def __init__(self, field: Field, n: int, points):
         pts = frozenset(tuple(p) for p in points)
         for p in pts:
             if len(p) != n:
                 raise ValueError(f"point {p} has width {len(p)}, expected {n}")
-        self.field = field
-        self.n = n
-        self.points = pts
+        self.field, self.n, self._points, self._indices = field, n, pts, None
+
+    @classmethod
+    def _of_indices(cls, field: Field, n: int, indices) -> "PointSet":
+        out = cls.__new__(cls)
+        out.field, out.n, out._points, out._indices = field, n, None, frozenset(indices)
+        return out
+
+    @property
+    def points(self) -> frozenset:
+        if self._points is None:
+            self._points = frozenset(map(self.field.tables().el, self._indices))
+        return self._points
+
+    @property
+    def indices(self) -> frozenset:
+        if self._indices is None:
+            self._indices = frozenset(map(self.field.tables().ix, self._points))
+        return self._indices
 
     def __len__(self):
-        return len(self.points)
+        return len(self._indices if self._points is None else self._points)
 
     def sorted_points(self):
-        return sorted(self.points, key=self.field.tables().ix)
+        return list(map(self.field.tables().el, sorted(self.indices)))
 
 
 def parse_points(text: str, field: Field, n: int) -> PointSet:
@@ -88,18 +107,17 @@ def canonical_direction(v):
 
 
 def _canonical(tab: Tables, v):
-    """canonical_direction on an index tuple."""
-    pivot = next((i for i, x in enumerate(v) if x != tab.zero), None)
-    if pivot is None:
+    """canonical_direction on an index tuple (index 0 is zero in every
+    finite field)."""
+    lead = next(filter(None, v), None)
+    if lead is None:
         raise ValueError("zero vector has no direction")
-    row = tab.mul[tab.inv[v[pivot]]]
-    return pivot, tuple(row[x] for x in v)
+    return v.index(lead), tuple(map(tab.mul[tab.inv[lead]].__getitem__, v))
 
 
 def _multiples(tab: Tables, v, ts) -> list:
     """t*v for each index t in ts."""
-    mul = tab.mul
-    return [tuple(mul[t][x] for x in v) for t in ts]
+    return [tuple(map(tab.mul[t].__getitem__, v)) for t in ts]
 
 
 def _directions(tab: Tables, n: int) -> list:
@@ -173,18 +191,13 @@ def _require_ambient(field: Field, q: int):
 def _increasing_directions(tab: Tables, n: int, q: int, emb: Embedding) -> list:
     """Canonical representatives of the nonzero embedded nondecreasing
     directions, in first-occurrence enumeration order."""
-    images = tab.ix(emb.apply(range(1, q + 1)))
-    seen = set()
-    out = []
-    for seq in increasing_sequences(n, q):
-        v = tuple(images[s - 1] for s in seq)
-        if all(x == tab.zero for x in v):
-            continue
-        _, canon = _canonical(tab, v)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    return list(dict.fromkeys(_canonical(tab, v)[1] for v in filter(any, _embedded(tab, n, q, emb))))
+
+
+def _embedded(tab: Tables, n: int, q: int, emb: Embedding):
+    """The index point of each nondecreasing sequence, in enumeration order."""
+    images = (None,) + tab.ix(emb.apply(range(1, q + 1)))  # sequences count from 1
+    return (tuple(map(images.__getitem__, seq)) for seq in increasing_sequences(n, q))
 
 
 def _translates(tab: Tables, z, steps) -> list:
@@ -215,7 +228,7 @@ def line_star(n: int, q: int, field: Field, emb: Embedding) -> PointSet:
     points = {(tab.zero,) * n}
     for v in _increasing_directions(tab, n, q, emb):
         points.update(_multiples(tab, v, range(q)))
-    return PointSet(field, n, map(tab.el, points))
+    return PointSet._of_indices(field, n, points)
 
 
 def line_star_size_bound(n: int, q: int) -> int:
@@ -230,9 +243,7 @@ class Certificate:
     __slots__ = ("entries", "failed", "ok")
 
     def __init__(self, entries, failed=None):
-        self.entries = tuple(entries)
-        self.failed = failed
-        self.ok = failed is None
+        self.entries, self.failed, self.ok = tuple(entries), failed, failed is None
 
 
 def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
@@ -244,11 +255,10 @@ def verify_kakeya(K: PointSet, emb: Embedding, threshold: int):
     if not 1 <= threshold <= q:
         raise ValueError(f"threshold must be in [1, {q}]")
     tab = K.field.tables()
-    points = set(map(tab.ix, K.points))
+    has = K.indices.__contains__
     entries = []
     for v in _increasing_directions(tab, K.n, q, emb):
-        found = next((base for base, line in _lines(tab, K.n, v)
-                      if sum(p in points for p in line) >= threshold), None)
+        found = next((base for base, line in _lines(tab, K.n, v) if sum(map(has, line)) >= threshold), None)
         if found is None:
             return Certificate((), tab.el(v))
         entries.append((tab.el(v), tab.el(found)))
@@ -261,7 +271,7 @@ def verify_nikodym(B: PointSet, emb: Embedding):
     q = emb.q
     _require_ambient(B.field, q)
     tab = B.field.tables()
-    points = set(map(tab.ix, B.points))
+    points = B.indices
     # the punctured line through z in direction v is z + v and z + t*v for
     # the other nonzero t; those offsets are worked out the first time some
     # z + v lies in B, and kept for later points, so a point that no z + v
@@ -269,10 +279,8 @@ def verify_nikodym(B: PointSet, emb: Embedding):
     others = [t for t in range(q) if t not in (tab.zero, tab.one)]
     offsets = cache(lambda v: _multiples(tab, v, others))
     directions = _directions(tab, B.n)
-    images = tab.ix(emb.apply(range(1, q + 1)))
     entries = []
-    for seq in increasing_sequences(B.n, q):
-        z = tuple(images[s - 1] for s in seq)
+    for z in _embedded(tab, B.n, q, emb):
         rows = [tab.add[a] for a in z]
         found = next((v for v in directions if tuple(map(getitem, rows, v)) in points
                       and all(tuple(map(getitem, rows, step)) in points for step in offsets(v))), None)
@@ -336,19 +344,16 @@ def kakeya_lower_bound_check(K: PointSet, directions_set: PointSet, ell: int) ->
     poly = _vanishing(K, ell, "K")
     top = poly.homogeneous_component(poly.degree())
     tab = field.tables()
-    points = set(map(tab.ix, K.points))
-    witness = None
-    chain_ok = True
-    for v in directions_set.sorted_points():
-        if all(x.is_zero for x in v):
-            continue
-        _, canon = _canonical(tab, tab.ix(v))
-        rich = any(sum(p in points for p in line) > ell for _, line in _lines(tab, n, canon))
-        top_zero = top.evaluate(v).is_zero
+    has = K.indices.__contains__
+    witness, chain_ok = None, True
+    for v in filter(any, sorted(directions_set.indices)):
+        _, canon = _canonical(tab, v)
+        rich = any(sum(map(has, line)) > ell for _, line in _lines(tab, n, canon))
+        top_zero = top.evaluate(tab.el(v)).is_zero
         if rich and not top_zero:
             chain_ok = False  # cannot happen with exact arithmetic
         if not top_zero and witness is None:
-            witness = v
+            witness = tab.el(v)
     if witness is None:
         raise InconsistencyError("top-degree part vanished on every direction despite the monomial condition")
     return BoundCheck(len(K), bound, poly, witness, chain_ok)
@@ -374,14 +379,13 @@ def _nikodym_chain(B: PointSet, emb: Embedding, cert, bound: int) -> BoundCheck:
     q = emb.q
     poly = _vanishing(B, q - 2, "B")
     tab = B.field.tables()
-    nonzero_ts = [t for t in range(q) if t != tab.zero]
     zeros = []
     for z, v in cert.entries:
         _, v = _canonical(tab, tab.ix(v))  # rejects a zero direction
-        punctured = [tab.el(p) for p in _translates(tab, tab.ix(z), _multiples(tab, v, nonzero_ts))]
-        if not all(p in B.points for p in punctured):
+        punctured = _translates(tab, tab.ix(z), _multiples(tab, v, range(1, q)))
+        if not B.indices.issuperset(punctured):
             raise CertificateError(f"certificate line through {z} leaves the set")
-        if not all(poly.evaluate(p).is_zero for p in punctured):
+        if not all(poly.evaluate(p).is_zero for p in map(tab.el, punctured)):
             raise CertificateError("vanishing polynomial fails on a certified punctured line")
         if not poly.evaluate(z).is_zero:
             # deg <= q-2 with q-1 roots on the line forces this; failure
@@ -397,10 +401,7 @@ class CoverResult:
     __slots__ = ("ok", "uncovered_point", "size", "bound")
 
     def __init__(self, ok, uncovered_point, size, bound):
-        self.ok = ok
-        self.uncovered_point = uncovered_point
-        self.size = size
-        self.bound = bound
+        self.ok, self.uncovered_point, self.size, self.bound = ok, uncovered_point, size, bound
 
 
 def _cover_targets(n: int, q: int, emb: Embedding, excluded):
@@ -441,9 +442,7 @@ class CoverSearchResult:
     __slots__ = ("minimum", "witness", "bound")
 
     def __init__(self, minimum, witness, bound):
-        self.minimum = minimum
-        self.witness = tuple(witness)
-        self.bound = bound
+        self.minimum, self.witness, self.bound = minimum, tuple(witness), bound
 
 
 def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> CoverSearchResult:
@@ -454,7 +453,9 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     offsets in element order; the answer is found by iterative deepening
     over the cover size up to a greedy upper bound, searching
     index-ascending subsets so the first hit is the lexicographically
-    least witness.  Coverage masks are bitsets.
+    least witness.  Coverage masks are bitsets, over the targets of each
+    plane and the planes through each target; with one plane left to pick,
+    the AND of the latter over the uncovered targets gives it.
 
     k planes covering the targets multiply out to a nonzero polynomial of
     degree k vanishing on them, so when the oracle finds no vanishing
@@ -475,12 +476,15 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     # the plane through p with normal v is number d*size + v.p, v = directions[d]
     add, mul = tab.add, tab.mul
     masks = [0] * count
+    through = [0] * len(targets)
     for j, p in enumerate(map(tab.ix, targets)):
         for d, v in enumerate(directions):
             dot = tab.zero
             for a, x in zip(v, p):
                 dot = add[dot][mul[a][x]]
-            masks[d * size + dot] |= 1 << j
+            i = d * size + dot
+            masks[i] |= 1 << j
+            through[j] |= 1 << i
 
     def plane(i):
         return Hyperplane(tab.el(directions[i // size]), tab.elements[i % size])
@@ -490,8 +494,7 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     full = (1 << len(targets)) - 1
 
     # greedy upper bound
-    uncovered = full
-    greedy = []
+    uncovered, greedy = full, []
     while uncovered:
         best = max(range(count), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
         if not masks[best] & uncovered:
@@ -504,31 +507,46 @@ def cover_search(n: int, q: int, field: Field, emb: Embedding, excluded=()) -> C
     for i in range(count - 1, -1, -1):
         dead[i] = dead[i + 1] & ~masks[i]
 
-    def dfs(start: int, uncovered: int, slots: int, picks: list):
-        if not uncovered:
-            return list(picks)
-        if slots == 0 or uncovered & dead[start]:
-            return None
-        # the `slots` planes of largest gain cover at most this many new points
-        gains = sorted([(m & uncovered).bit_count() for m in masks[start:]], reverse=True)
-        if sum(gains[:slots]) < uncovered.bit_count():
-            return None
+    def children(start: int, uncovered: int):
         for i in range(start, count):
             if uncovered & dead[i]:
-                break  # dead only grows with i: no later child covers it either
+                return  # dead only grows with i: no later child covers it either
             if masks[i] & uncovered:
-                picks.append(i)
-                got = dfs(i + 1, uncovered & ~masks[i], slots - 1, picks)
-                if got is not None:
-                    return got
-                picks.pop()
-        return None
+                yield i
+
+    def search(slots: int):
+        """The index-least cover by `slots` planes, or None: depth first,
+        on a stack of (uncovered, slots, children) per open node."""
+        picks, stack, start, uncovered = [], [], 0, full
+        while uncovered:
+            if slots == 1:
+                # the lowest plane from start through every uncovered target
+                planes, rest = -1 << start, uncovered
+                while rest and planes:
+                    low = rest & -rest
+                    planes &= through[low.bit_length() - 1]
+                    rest ^= low
+                if planes:
+                    return picks + [(planes & -planes).bit_length() - 1]
+            elif not uncovered & dead[start]:
+                # the `slots` planes of largest gain cover at most this many new points
+                gains = sorted([(m & uncovered).bit_count() for m in masks[start:]], reverse=True)
+                if sum(gains[:slots]) >= uncovered.bit_count():
+                    stack.append((uncovered, slots, children(start, uncovered)))
+            while stack and (i := next(stack[-1][2], None)) is None:
+                stack.pop()
+            if not stack:
+                return None
+            uncovered, slots, _ = stack[-1]
+            picks[len(stack) - 1:] = [i]
+            start, uncovered, slots = i + 1, uncovered & ~masks[i], slots - 1
+        return picks
 
     first = bound if vanishing_polynomial(targets, bound - 1) is None else 1
     if first > len(greedy):
         raise InconsistencyError(f"greedy cover of size {len(greedy)} beats the proved bound {bound}")
     for k in range(first, len(greedy) + 1):
-        got = dfs(0, full, k, [])
+        got = search(k)
         if got is not None:
             return CoverSearchResult(k, map(plane, got), bound)
     return CoverSearchResult(len(greedy), map(plane, greedy), bound)
@@ -544,7 +562,7 @@ def optimal_kakeya_f3() -> PointSet:
                               ((0, 0, 0), (1, 1, 2)),
                               ((0, 2, 0), (1, 2, 2))]:
         points.update(_translates(tab, anchor, _multiples(tab, direction, range(3))))
-    return PointSet(field, 3, map(tab.el, points))
+    return PointSet._of_indices(field, 3, points)
 
 
 def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):
@@ -564,4 +582,4 @@ def kakeya_line_union_search(n: int, q: int, field: Field, emb: Embedding):
         union = reduce(or_, choice, 0)
         if best is None or union.bit_count() < best.bit_count():
             best = union
-    return best.bit_count(), PointSet(field, n, [tab.el(p) for p, b in bit.items() if best & b])
+    return best.bit_count(), PointSet._of_indices(field, n, [p for p, b in bit.items() if best & b])

@@ -1039,6 +1039,40 @@ def test_line_star_and_verify_kakeya(ambient, data):
     assert (got.ok, got.entries, got.failed) == (want.ok, want.entries, want.failed)
 
 
+def _verdicts(S, emb, q, verify_kakeya=verify_kakeya, verify_nikodym=verify_nikodym):
+    kakeya = [verify_kakeya(S, emb, t) for t in range(1, q + 1)]
+    nikodym = verify_nikodym(S, emb)
+    return ([(c.ok, c.entries, c.failed) for c in kakeya], (nikodym.ok, nikodym.entries, nikodym.failed),
+            _bound_result(geometry.nikodym_bound_check, S, emb) if nikodym.ok else None)
+
+
+@pytest.mark.parametrize("field", GEOMETRY_FIELDS, ids=str)
+def test_index_zero_is_the_zero_element(field):
+    # _canonical and the direction filters read index 0 as zero
+    assert field.tables().zero == 0
+    assert field.elements()[0].is_zero
+
+
+@KERNELS
+@given(ambients(), st.data())
+def test_index_built_sets_verify_as_element_built(ambient, data):
+    """line_star and the line-union search build their sets from index
+    tuples; the verifiers read that form straight away and must agree
+    with an element-built copy and with the references."""
+    field, n, q, emb = ambient
+    if data.draw(st.booleans()) and q ** n <= 25 and field in GEOMETRY_FIELDS[:4]:
+        S = kakeya_line_union_search(n, q, field, emb)[1]
+    else:
+        S = line_star(n, q, field, emb)
+    got = _verdicts(S, emb, q)
+    size, listed = len(S), S.sorted_points()
+    assert S._points is None  # no field-element tuple was kept on the way
+    copy = PointSet(field, n, S.points)
+    assert got == _verdicts(copy, emb, q)
+    assert got[:2] == _verdicts(copy, emb, q, reference_verify_kakeya, reference_verify_nikodym)[:2]
+    assert (S.points, S.indices, size, listed) == (copy.points, copy.indices, len(copy), copy.sorted_points())
+
+
 @KERNELS
 @given(ambients(), st.data())
 def test_verify_nikodym(ambient, data):
@@ -1082,6 +1116,18 @@ def test_cover_search(case):
     n, q, field, emb, excluded = case
     assert _cover_result(cover_search(n, q, field, emb, excluded)) == \
         _cover_result(reference_cover_search(n, q, field, emb, excluded))
+
+
+def test_cover_search_one_plane_per_target():
+    """A cover of 997 planes, one per point of GF(997), is searched without
+    recursion: the deepening starts at the bound when the oracle finds no
+    vanishing polynomial below it."""
+    field = field_from_string("gf:997")
+    emb = Embedding.grid(field, 997, -1)
+    with mock.patch.object(geometry, "vanishing_polynomial", lambda *args, **kwargs: None):
+        got = cover_search(1, 997, field, emb)
+    assert (got.minimum, got.bound) == (997, 997)
+    assert [(h.normal, h.offset) for h in got.witness] == [((field.one,), c) for c in field.elements()]
 
 
 @settings(KERNELS, max_examples=40)

@@ -13,6 +13,11 @@ Runs, from the checkout this file sits in:
   `incseq hilbert --n 5 --q 6`, and of the Tier-1 test suite, timed wall
   to wall, with their exit codes.  The hilbert case does under 1 ms of
   work, so its wall time is the process start-up;
+- the geometry layer case, timed in this process as the median of
+  LAYER_REPEAT calls after one warm-up call (which builds the field's
+  tables): `line_star`, `verify_kakeya` and `nikodym_bound_check` at
+  n=3, q=5 over GF(5), and `cover_search` at n=3, q=4 over GF(5) with
+  two excluded sequences, both on the grid embedding;
 - `wc -l src/incseq/*.py`.
 
 Everything runs one process at a time, so a run takes about six times
@@ -23,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -38,6 +44,7 @@ COMMANDS = [
     ["hilbert", "--n", "5", "--q", "6"],
 ]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+LAYER_REPEAT = 50
 # layer cases of the bench file that this commit cannot time, and why
 ABSENT = {
     "dense_elimination": "no src/ code does a dense elimination; the only one is tests/dense_reference.py, "
@@ -74,6 +81,38 @@ def _workload(name: str, seed: int, seconds: int) -> dict:
     return out
 
 
+def _geometry_layer() -> dict:
+    """Median wall time of each geometry case over LAYER_REPEAT calls, in ms."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from incseq import geometry
+    from incseq.combinatorics import Embedding
+    from incseq.field import field_from_string
+
+    gf5 = field_from_string("gf:5")
+    star_emb, cover_emb = Embedding.grid(gf5, 5, -1), Embedding.grid(gf5, 4, -1)
+
+    def star():
+        points = geometry.line_star(3, 5, gf5, star_emb)
+        geometry.verify_kakeya(points, star_emb, 5)
+        geometry.nikodym_bound_check(points, star_emb)
+
+    cases = {
+        "line_star+verify_kakeya+nikodym_bound_check n=3 q=5 gf:5": star,
+        "cover_search n=3 q=4 gf:5 excluded=1,1,1;1,2,3":
+            lambda: geometry.cover_search(3, 4, gf5, cover_emb, [(1, 1, 1), (1, 2, 3)]),
+    }
+    out = {}
+    for name, case in cases.items():
+        case()
+        times = []
+        for _ in range(LAYER_REPEAT):
+            start = time.perf_counter()
+            case()
+            times.append(time.perf_counter() - start)
+        out[name] = {"median_ms": round(statistics.median(times) * 1e3, 3), "calls": LAYER_REPEAT}
+    return out
+
+
 def _summary(stdout: str) -> str:
     """The last line of a pytest -q run, e.g. `762 passed in 40.12s`."""
     lines = [line for line in stdout.splitlines() if line.strip()]
@@ -100,6 +139,7 @@ def main(argv=None) -> int:
     for name in WORKLOADS:
         print(f"perfbench {name} ...", file=sys.stderr)
         bench["workloads"][name] = _workload(name, args.seed, args.seconds)
+    bench["layers"] = {"geometry": _geometry_layer()}
     for cmd in COMMANDS:
         wall, run = _timed(["-m", "incseq.cli", *cmd])
         bench["commands"]["incseq " + " ".join(cmd)] = {"wall_s": round(wall, 4), "exit": run.returncode}
